@@ -5,8 +5,8 @@
 // Arg(1) the widest ISA the CPU reports — so the committed baseline
 // pins both the absolute times and the vector-vs-scalar ratio. The
 // outputs are bit-identical between the two runs by the §12 contract;
-// only the wall time may differ. The distance-tile pair is the headline:
-// the packed dot4 path is expected to hold ≥2× over scalar on AVX2.
+// only the wall time may differ. The distance-tile pair is the headline,
+// with the 4×8 micro-kernel that feeds it timed alone beside it.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -69,6 +69,29 @@ void BM_SimdDistanceTile(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SimdDistanceTile)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The distance tile's register-blocked micro-kernel alone: 4 rows × 8
+/// packed columns over one folded week, 32 dot products per call.
+void BM_SimdDot4x8(benchmark::State& state) {
+  const auto& points = kernel_points();
+  std::vector<double> packed(simd::kDotBlockCols * kDim);
+  for (std::size_t d = 0; d < kDim; ++d)
+    for (std::size_t c = 0; c < simd::kDotBlockCols; ++c)
+      packed[simd::kDotBlockCols * d + c] = points[c % points.size()][d];
+  const double* rows[simd::kDotBlockRows];
+  for (std::size_t r = 0; r < simd::kDotBlockRows; ++r)
+    rows[r] = points[r % points.size()].data();
+  double out[simd::kDotBlockRows * simd::kDotBlockCols];
+  IsaScope scope(state);
+  for (auto _ : state) {
+    simd::dot_4x8(rows, packed.data(), kDim, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+                              simd::kDotBlockRows * simd::kDotBlockCols) *
+                          state.iterations());
+}
+BENCHMARK(BM_SimdDot4x8)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_SimdZscoreFold(benchmark::State& state) {
   static const TrafficMatrix& matrix = [] {

@@ -34,7 +34,6 @@
 // the ingestor, flush the checkpoint, and let the run report write —
 // never a torn snapshot.
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -45,6 +44,7 @@
 #include "common/rng.h"
 #include "common/time_grid.h"
 #include "core/cellscope.h"
+#include "flag_util.h"
 #include "mapred/thread_pool.h"
 #include "obs/introspect.h"
 #include "obs/report.h"
@@ -59,16 +59,6 @@
 namespace {
 
 using namespace cellscope;
-
-std::uint64_t flag_u64(std::string_view arg, std::string_view name,
-                       bool& matched) {
-  if (!arg.starts_with(name) || arg.size() <= name.size() ||
-      arg[name.size()] != '=')
-    return 0;
-  matched = true;
-  return std::strtoull(std::string(arg.substr(name.size() + 1)).c_str(),
-                       nullptr, 10);
-}
 
 std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
                                        std::uint32_t n_towers,
@@ -98,7 +88,7 @@ std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t port = 8080;
+  std::uint16_t port = 8080;
   std::size_t workers = 4;
   std::size_t max_pending = 64;
   std::size_t n_towers = 200;
@@ -110,20 +100,16 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    bool matched = false;
-    if (auto v = flag_u64(arg, "--port", matched); matched) port = v;
-    else if (auto v = flag_u64(arg, "--workers", matched); matched)
-      workers = v;
-    else if (auto v = flag_u64(arg, "--max-pending", matched); matched)
-      max_pending = v;
-    else if (auto v = flag_u64(arg, "--towers", matched); matched)
-      n_towers = v;
-    else if (auto v = flag_u64(arg, "--records", matched); matched)
-      n_records = v;
-    else if (auto v = flag_u64(arg, "--rounds", matched); matched) rounds = v;
-    else if (auto v = flag_u64(arg, "--batch", matched); matched) batch = v;
-    else if (auto v = flag_u64(arg, "--pause-ms", matched); matched)
-      pause_ms = v;
+    if (auto v = examples::flag_u64(arg, "--port", 0, 65535))
+      port = static_cast<std::uint16_t>(*v);
+    else if (auto v = examples::flag_u64(arg, "--workers", 1)) workers = *v;
+    else if (auto v = examples::flag_u64(arg, "--max-pending"))
+      max_pending = *v;
+    else if (auto v = examples::flag_u64(arg, "--towers")) n_towers = *v;
+    else if (auto v = examples::flag_u64(arg, "--records")) n_records = *v;
+    else if (auto v = examples::flag_u64(arg, "--rounds")) rounds = *v;
+    else if (auto v = examples::flag_u64(arg, "--batch")) batch = *v;
+    else if (auto v = examples::flag_u64(arg, "--pause-ms")) pause_ms = *v;
     else if (arg.starts_with("--trace="))
       trace_path = arg.substr(8);
     else if (arg.starts_with("--checkpoint="))
@@ -151,7 +137,7 @@ int main(int argc, char** argv) {
   service.publish_model(classifier);
 
   server::ServerConfig server_config;
-  server_config.port = static_cast<std::uint16_t>(port);
+  server_config.port = port;
   server_config.workers = workers;
   server_config.max_pending = max_pending;
   server::QueryServer server(service, server_config);

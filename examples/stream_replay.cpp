@@ -31,7 +31,6 @@
 //                           at the next round boundary instead of dying
 //                           mid-write
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -41,6 +40,7 @@
 #include "common/rng.h"
 #include "common/time_grid.h"
 #include "core/cellscope.h"
+#include "flag_util.h"
 #include "mapred/thread_pool.h"
 #include "obs/introspect.h"
 #include "obs/report.h"
@@ -53,16 +53,6 @@
 namespace {
 
 using namespace cellscope;
-
-std::uint64_t flag_u64(std::string_view arg, std::string_view name,
-                       bool& matched) {
-  if (!arg.starts_with(name) || arg.size() <= name.size() ||
-      arg[name.size()] != '=')
-    return 0;
-  matched = true;
-  return std::strtoull(std::string(arg.substr(name.size() + 1)).c_str(),
-                       nullptr, 10);
-}
 
 std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
                                        std::uint32_t n_towers,
@@ -121,22 +111,21 @@ int main(int argc, char** argv) {
   options.classify_every_batches = 16;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    bool matched = false;
-    if (auto v = flag_u64(arg, "--towers", matched); matched) n_towers = v;
-    else if (auto v = flag_u64(arg, "--records", matched); matched)
-      n_records = v;
-    else if (auto v = flag_u64(arg, "--rounds", matched); matched) rounds = v;
-    else if (auto v = flag_u64(arg, "--batch", matched); matched)
-      options.batch_size = v;
-    else if (auto v = flag_u64(arg, "--skew", matched); matched)
-      options.skew_window = v;
-    else if (auto v = flag_u64(arg, "--classify-every", matched); matched)
-      options.classify_every_batches = v;
-    else if (auto v = flag_u64(arg, "--pause-ms", matched); matched)
-      pause_ms = v;
-    else if (auto v = flag_u64(arg, "--metrics-interval-ms", matched);
-             matched)
-      options.metrics_interval_ms = static_cast<std::uint32_t>(v);
+    if (auto v = examples::flag_u64(arg, "--towers")) n_towers = *v;
+    else if (auto v = examples::flag_u64(arg, "--records")) n_records = *v;
+    else if (auto v = examples::flag_u64(arg, "--rounds")) rounds = *v;
+    else if (auto v = examples::flag_u64(arg, "--batch"))
+      options.batch_size = *v;
+    else if (auto v = examples::flag_u64(arg, "--skew"))
+      options.skew_window = *v;
+    else if (auto v = examples::flag_u64(arg, "--classify-every"))
+      options.classify_every_batches = *v;
+    else if (auto v = examples::flag_u64(arg, "--pause-ms")) pause_ms = *v;
+    else if (auto v = examples::flag_u64(arg, "--metrics-interval-ms", 0,
+                                         UINT32_MAX))
+      options.metrics_interval_ms = static_cast<std::uint32_t>(*v);
+    else if (auto v = examples::flag_f64(arg, "--late", 0.0, 1.0))
+      options.late_fraction = *v;
     else if (arg.starts_with("--metrics-jsonl="))
       options.metrics_jsonl_path = arg.substr(16);
     else if (arg.starts_with("--trace="))
@@ -145,8 +134,6 @@ int main(int argc, char** argv) {
       checkpoint_path = arg.substr(13);
     else if (arg == "--offer")
       bulk = false;
-    else if (arg.starts_with("--late="))
-      options.late_fraction = std::strtod(arg.substr(7).data(), nullptr);
     else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;

@@ -9,7 +9,6 @@
 //       concatenate columnar traces by verbatim chunk copy + index rebuild
 //   trace_convert info <file>
 //       print a columnar file's chunk index summary
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -18,6 +17,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/time_grid.h"
+#include "flag_util.h"
 #include "obs/timer.h"
 #include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
@@ -25,16 +25,6 @@
 namespace {
 
 using namespace cellscope;
-
-std::uint64_t flag_u64(std::string_view arg, std::string_view name,
-                       bool& matched) {
-  if (!arg.starts_with(name) || arg.size() <= name.size() ||
-      arg[name.size()] != '=')
-    return 0;
-  matched = true;
-  return std::strtoull(std::string(arg.substr(name.size() + 1)).c_str(),
-                       nullptr, 10);
-}
 
 int usage() {
   std::cerr << "usage:\n"
@@ -159,12 +149,11 @@ int main(int argc, char** argv) {
   std::size_t chunk = columnar::kDefaultChunkRecords;
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    bool matched = false;
-    if (auto v = flag_u64(arg, "--records", matched); matched) records = v;
-    else if (auto v = flag_u64(arg, "--towers", matched); matched)
-      towers = static_cast<std::uint32_t>(v);
-    else if (auto v = flag_u64(arg, "--seed", matched); matched) seed = v;
-    else if (auto v = flag_u64(arg, "--chunk", matched); matched) chunk = v;
+    if (auto v = examples::flag_u64(arg, "--records")) records = *v;
+    else if (auto v = examples::flag_u64(arg, "--towers", 1, UINT32_MAX))
+      towers = static_cast<std::uint32_t>(*v);
+    else if (auto v = examples::flag_u64(arg, "--seed")) seed = *v;
+    else if (auto v = examples::flag_u64(arg, "--chunk", 1)) chunk = *v;
     else if (arg.starts_with("--")) {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;

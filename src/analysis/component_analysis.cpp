@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "mapred/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
 
@@ -22,15 +23,8 @@ double feature_distance(const std::array<double, 3>& a,
 
 std::size_t find_representative(
     const std::vector<std::array<double, 3>>& features,
-    const std::vector<int>& labels, int cluster) {
-  return find_representative(features, labels, cluster,
-                             RepresentativeOptions{});
-}
-
-std::size_t find_representative(
-    const std::vector<std::array<double, 3>>& features,
     const std::vector<int>& labels, int cluster,
-    const RepresentativeOptions& options) {
+    const RepresentativeOptions& options, ThreadPool* pool) {
   CS_CHECK_MSG(features.size() == labels.size() && !features.empty(),
                "features and labels must match");
 
@@ -43,33 +37,45 @@ std::size_t find_representative(
   CS_CHECK_MSG(!members.empty(), "cluster has no members");
   CS_CHECK_MSG(!others.empty(), "no other clusters to separate from");
 
-  auto evaluate = [&](bool enforce_density) -> std::size_t {
+  // Per member (each written by exactly one task): its density-neighbor
+  // count and its minimum distance to the other clusters.
+  std::vector<std::size_t> neighbors(members.size(), 0);
+  std::vector<double> separation(members.size());
+  const auto measure = [&](std::size_t m) {
+    const std::size_t i = members[m];
+    for (std::size_t j = 0; j < features.size(); ++j) {
+      if (j != i && feature_distance(features[i], features[j]) <=
+                        options.density_radius)
+        ++neighbors[m];
+    }
+    double min_d = std::numeric_limits<double>::infinity();
+    for (const std::size_t j : others)
+      min_d = std::min(min_d, feature_distance(features[i], features[j]));
+    separation[m] = min_d;
+  };
+  if (pool != nullptr && pool->thread_count() > 1) {
+    pool->parallel_for(members.size(), measure);
+  } else {
+    for (std::size_t m = 0; m < members.size(); ++m) measure(m);
+  }
+
+  // The argmax runs serially in ascending member order with a strict >,
+  // so ties go to the lowest index whatever the worker count.
+  const auto best_member = [&](bool enforce_density) {
     double best_score = -1.0;
     std::size_t best = features.size();  // sentinel
-    for (const std::size_t i : members) {
-      if (enforce_density) {
-        std::size_t neighbors = 0;
-        for (std::size_t j = 0; j < features.size(); ++j) {
-          if (j == i) continue;
-          if (feature_distance(features[i], features[j]) <=
-              options.density_radius)
-            ++neighbors;
-        }
-        if (neighbors < options.min_neighbors) continue;  // noise point
-      }
-      double min_d = std::numeric_limits<double>::infinity();
-      for (const std::size_t j : others)
-        min_d = std::min(min_d, feature_distance(features[i], features[j]));
-      if (min_d > best_score) {
-        best_score = min_d;
-        best = i;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      if (enforce_density && neighbors[m] < options.min_neighbors)
+        continue;  // noise point
+      if (separation[m] > best_score) {
+        best_score = separation[m];
+        best = members[m];
       }
     }
     return best;
   };
-
-  std::size_t chosen = evaluate(true);
-  if (chosen == features.size()) chosen = evaluate(false);  // all "noise"
+  std::size_t chosen = best_member(true);
+  if (chosen == features.size()) chosen = best_member(false);  // all "noise"
   CS_CHECK_MSG(chosen < features.size(), "no representative found");
   return chosen;
 }

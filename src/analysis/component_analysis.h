@@ -19,6 +19,8 @@
 
 namespace cellscope {
 
+class ThreadPool;
+
 /// Representative-selection knobs.
 struct RepresentativeOptions {
   /// Feature-space radius of the density (noise) test.
@@ -31,15 +33,13 @@ struct RepresentativeOptions {
 /// Index of the most representative tower of one cluster: the non-noise
 /// member farthest (in min-distance terms) from all towers of other
 /// clusters, in the (A28, P28, A56) feature space. Falls back to ignoring
-/// the density test when no member passes it.
-std::size_t find_representative(
-    const std::vector<std::array<double, 3>>& features,
-    const std::vector<int>& labels, int cluster);
-
+/// the density test when no member passes it. With a pool, the members'
+/// density and separation are measured in parallel; the choice is
+/// identical to the serial (nullptr) path.
 std::size_t find_representative(
     const std::vector<std::array<double, 3>>& features,
     const std::vector<int>& labels, int cluster,
-    const RepresentativeOptions& options);
+    const RepresentativeOptions& options = {}, ThreadPool* pool = nullptr);
 
 /// One tower's convex decomposition over the four primary components.
 struct Decomposition {

@@ -3,17 +3,23 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "mapred/thread_pool.h"
 #include "ml/hierarchical.h"
 
 namespace cellscope {
 
 std::vector<std::array<std::size_t, kNumPoiTypes>> poi_counts_for_towers(
     const PoiDatabase& pois, const std::vector<Tower>& towers,
-    double radius_m) {
-  std::vector<std::array<std::size_t, kNumPoiTypes>> out;
-  out.reserve(towers.size());
-  for (const auto& t : towers)
-    out.push_back(pois.counts_near(t.position, radius_m));
+    double radius_m, ThreadPool* pool) {
+  std::vector<std::array<std::size_t, kNumPoiTypes>> out(towers.size());
+  const auto count_tower = [&](std::size_t i) {
+    out[i] = pois.counts_near(towers[i].position, radius_m);
+  };
+  if (pool != nullptr && pool->thread_count() > 1) {
+    pool->parallel_for(towers.size(), count_tower);
+  } else {
+    for (std::size_t i = 0; i < towers.size(); ++i) count_tower(i);
+  }
   return out;
 }
 

@@ -15,13 +15,16 @@
 
 namespace cellscope {
 
+class ThreadPool;
+
 /// The paper's POI neighborhood radius (200 m, §3.3.1).
 inline constexpr double kPoiRadiusM = 200.0;
 
-/// Per-type POI counts around every tower.
+/// Per-type POI counts around every tower. With a pool, towers are
+/// counted in parallel; the result is identical to the serial path.
 std::vector<std::array<std::size_t, kNumPoiTypes>> poi_counts_for_towers(
     const PoiDatabase& pois, const std::vector<Tower>& towers,
-    double radius_m = kPoiRadiusM);
+    double radius_m = kPoiRadiusM, ThreadPool* pool = nullptr);
 
 /// Table 3: min-max normalize each POI type across towers, then average
 /// within each cluster. `labels[i]` is the cluster of towers[i].

@@ -37,7 +37,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   CS_CHECK_MSG(config.k_min >= 2 && config.k_min <= config.k_max,
                "invalid DBI sweep bounds");
 
-  // Every post-vectorizer analytics stage shares one pool, sized by the
+  // The vectorizer, the analytics stages and the POI counts share one
+  // pool (the NN-chain linkage stays serial), sized by the
   // CELLSCOPE_THREADS environment variable (DESIGN.md §8). Results are
   // bit-identical for any worker count.
   ThreadPool pool(configured_thread_count());
@@ -96,7 +97,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   {
     obs::StageSpan span("pipeline.vectorize");
     e.matrix_ = vectorize_intensity(e.towers_, *e.intensity_,
-                                    config.seed ^ 0x94D049BB133111EBULL);
+                                    config.seed ^ 0x94D049BB133111EBULL,
+                                    &pool);
     obs::QualityBoard::instance().add_check(
         "pipeline.vectorize", "matrix_finite", obs::Severity::kFail,
         [&rows = e.matrix_.rows] { return obs::check_finite_rows(rows); });
@@ -170,7 +172,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   // 6. POI labeling + validation.
   {
     obs::StageSpan span("pipeline.label_validate");
-    e.poi_counts_ = poi_counts_for_towers(*e.pois_, e.towers_);
+    e.poi_counts_ =
+        poi_counts_for_towers(*e.pois_, e.towers_, kPoiRadiusM, &pool);
     const auto normalized =
         normalized_poi_by_cluster(e.poi_counts_, e.labels_);
     e.labeling_ = label_clusters_by_poi(normalized);
@@ -239,6 +242,8 @@ const std::array<std::size_t, 4>& Experiment::representatives() const {
     qp_features.reserve(features.size());
     for (const auto& f : features) qp_features.push_back(f.qp_feature());
 
+    ThreadPool pool(configured_thread_count());
+
     std::array<std::size_t, 4> reps{};
     for (int r = 0; r < 4; ++r) {
       const auto cluster =
@@ -247,7 +252,7 @@ const std::array<std::size_t, 4>& Experiment::representatives() const {
                    "pure region has no cluster: " +
                        region_name(static_cast<FunctionalRegion>(r)));
       reps[r] = find_representative(qp_features, labels_,
-                                    static_cast<int>(*cluster));
+                                    static_cast<int>(*cluster), {}, &pool);
     }
     representatives_ = reps;
   }

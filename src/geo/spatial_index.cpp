@@ -40,11 +40,11 @@ std::size_t SpatialIndex::bucket_of(const LatLon& p) const {
   return r * cols_ + c;
 }
 
-std::vector<std::size_t> SpatialIndex::query_radius(const LatLon& center,
-                                                    double radius_m) const {
+template <typename Visit>
+void SpatialIndex::for_each_within(const LatLon& center, double radius_m,
+                                   Visit&& visit) const {
   CS_CHECK_MSG(radius_m >= 0.0, "radius must be non-negative");
-  std::vector<std::size_t> out;
-  if (points_.empty()) return out;
+  if (points_.empty()) return;
 
   // Conservative degree extents of the radius.
   const double dlat = radius_m / 1000.0 / km_per_degree_lat();
@@ -61,17 +61,25 @@ std::vector<std::size_t> SpatialIndex::query_radius(const LatLon& center,
   for (std::size_t r = r0; r <= r1; ++r) {
     for (std::size_t c = c0; c <= c1; ++c) {
       for (const std::size_t i : buckets_[r * cols_ + c]) {
-        if (haversine_m(points_[i], center) <= radius_m) out.push_back(i);
+        if (haversine_m(points_[i], center) <= radius_m) visit(i);
       }
     }
   }
+}
+
+std::vector<std::size_t> SpatialIndex::query_radius(const LatLon& center,
+                                                    double radius_m) const {
+  std::vector<std::size_t> out;
+  for_each_within(center, radius_m, [&out](std::size_t i) { out.push_back(i); });
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::size_t SpatialIndex::count_radius(const LatLon& center,
                                        double radius_m) const {
-  return query_radius(center, radius_m).size();
+  std::size_t count = 0;
+  for_each_within(center, radius_m, [&count](std::size_t) { ++count; });
+  return count;
 }
 
 std::size_t SpatialIndex::nearest(const LatLon& center) const {

@@ -38,6 +38,12 @@ class SpatialIndex {
  private:
   std::size_t bucket_of(const LatLon& p) const;
 
+  /// Calls visit(i) for every point within `radius_m` of `center`, in
+  /// bucket order — the scan query_radius collects and count_radius counts.
+  template <typename Visit>
+  void for_each_within(const LatLon& center, double radius_m,
+                       Visit&& visit) const;
+
   BoundingBox box_;
   std::vector<LatLon> points_;
   std::size_t rows_ = 0;

@@ -13,13 +13,21 @@ namespace cellscope {
 
 namespace {
 
-/// Rows per parallel tile. A tile is the unit of work handed to the pool;
-/// its rows share the streamed column blocks below.
-constexpr std::size_t kTileRows = 16;
+/// Rows per parallel tile, the unit of work handed to the pool. All of a
+/// tile's rows sweep each packed column block, so taller tiles amortize
+/// the packing further; at 9,600 towers 128 rows still leave 75 tiles for
+/// the pool to balance the triangle with.
+constexpr std::size_t kTileRows = 128;
 
-/// Columns per cache block. One block of 32 rows × 1008 doubles (~256 KiB)
-/// stays L2-resident while every row of the tile is swept across it.
-constexpr std::size_t kBlockCols = 32;
+/// Columns per packed block: 64 columns × 1008 doubles (~504 KiB) stay
+/// L2-resident while the tile's rows are swept across them.
+constexpr std::size_t kBlockCols = 64;
+
+constexpr std::size_t kMr = simd::kDotBlockRows;
+constexpr std::size_t kNr = simd::kDotBlockCols;
+
+static_assert(kTileRows % kMr == 0 && kBlockCols % kNr == 0,
+              "tiles and blocks must hold whole micro-kernel blocks");
 
 }  // namespace
 
@@ -34,91 +42,69 @@ DistanceMatrix DistanceMatrix::compute(
   auto& registry = obs::MetricsRegistry::instance();
   obs::ScopedTimer timer(registry.histogram("cellscope.ml.distance_ms"));
 
-  // Flatten into one contiguous row-major buffer and precompute squared
-  // norms, so the kernel below is pure streaming arithmetic.
-  std::vector<double> flat(n * dim);
+  // Squared norms up front, so the tile kernel below is pure dot-product
+  // arithmetic (d² = |a|² + |b|² − 2a·b).
   std::vector<double> norms(n);
   for (std::size_t i = 0; i < n; ++i) {
-    double* dst = flat.data() + i * dim;
-    const double* src = points[i].data();
     double norm = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      dst[d] = src[d];
-      norm += src[d] * src[d];
-    }
+    for (const double v : points[i]) norm += v * v;
     norms[i] = norm;
   }
 
   std::vector<float> condensed(n * (n - 1) / 2);
   float* out = condensed.data();
-  const double* base = flat.data();
-
-  // Whether to run the packed simd::dot4 path. Each output's dot product
-  // is still one accumulation chain in ascending d (the vector kernels
-  // run four independent chains side by side), so scalar and vector
-  // paths produce bit-identical entries — the split exists only to skip
-  // the packing overhead when dispatch resolves to scalar anyway.
-  const bool vectorized = simd::active_isa() != simd::Isa::kScalar;
 
   // One tile = kTileRows consecutive rows of the condensed triangle. Every
-  // (i, j) entry is computed by exactly one tile with a fixed dot-product
-  // order, so the output does not depend on how tiles map to workers.
+  // (i, j) entry is computed by exactly one tile, and its dot product is
+  // one ascending-d chain inside simd::dot_4x8 whatever the ISA, so the
+  // output depends neither on how tiles map to workers nor on dispatch.
   auto process_tile = [&](std::size_t t) {
     const std::size_t i0 = t * kTileRows;
     const std::size_t i1 = std::min(n, i0 + kTileRows);
-    // Scratch for the packed column groups of the current block,
-    // interleaved GEMM-style: packed[g][4*d + l] = column (jb + 4g + l)
-    // at dimension d. Packing is amortized across the tile's rows.
-    std::vector<double> packed;
-    for (std::size_t jb = i0 + 1; jb < n; jb += kBlockCols) {
-      const std::size_t je = std::min(n, jb + kBlockCols);
-      const std::size_t ngroups = vectorized ? (je - jb) / 4 : 0;
-      if (ngroups > 0) {
-        packed.resize(ngroups * 4 * dim);
-        for (std::size_t g = 0; g < ngroups; ++g) {
-          double* pk = packed.data() + g * 4 * dim;
-          const double* c0 = base + (jb + 4 * g) * dim;
-          for (std::size_t d = 0; d < dim; ++d) {
-            pk[4 * d + 0] = c0[d];
-            pk[4 * d + 1] = c0[dim + d];
-            pk[4 * d + 2] = c0[2 * dim + d];
-            pk[4 * d + 3] = c0[3 * dim + d];
+    // The current column block, packed GEMM-style in groups of kNr:
+    // packed[g][kNr*d + c] = column (jb + kNr*g + c) at dimension d, zero
+    // past the last column.
+    std::vector<double> packed(kBlockCols * dim);
+    double dots[kMr * kNr];
+    for (std::size_t jb = i0; jb < n; jb += kBlockCols) {
+      const std::size_t ngroups =
+          (std::min(n, jb + kBlockCols) - jb + kNr - 1) / kNr;
+      for (std::size_t g = 0; g < ngroups; ++g) {
+        double* pk = packed.data() + g * kNr * dim;
+        for (std::size_t c = 0; c < kNr; ++c) {
+          const std::size_t j = jb + g * kNr + c;
+          if (j < n) {
+            const double* col = points[j].data();
+            for (std::size_t d = 0; d < dim; ++d) pk[kNr * d + c] = col[d];
+          } else {
+            for (std::size_t d = 0; d < dim; ++d) pk[kNr * d + c] = 0.0;
           }
         }
       }
-      for (std::size_t i = i0; i < i1; ++i) {
-        const std::size_t js = std::max(i + 1, jb);
-        if (js >= je) continue;
-        const double* pi = base + i * dim;
-        const double norm_i = norms[i];
-        float* row = out + i * n - i * (i + 1) / 2;  // row[j - i - 1]
-        const auto emit = [&](std::size_t j, double dot) {
-          // Clamp: the norm identity can go fractionally negative for
-          // near-coincident points.
-          const double d2 = norm_i + norms[j] - 2.0 * dot;
-          row[j - i - 1] = static_cast<float>(std::sqrt(d2 > 0.0 ? d2 : 0.0));
-        };
-        const auto scalar_dot = [&](std::size_t j) {
-          const double* pj = base + j * dim;
-          double dot = 0.0;
-          for (std::size_t d = 0; d < dim; ++d) dot += pi[d] * pj[d];
-          return dot;
-        };
-        std::size_t j = js;
-        if (ngroups > 0) {
-          // Scalar head until j lands on a packed group boundary, then
-          // four columns at a time, scalar tail for the ragged end.
-          const std::size_t aligned = jb + ((js - jb + 3) / 4) * 4;
-          const std::size_t groups_end = jb + ngroups * 4;
-          for (const std::size_t head = std::min(je, aligned); j < head; ++j)
-            emit(j, scalar_dot(j));
-          for (; j + 4 <= groups_end; j += 4) {
-            double dots[4];
-            simd::dot4(pi, packed.data() + (j - jb) * dim, dim, dots);
-            for (std::size_t l = 0; l < 4; ++l) emit(j + l, dots[l]);
+      for (std::size_t ib = i0; ib < i1; ib += kMr) {
+        // A last block short of kMr rows repeats row n-1 in the spare
+        // slots; their outputs are never emitted.
+        const double* rows[kMr];
+        for (std::size_t r = 0; r < kMr; ++r)
+          rows[r] = points[std::min(ib + r, n - 1)].data();
+        for (std::size_t g = 0; g < ngroups; ++g) {
+          const std::size_t jg = jb + g * kNr;
+          if (jg + kNr <= ib + 1) continue;  // wholly on or below the diagonal
+          simd::dot_4x8(rows, packed.data() + g * kNr * dim, dim, dots);
+          for (std::size_t r = 0; r < kMr && ib + r < i1; ++r) {
+            const std::size_t i = ib + r;
+            float* row = out + i * n - i * (i + 1) / 2;  // row[j - i - 1]
+            for (std::size_t c = 0; c < kNr && jg + c < n; ++c) {
+              const std::size_t j = jg + c;
+              if (j <= i) continue;
+              // Clamp: the norm identity can go fractionally negative for
+              // near-coincident points.
+              const double d2 = norms[i] + norms[j] - 2.0 * dots[kNr * r + c];
+              row[j - i - 1] =
+                  static_cast<float>(std::sqrt(d2 > 0.0 ? d2 : 0.0));
+            }
           }
         }
-        for (; j < je; ++j) emit(j, scalar_dot(j));
       }
     }
   };

@@ -4,14 +4,14 @@
 // distances; the condensed (upper-triangle) float layout halves memory and
 // keeps the paper's 9,600-tower scale within laptop RAM (DESIGN.md §5).
 //
-// compute() is the O(n²·dim) hot kernel of the analytics core: the input
-// rows are flattened into one contiguous row-major buffer, squared norms
-// are precomputed, and the condensed triangle is filled by a cache-blocked
-// tile kernel (d² = |a|² + |b|² − 2a·b) whose row tiles are distributed
-// over an optional ThreadPool. Tiles partition the output, and every
-// entry's dot-product reduction runs in a fixed order, so the result is
-// bit-identical for any worker count, including the serial path
-// (DESIGN.md §8).
+// compute() is the O(n²·dim) hot kernel of the analytics core: squared
+// norms are precomputed, and the condensed triangle is filled by a
+// cache-blocked tile kernel (d² = |a|² + |b|² − 2a·b) that packs column
+// blocks and feeds simd::dot_4x8, with row tiles distributed over an
+// optional ThreadPool. Tiles partition the output, and every entry's
+// dot-product reduction runs in a fixed order, so the result is
+// bit-identical for any worker count and any SIMD ISA, including the
+// serial path (DESIGN.md §8, §12).
 //
 // Accessors are inline and, in release builds, unchecked (CS_DCHECK) —
 // the NN-chain inner loop reads and writes them millions of times.

@@ -75,18 +75,32 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
 
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, ThreadPool* pool) {
   CS_CHECK_MSG(towers.size() == intensity.size(),
                "towers and intensity model must match");
   obs::ScopedTimer timer;
+  // Fork every tower's stream first, serially in tower order, so row i
+  // draws from the same Rng whichever worker samples it. The rows are
+  // reserved here too: workers fill them in place, so the matrix lives in
+  // the caller's allocator arena rather than scattered over the workers'.
   Rng rng(seed);
+  std::vector<Rng> tower_rngs;
+  tower_rngs.reserve(towers.size());
   TrafficMatrix matrix;
   matrix.tower_ids.reserve(towers.size());
-  matrix.rows.reserve(towers.size());
-  for (const auto& t : towers) {
-    Rng tower_rng = rng.fork();
-    matrix.tower_ids.push_back(t.id);
-    matrix.rows.push_back(intensity.sample_series(t.id, tower_rng));
+  matrix.rows.resize(towers.size());
+  for (std::size_t i = 0; i < towers.size(); ++i) {
+    tower_rngs.push_back(rng.fork());
+    matrix.tower_ids.push_back(towers[i].id);
+    matrix.rows[i].reserve(TimeGrid::kSlots);
+  }
+  const auto sample_row = [&](std::size_t i) {
+    intensity.sample_series(towers[i].id, tower_rngs[i], matrix.rows[i]);
+  };
+  if (pool != nullptr && pool->thread_count() > 1) {
+    pool->parallel_for(towers.size(), sample_row);
+  } else {
+    for (std::size_t i = 0; i < towers.size(); ++i) sample_row(i);
   }
   matrix.check();
   obs::MetricsRegistry::instance()

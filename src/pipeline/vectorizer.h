@@ -38,9 +38,12 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
 
 /// Builds the matrix straight from the intensity model with per-slot
 /// sampling noise — statistically what vectorize_logs(clean(generate()))
-/// produces, minus session quantization. Deterministic in the seed.
+/// produces, minus session quantization. Deterministic in the seed. With
+/// a pool, rows are sampled in parallel; the result is bit-identical to
+/// the serial (nullptr) path.
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
-                                  std::uint64_t seed);
+                                  std::uint64_t seed,
+                                  ThreadPool* pool = nullptr);
 
 }  // namespace cellscope

@@ -18,8 +18,8 @@
 
 namespace cellscope::simd::detail {
 
-void dot4_scalar(const double* a, const double* packed, std::size_t dim,
-                 double out[4]);
+void dot_4x8_scalar(const double* const rows[4], const double* packed,
+                    std::size_t dim, double* out);
 void normalize_scalar(const double* v, std::size_t n, double mean, double sd,
                       double* out);
 void fold_mean_scalar(const double* row, std::size_t period, std::size_t folds,
@@ -32,8 +32,8 @@ void complex_multiply_scalar(const std::complex<double>* x,
 
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
 bool cpu_has_avx2();
-void dot4_avx2(const double* a, const double* packed, std::size_t dim,
-               double out[4]);
+void dot_4x8_avx2(const double* const rows[4], const double* packed,
+                  std::size_t dim, double* out);
 void normalize_avx2(const double* v, std::size_t n, double mean, double sd,
                     double* out);
 void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
@@ -46,8 +46,8 @@ void complex_multiply_avx2(const std::complex<double>* x,
 #endif
 
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
-void dot4_neon(const double* a, const double* packed, std::size_t dim,
-               double out[4]);
+void dot_4x8_neon(const double* const rows[4], const double* packed,
+                  std::size_t dim, double* out);
 void normalize_neon(const double* v, std::size_t n, double mean, double sd,
                     double* out);
 void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,

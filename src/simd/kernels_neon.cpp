@@ -1,8 +1,8 @@
 // NEON kernels (aarch64; this TU is compiled with -ffp-contract=off).
 //
 // Same bit-compatibility construction as the AVX2 TU, two doubles per
-// vector: reductions vectorize across independent outputs (dot4 keeps
-// one accumulator chain per lane), elementwise kernels map op for op,
+// vector: reductions vectorize across independent outputs (dot_4x8
+// keeps one accumulator chain per lane), elementwise kernels map op for op,
 // and no fused multiply-add intrinsics are used. NEON has no addsub, so
 // the complex kernels negate the cross-term lane with an exact ±1.0
 // multiply before a plain add — x − y and x + (−y) are the same IEEE
@@ -15,17 +15,26 @@
 
 namespace cellscope::simd::detail {
 
-void dot4_neon(const double* a, const double* packed, std::size_t dim,
-               double out[4]) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
+void dot_4x8_neon(const double* const rows[4], const double* packed,
+                  std::size_t dim, double* out) {
+  // acc[r][q] holds columns 2q, 2q+1 of row r: sixteen independent add
+  // chains, one output per lane, within NEON's 32 vector registers.
+  float64x2_t acc[4][4];
+  for (auto& row : acc)
+    for (auto& v : row) v = vdupq_n_f64(0.0);
   for (std::size_t d = 0; d < dim; ++d) {
-    const float64x2_t x = vdupq_n_f64(a[d]);
-    acc01 = vaddq_f64(acc01, vmulq_f64(x, vld1q_f64(packed + 4 * d)));
-    acc23 = vaddq_f64(acc23, vmulq_f64(x, vld1q_f64(packed + 4 * d + 2)));
+    const float64x2_t col[4] = {
+        vld1q_f64(packed + 8 * d), vld1q_f64(packed + 8 * d + 2),
+        vld1q_f64(packed + 8 * d + 4), vld1q_f64(packed + 8 * d + 6)};
+    for (std::size_t r = 0; r < 4; ++r) {
+      const float64x2_t x = vdupq_n_f64(rows[r][d]);
+      for (std::size_t q = 0; q < 4; ++q)
+        acc[r][q] = vaddq_f64(acc[r][q], vmulq_f64(x, col[q]));
+    }
   }
-  vst1q_f64(out, acc01);
-  vst1q_f64(out + 2, acc23);
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t q = 0; q < 4; ++q)
+      vst1q_f64(out + 8 * r + 2 * q, acc[r][q]);
 }
 
 void normalize_neon(const double* v, std::size_t n, double mean, double sd,

@@ -6,24 +6,18 @@
 
 namespace cellscope::simd::detail {
 
-void dot4_scalar(const double* a, const double* packed, std::size_t dim,
-                 double out[4]) {
-  double s0 = 0.0;
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double s3 = 0.0;
+void dot_4x8_scalar(const double* const rows[4], const double* packed,
+                    std::size_t dim, double* out) {
+  double acc[4][8] = {};  // 32 independent chains, each from +0.0
   for (std::size_t d = 0; d < dim; ++d) {
-    const double x = a[d];
-    const double* col = packed + 4 * d;
-    s0 += x * col[0];
-    s1 += x * col[1];
-    s2 += x * col[2];
-    s3 += x * col[3];
+    const double* col = packed + 8 * d;
+    for (std::size_t r = 0; r < 4; ++r) {
+      const double x = rows[r][d];
+      for (std::size_t c = 0; c < 8; ++c) acc[r][c] += x * col[c];
+    }
   }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 8; ++c) out[8 * r + c] = acc[r][c];
 }
 
 void normalize_scalar(const double* v, std::size_t n, double mean, double sd,

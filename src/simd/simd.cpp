@@ -100,19 +100,19 @@ std::optional<Isa> parse_isa(std::string_view name) {
   return std::nullopt;  // "auto", "", or unknown
 }
 
-void dot4(const double* a, const double* packed, std::size_t dim,
-          double out[4]) {
+void dot_4x8(const double* const rows[kDotBlockRows], const double* packed,
+             std::size_t dim, double out[kDotBlockRows * kDotBlockCols]) {
   switch (active_isa()) {
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
     case Isa::kAvx2:
-      return detail::dot4_avx2(a, packed, dim, out);
+      return detail::dot_4x8_avx2(rows, packed, dim, out);
 #endif
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
     case Isa::kNeon:
-      return detail::dot4_neon(a, packed, dim, out);
+      return detail::dot_4x8_neon(rows, packed, dim, out);
 #endif
     default:
-      return detail::dot4_scalar(a, packed, dim, out);
+      return detail::dot_4x8_scalar(rows, packed, dim, out);
   }
 }
 

@@ -11,7 +11,7 @@
 // The bit-compatibility contract: every kernel is vectorized WITHOUT
 // reassociating any floating-point reduction. Reductions keep their
 // sequential accumulation order by vectorizing across independent outputs
-// (dot4 runs four column dot products side by side, each lane summing in
+// (dot_4x8 runs 32 dot products side by side, each one summing in
 // ascending-element order), and elementwise kernels map IEEE op for IEEE
 // op onto vector lanes. No FMA contraction is permitted in any kernel TU
 // (-ffp-contract=off, no FMA intrinsics), so for finite inputs every ISA
@@ -63,14 +63,20 @@ std::optional<Isa> parse_isa(std::string_view name);
 // Kernels. All dispatch on active_isa() per call (one predictable branch
 // against work of O(dim) or more).
 
-/// Four simultaneous dot products against interleaved columns:
-/// out[l] = Σ_d a[d] · packed[4d + l], each lane accumulating in
-/// ascending-d order — per lane bit-identical to the plain scalar
-/// `dot += a[d] * b[d]` loop. `packed` holds four equal-length columns
-/// interleaved element-wise (the GEMM-style pack the distance tile
-/// kernel builds per column block).
-void dot4(const double* a, const double* packed, std::size_t dim,
-          double out[4]);
+/// Rows and columns of one dot_4x8 register block.
+inline constexpr std::size_t kDotBlockRows = 4;
+inline constexpr std::size_t kDotBlockCols = 8;
+
+/// The distance tile's register-blocked micro-kernel: 4 rows against 8
+/// packed columns, 32 dot products at once.
+///   out[8r + c] = Σ_d rows[r][d] · packed[8d + c]   (r < 4, c < 8)
+/// Each output is one accumulation chain from +0.0 in ascending-d order,
+/// mul then add — bit-identical to the plain scalar `dot += a[d] * b[d]`
+/// loop. `packed` holds eight equal-length columns interleaved
+/// element-wise (the GEMM-style pack the distance tile builds per column
+/// group); the four rows are read in place and may alias each other.
+void dot_4x8(const double* const rows[kDotBlockRows], const double* packed,
+             std::size_t dim, double out[kDotBlockRows * kDotBlockCols]);
 
 /// out[i] = (v[i] - mean) / sd for i in [0, n). Elementwise (sub then
 /// div), bit-identical across ISAs. `out` may alias `v`.

@@ -80,8 +80,15 @@ const TowerTrafficModel& IntensityModel::model(std::uint32_t tower_id) const {
 
 std::vector<double> IntensityModel::expected_series(
     std::uint32_t tower_id) const {
+  std::vector<double> out;
+  fill_expected(tower_id, out);
+  return out;
+}
+
+void IntensityModel::fill_expected(std::uint32_t tower_id,
+                                   std::vector<double>& out) const {
   const auto& m = model(tower_id);
-  std::vector<double> out(TimeGrid::kSlots, 0.0);
+  out.assign(TimeGrid::kSlots, 0.0);
   for (int i = 0; i < 4; ++i) {
     if (m.mixture[i] == 0.0) continue;
     const auto& p = unit_profiles_[i];
@@ -89,19 +96,24 @@ std::vector<double> IntensityModel::expected_series(
       out[s] += m.mixture[i] * p[s];
   }
   for (auto& v : out) v *= m.scale;
-  return out;
 }
 
 std::vector<double> IntensityModel::sample_series(std::uint32_t tower_id,
                                                   Rng& rng) const {
-  auto out = expected_series(tower_id);
+  std::vector<double> out;
+  sample_series(tower_id, rng, out);
+  return out;
+}
+
+void IntensityModel::sample_series(std::uint32_t tower_id, Rng& rng,
+                                   std::vector<double>& out) const {
+  fill_expected(tower_id, out);
   const double cv = model(tower_id).noise_cv;
-  if (cv <= 0.0) return out;
+  if (cv <= 0.0) return;
   // Multiplicative lognormal noise with mean 1 and the requested CV.
   const double sigma = std::sqrt(std::log(1.0 + cv * cv));
   const double mu = -sigma * sigma / 2.0;
   for (auto& v : out) v *= rng.lognormal(mu, sigma);
-  return out;
 }
 
 std::vector<std::array<double, 4>> IntensityModel::mixtures() const {

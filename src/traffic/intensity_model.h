@@ -66,6 +66,12 @@ class IntensityModel {
   /// slot — what the "measured" trace aggregates to.
   std::vector<double> sample_series(std::uint32_t tower_id, Rng& rng) const;
 
+  /// The same series written into `out` (resized to 4032 slots), reusing
+  /// its capacity — so a caller that reserves rows up front decides which
+  /// thread's allocator owns them.
+  void sample_series(std::uint32_t tower_id, Rng& rng,
+                     std::vector<double>& out) const;
+
   std::size_t size() const { return models_.size(); }
 
   /// Per-tower mixtures for all towers (e.g. to condition POI generation).
@@ -73,6 +79,9 @@ class IntensityModel {
 
  private:
   explicit IntensityModel(std::vector<TowerTrafficModel> models);
+
+  /// expected_series into `out`, reusing its capacity.
+  void fill_expected(std::uint32_t tower_id, std::vector<double>& out) const;
 
   std::vector<TowerTrafficModel> models_;
   // Normalized pure-profile series (peak 1.0) shared across towers.

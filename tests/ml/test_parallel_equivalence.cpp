@@ -1,10 +1,11 @@
 // Serial/parallel equivalence of the analytics core (DESIGN.md §8).
 //
-// The determinism contract: every pooled stage — the blocked distance
-// kernel, the incremental DBI sweep, the per-row z-score/fold loops, and
-// the per-tower spectra — produces BIT-IDENTICAL output for any worker
-// count, because tiles/rows partition the output and every reduction runs
-// in a fixed order. These tests pin that contract with exact comparisons
+// The determinism contract: every pooled stage — the intensity
+// vectorizer, the blocked distance kernel, the incremental DBI sweep, the
+// per-row z-score/fold loops, the per-tower spectra and POI counts, and
+// the representative search — produces BIT-IDENTICAL output for any
+// worker count, because tiles/rows partition the output and every
+// reduction runs in a fixed order. These tests pin that contract with exact comparisons
 // (no tolerances), and check the incremental DBI sweep against a
 // brute-force per-k oracle. Built as its own binary (label: par) so the
 // CELLSCOPE_SANITIZE=thread build can run it in isolation.
@@ -15,22 +16,31 @@
 // non-finite inputs (compared bitwise, since NaN != NaN).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "analysis/component_analysis.h"
 #include "analysis/freq_features.h"
+#include "analysis/poi_features.h"
+#include "city/deployment.h"
+#include "city/poi.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
 #include "dsp/fft.h"
+#include "geo/spatial_index.h"
 #include "mapred/thread_pool.h"
 #include "ml/distance.h"
 #include "ml/hierarchical.h"
 #include "ml/validity.h"
 #include "pipeline/traffic_matrix.h"
+#include "pipeline/vectorizer.h"
 #include "simd/simd.h"
+#include "traffic/intensity_model.h"
 
 namespace cellscope {
 namespace {
@@ -60,29 +70,43 @@ std::vector<std::vector<double>> blob_points(std::size_t per_blob,
   return points;
 }
 
+/// (n, dim) shapes that straddle the distance tile's edges: more rows
+/// than one 128-row tile, n not a multiple of the 4-row or 8-column
+/// micro-kernel block, and dimensions below the vector width.
+const std::vector<std::pair<std::size_t, std::size_t>>& tile_edge_shapes() {
+  static const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {157, 33}, {261, 3}, {130, 1}, {301, 2}, {36, 5}};
+  return shapes;
+}
+
 TEST(ParallelEquivalence, DistanceMatrixBitIdenticalAcrossThreadCounts) {
-  // Odd sizes so tiles and blocks straddle boundaries.
-  const auto points = random_points(157, 33, 1);
-  const auto serial = DistanceMatrix::compute(points);
   ThreadPool pool1(1);
   ThreadPool pool8(8);
-  const auto par1 = DistanceMatrix::compute(points, &pool1);
-  const auto par8 = DistanceMatrix::compute(points, &pool8);
-  ASSERT_EQ(serial.condensed().size(), par8.condensed().size());
-  EXPECT_EQ(serial.condensed(), par1.condensed());
-  EXPECT_EQ(serial.condensed(), par8.condensed());
+  for (const auto& [n, dim] : tile_edge_shapes()) {
+    const auto points = random_points(n, dim, 1);
+    const auto serial = DistanceMatrix::compute(points);
+    const auto par1 = DistanceMatrix::compute(points, &pool1);
+    const auto par8 = DistanceMatrix::compute(points, &pool8);
+    ASSERT_EQ(serial.condensed().size(), par8.condensed().size());
+    EXPECT_EQ(serial.condensed(), par1.condensed()) << "n=" << n;
+    EXPECT_EQ(serial.condensed(), par8.condensed()) << "n=" << n;
+  }
 }
 
 TEST(ParallelEquivalence, DistanceKernelMatchesDirectEuclidean) {
   // The |a|²+|b|²−2a·b kernel agrees with the direct definition to float
-  // precision.
-  const auto points = random_points(40, 17, 2);
+  // precision, so every entry — across tiles, blocks and the diagonal —
+  // is written, and written to the right place.
   ThreadPool pool(4);
-  const auto matrix = DistanceMatrix::compute(points, &pool);
-  for (std::size_t i = 0; i < points.size(); ++i)
-    for (std::size_t j = i + 1; j < points.size(); ++j)
-      EXPECT_NEAR(matrix(i, j), euclidean_distance(points[i], points[j]),
-                  1e-4);
+  for (const auto& [n, dim] : tile_edge_shapes()) {
+    const auto points = random_points(n, dim, 2);
+    const auto matrix = DistanceMatrix::compute(points, &pool);
+    for (std::size_t i = 0; i < points.size(); ++i)
+      for (std::size_t j = i + 1; j < points.size(); ++j)
+        ASSERT_NEAR(matrix(i, j), euclidean_distance(points[i], points[j]),
+                    1e-4)
+            << "n=" << n << " dim=" << dim << " i=" << i << " j=" << j;
+  }
 }
 
 TEST(ParallelEquivalence, DendrogramMergesIdenticalAcrossThreadCounts) {
@@ -195,6 +219,149 @@ TEST(ParallelEquivalence, FreqFeaturesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_var, par_var);
 }
 
+/// A small city: towers, their intensity model and POIs.
+struct SmallCity {
+  CityModel city = CityModel::create_default(3);
+  std::vector<Tower> towers;
+  std::unique_ptr<IntensityModel> intensity;
+  std::unique_ptr<PoiDatabase> pois;
+
+  explicit SmallCity(std::size_t n_towers) {
+    DeploymentOptions deployment;
+    deployment.n_towers = n_towers;
+    deployment.seed = 3;
+    towers = deploy_towers(city, deployment);
+    intensity = std::make_unique<IntensityModel>(
+        IntensityModel::create(towers, IntensityOptions{}));
+    pois = std::make_unique<PoiDatabase>(PoiDatabase::generate(
+        city, towers, intensity->mixtures(), PoiGenerationOptions{}));
+  }
+};
+
+TEST(ParallelEquivalence, VectorizeIntensityBitIdenticalAcrossThreadCounts) {
+  const SmallCity s(45);
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  const auto serial = vectorize_intensity(s.towers, *s.intensity, 17);
+  const auto par1 = vectorize_intensity(s.towers, *s.intensity, 17, &pool1);
+  const auto par8 = vectorize_intensity(s.towers, *s.intensity, 17, &pool8);
+  EXPECT_EQ(serial.tower_ids, par8.tower_ids);
+  EXPECT_EQ(serial.rows, par1.rows);
+  EXPECT_EQ(serial.rows, par8.rows);
+}
+
+TEST(ParallelEquivalence, PoiCountsIdenticalAcrossThreadCounts) {
+  const SmallCity s(45);
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  const auto serial = poi_counts_for_towers(*s.pois, s.towers);
+  EXPECT_EQ(serial,
+            poi_counts_for_towers(*s.pois, s.towers, kPoiRadiusM, &pool1));
+  EXPECT_EQ(serial,
+            poi_counts_for_towers(*s.pois, s.towers, kPoiRadiusM, &pool8));
+  // A radius wide enough that the counts are not mostly zero.
+  EXPECT_EQ(poi_counts_for_towers(*s.pois, s.towers, 2000.0),
+            poi_counts_for_towers(*s.pois, s.towers, 2000.0, &pool8));
+}
+
+TEST(ParallelEquivalence, CountRadiusMatchesQuerySizeAtClampedEdges) {
+  // count_radius counts in place; it must agree with query_radius's
+  // collected hits, including points clamped onto the box edges and
+  // centers on, near and beyond them.
+  const BoundingBox box{31.0, 31.2, 121.0, 121.2};
+  Rng rng(18);
+  std::vector<LatLon> points;
+  for (int i = 0; i < 300; ++i)
+    points.push_back({rng.uniform(30.9, 31.3), rng.uniform(120.9, 121.3)});
+  points.push_back({31.0, 121.0});  // exactly on a corner
+  points.push_back({35.0, 121.1});  // far outside, clamped to the north edge
+  const SpatialIndex index(box, points, 0.4);
+  std::vector<LatLon> centers = {{31.0, 121.0}, {31.2, 121.2}, {31.2, 121.1},
+                                 {31.25, 121.1}, {30.95, 120.95}};
+  for (int i = 0; i < 40; ++i)
+    centers.push_back({rng.uniform(30.95, 31.25), rng.uniform(120.95, 121.25)});
+  for (const auto& center : centers) {
+    for (const double radius : {0.0, 150.0, 1000.0, 8000.0}) {
+      EXPECT_EQ(index.count_radius(center, radius),
+                index.query_radius(center, radius).size())
+          << "center=(" << center.lat << ", " << center.lon
+          << ") radius=" << radius;
+    }
+  }
+}
+
+/// The serial representative search the pooled one replaced, spelled out
+/// as the oracle: the density floor, then a strict-> argmax over members
+/// in ascending index, then the same argmax without the floor when every
+/// member is noise.
+std::size_t representative_oracle(
+    const std::vector<std::array<double, 3>>& features,
+    const std::vector<int>& labels, int cluster,
+    const RepresentativeOptions& options) {
+  const auto dist = [&](std::size_t i, std::size_t j) {
+    double s = 0.0;
+    for (int d = 0; d < 3; ++d)
+      s += (features[i][d] - features[j][d]) * (features[i][d] - features[j][d]);
+    return std::sqrt(s);
+  };
+  for (const bool enforce_density : {true, false}) {
+    double best_score = -1.0;
+    std::size_t best = features.size();
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      if (labels[i] != cluster) continue;
+      std::size_t neighbors = 0;
+      for (std::size_t j = 0; j < features.size(); ++j)
+        if (j != i && dist(i, j) <= options.density_radius) ++neighbors;
+      if (enforce_density && neighbors < options.min_neighbors) continue;
+      double min_d = std::numeric_limits<double>::infinity();
+      for (std::size_t j = 0; j < features.size(); ++j)
+        if (labels[j] != cluster) min_d = std::min(min_d, dist(i, j));
+      if (min_d > best_score) {
+        best_score = min_d;
+        best = i;
+      }
+    }
+    if (best < features.size()) return best;
+  }
+  return features.size();
+}
+
+TEST(ParallelEquivalence, RepresentativeIdenticalAcrossThreadCounts) {
+  // Three clusters of 3-D features with duplicated points, so density
+  // counts and separations tie and the ascending-order argmax decides.
+  Rng rng(19);
+  std::vector<std::array<double, 3>> features;
+  std::vector<int> labels;
+  for (int c = 0; c < 3; ++c) {
+    for (int i = 0; i < 60; ++i) {
+      const std::array<double, 3> f = {c + 0.2 * rng.normal(),
+                                       0.2 * rng.normal(), 0.2 * rng.normal()};
+      features.push_back(f);
+      labels.push_back(c);
+      if (i % 2 == 0) {  // an exact duplicate
+        features.push_back(f);
+        labels.push_back(c);
+      }
+    }
+  }
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  RepresentativeOptions dense;  // library defaults: some members are noise
+  RepresentativeOptions sparse;  // nobody passes: the all-noise fallback
+  sparse.density_radius = 1e-9;
+  sparse.min_neighbors = 2;
+  for (const auto& options : {dense, sparse}) {
+    for (int c = 0; c < 3; ++c) {
+      const auto want = representative_oracle(features, labels, c, options);
+      EXPECT_EQ(want, find_representative(features, labels, c, options));
+      EXPECT_EQ(want,
+                find_representative(features, labels, c, options, &pool1));
+      EXPECT_EQ(want,
+                find_representative(features, labels, c, options, &pool8));
+    }
+  }
+}
+
 TEST(ParallelEquivalence, SilhouetteOverloadReusesDistanceMatrix) {
   const auto points = blob_points(20, 12, 8);
   const auto dendrogram =
@@ -251,11 +418,11 @@ bool bit_equal(const std::vector<T>& a, const std::vector<T>& b) {
 }
 
 TEST(SimdDispatchEquivalence, DistanceMatrixBitIdenticalAcrossIsas) {
-  // Odd dimensions and point counts so the packed dot4 groups leave
-  // scalar heads (js past a group boundary) and ragged tails, plus a
-  // dimension below the vector width.
-  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
-      {33, 7}, {157, 31}, {45, 3}, {9, 64}};
+  // Odd dimensions and point counts so the 4×8 blocks leave ragged row
+  // and column edges and cross tile boundaries, plus dimensions below the
+  // vector width.
+  auto shapes = tile_edge_shapes();
+  shapes.insert(shapes.end(), {{33, 7}, {45, 3}, {9, 64}});
   for (const auto& [n, dim] : shapes) {
     const auto points = random_points(n, dim, 11);
     std::vector<std::vector<float>> results;

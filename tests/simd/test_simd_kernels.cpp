@@ -47,30 +47,41 @@ bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-TEST(SimdKernels, Dot4MatchesSequentialDotOracle) {
-  for (const std::size_t dim : {std::size_t{1}, std::size_t{7},
-                                std::size_t{32}, std::size_t{1008}}) {
-    const auto a = random_doubles(dim, 21);
-    const auto cols = random_doubles(4 * dim, 22);  // 4 columns, row-major
+TEST(SimdKernels, Dot4x8MatchesSequentialDotOracle) {
+  constexpr std::size_t kRows = simd::kDotBlockRows;
+  constexpr std::size_t kCols = simd::kDotBlockCols;
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{3},
+                                std::size_t{7}, std::size_t{32},
+                                std::size_t{1008}}) {
+    // Rows sit `stride` apart with junk between them; the kernel must
+    // read only the first dim of each.
+    const std::size_t stride = dim + 5;
+    const auto a = random_doubles(kRows * stride, 21);
+    const double* rows[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) rows[r] = a.data() + r * stride;
+    const auto cols = random_doubles(kCols * dim, 22);  // row-major columns
     // Pack interleaved the way the distance kernel does.
-    std::vector<double> packed(4 * dim);
+    std::vector<double> packed(kCols * dim);
     for (std::size_t d = 0; d < dim; ++d)
-      for (std::size_t l = 0; l < 4; ++l)
-        packed[4 * d + l] = cols[l * dim + d];
-    double want[4];
-    for (std::size_t l = 0; l < 4; ++l) {
-      double dot = 0.0;
-      for (std::size_t d = 0; d < dim; ++d) dot += a[d] * cols[l * dim + d];
-      want[l] = dot;
+      for (std::size_t c = 0; c < kCols; ++c)
+        packed[kCols * d + c] = cols[c * dim + d];
+    double want[kRows * kCols];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < kCols; ++c) {
+        double dot = 0.0;
+        for (std::size_t d = 0; d < dim; ++d)
+          dot += a[r * stride + d] * cols[c * dim + d];
+        want[kCols * r + c] = dot;
+      }
     }
     for (const simd::Isa isa : sweep_isas()) {
       ForcedIsa forced(isa);
-      double got[4];
-      simd::dot4(a.data(), packed.data(), dim, got);
-      for (std::size_t l = 0; l < 4; ++l)
-        EXPECT_EQ(want[l], got[l])
-            << "dim=" << dim << " lane=" << l << " isa="
-            << simd::isa_name(isa);
+      double got[kRows * kCols];
+      simd::dot_4x8(rows, packed.data(), dim, got);
+      for (std::size_t k = 0; k < kRows * kCols; ++k)
+        EXPECT_EQ(want[k], got[k])
+            << "dim=" << dim << " row=" << k / kCols << " col=" << k % kCols
+            << " isa=" << simd::isa_name(isa);
     }
   }
 }
@@ -200,16 +211,18 @@ TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
   v[0] = kNan;
   v[5] = kInf;
   v[10] = -kInf;
-  auto packed = random_doubles(4 * 11, 29);
+  auto packed = random_doubles(8 * 11, 29);
   packed[7] = kNan;
   packed[21] = -kInf;
+  packed[60] = kInf;
 
   std::vector<std::vector<double>> norm_runs, fold_runs;
-  std::vector<std::array<double, 4>> dot_runs;
+  std::vector<std::array<double, 32>> dot_runs;
   for (const simd::Isa isa : sweep_isas()) {
     ForcedIsa forced(isa);
-    std::array<double, 4> dots{};
-    simd::dot4(v.data(), packed.data(), v.size(), dots.data());
+    const double* rows[4] = {v.data(), v.data(), v.data(), v.data()};
+    std::array<double, 32> dots{};
+    simd::dot_4x8(rows, packed.data(), v.size(), dots.data());
     dot_runs.push_back(dots);
     std::vector<double> norm(v.size());
     simd::normalize(v.data(), v.size(), 0.5, 2.0, norm.data());
@@ -219,7 +232,7 @@ TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
     fold_runs.push_back(std::move(fold));
   }
   for (std::size_t r = 1; r < dot_runs.size(); ++r) {
-    EXPECT_TRUE(bits_equal(dot_runs[0].data(), dot_runs[r].data(), 4));
+    EXPECT_TRUE(bits_equal(dot_runs[0].data(), dot_runs[r].data(), 32));
     EXPECT_TRUE(bits_equal(norm_runs[0].data(), norm_runs[r].data(),
                            norm_runs[0].size()));
     EXPECT_TRUE(bits_equal(fold_runs[0].data(), fold_runs[r].data(),
