@@ -3,26 +3,40 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "obs/report.h"
 #include "obs/timer.h"
 
 namespace cellscope::bench {
 
+namespace {
+
+/// The value of environment variable `name` as a decimal integer in
+/// [min, max], or `fallback` when it is unset or empty. Junk, overflow
+/// and out-of-range values exit 2 with a message, like a bad CLI flag.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  if (const auto parsed = parse_u64(env, min, max)) return *parsed;
+  std::cerr << "invalid " << name << "='" << env
+            << "': expected an integer in [" << min << ", " << max << "]\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 std::size_t bench_towers() {
-  const char* env = std::getenv("CELLSCOPE_TOWERS");
-  if (env && *env) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 20) return static_cast<std::size_t>(v);
-  }
-  return 800;
+  return env_u64("CELLSCOPE_TOWERS", 800, 20,
+                 std::numeric_limits<std::uint32_t>::max());
 }
 
 std::uint64_t bench_seed() {
-  const char* env = std::getenv("CELLSCOPE_SEED");
-  if (env && *env) return std::strtoull(env, nullptr, 10);
-  return 2015;
+  return env_u64("CELLSCOPE_SEED", 2015, 0,
+                 std::numeric_limits<std::uint64_t>::max());
 }
 
 const Experiment& experiment() {
@@ -90,6 +104,10 @@ std::string report_json(const std::string& name) {
 }
 
 void enable_json_report(const std::string& name) {
+  // Reject a bad CELLSCOPE_TOWERS / CELLSCOPE_SEED now, before the first
+  // benchmark runs, rather than first reading it in the exit-time report.
+  bench_towers();
+  bench_seed();
   // Record pipeline spans even without CELLSCOPE_TRACE so the report can
   // break the run down per stage.
   obs::StageTrace::instance().set_enabled(true);

@@ -15,10 +15,12 @@
 
 namespace cellscope::bench {
 
-/// Tower count for benches (CELLSCOPE_TOWERS, default 800).
+/// Tower count for benches (CELLSCOPE_TOWERS in [20, 2^32 - 1], default
+/// 800). A junk or out-of-range value exits 2.
 std::size_t bench_towers();
 
-/// Seed for benches (CELLSCOPE_SEED, default 2015).
+/// Seed for benches (CELLSCOPE_SEED, default 2015). A junk or overflowing
+/// value exits 2.
 std::uint64_t bench_seed();
 
 /// The shared experiment (built once per process).

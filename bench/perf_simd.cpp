@@ -1,5 +1,5 @@
 // Perf: the SIMD kernel layer, scalar dispatch vs the widest detected
-// ISA (DESIGN.md §12), plus the ANN centroid index vs the exact scan.
+// ISA (DESIGN.md §12).
 //
 // Every benchmark here runs twice — Arg(0) forces scalar dispatch,
 // Arg(1) the widest ISA the CPU reports — so the committed baseline
@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/time_grid.h"
 #include "dsp/fft.h"
-#include "ml/centroid_index.h"
 #include "ml/distance.h"
 #include "pipeline/traffic_matrix.h"
 #include "simd/simd.h"
@@ -134,41 +133,6 @@ void BM_SimdFft(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SimdFft)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// ANN centroid matching vs the exact scan it replaced: Arg(0) scans all
-/// centroids, Arg(1) walks the neighbor graph. Both return exact
-/// distances; the graph is sublinear in the centroid count.
-void BM_AnnClassify(benchmark::State& state) {
-  static const std::vector<std::vector<double>>& centroids = [] {
-    static std::vector<std::vector<double>> c;
-    Rng rng(bench::bench_seed());
-    const std::size_t k = std::max<std::size_t>(bench::bench_towers(), 128);
-    for (std::size_t i = 0; i < k; ++i) {
-      std::vector<double> row(TimeGrid::kSlotsPerWeek);
-      for (auto& v : row) v = static_cast<double>(i % 32) + rng.normal();
-      c.push_back(std::move(row));
-    }
-    return c;
-  }();
-  CentroidIndex::Options options;
-  if (state.range(0) == 0)
-    options.brute_force_below = centroids.size() + 1;  // exact scan
-  const CentroidIndex index(centroids, options);
-  state.SetLabel(index.brute_force() ? "scan" : "graph");
-  Rng rng(bench::bench_seed() + 1);
-  std::vector<double> query(TimeGrid::kSlotsPerWeek);
-  for (auto& v : query) v = rng.normal();
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    // Vary the query cheaply so the walk is not a single cached path.
-    query[cursor % query.size()] += 1.0;
-    ++cursor;
-    auto best = index.nearest(query);
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AnnClassify)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,21 +1,22 @@
-// Checked `--name=value` numeric flags shared by the example binaries
-// (cellscoped, stream_replay, trace_convert).
+// Checked numeric flags (`--name=value`) and positional arguments shared
+// by the example binaries.
 //
-// A value must be the whole argument remainder, parsed by std::from_chars
-// and inside the flag's [min, max] range. Junk ("abc", "12x", ""),
-// overflow and out-of-range values print one line naming the flag and
-// exit with status 2 — the status of an unknown flag — instead of
-// silently becoming 0, wrapping, or being truncated by a narrowing cast.
+// A value must be the whole argument remainder, parsed by the checked
+// parse_u64/parse_f64 of common/string_util.h and inside the flag's
+// [min, max] range. Junk ("abc", "12x", ""), overflow and out-of-range
+// values print one line naming the flag and exit with status 2 — the
+// status of an unknown flag — instead of silently becoming 0, wrapping,
+// or being truncated by a narrowing cast.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string_view>
-#include <system_error>
+
+#include "common/string_util.h"
 
 namespace cellscope::examples {
 
@@ -48,11 +49,8 @@ inline std::optional<std::uint64_t> flag_u64(
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const auto value = detail::flag_value(arg, name);
   if (!value) return std::nullopt;
-  std::uint64_t parsed = 0;
-  const char* end = value->data() + value->size();
-  const auto [ptr, ec] = std::from_chars(value->data(), end, parsed);
-  if (ec != std::errc{} || ptr != end || parsed < min || parsed > max)
-    detail::reject_flag(name, *value, "an integer", min, max);
+  const auto parsed = parse_u64(*value, min, max);
+  if (!parsed) detail::reject_flag(name, *value, "an integer", min, max);
   return parsed;
 }
 
@@ -62,12 +60,21 @@ inline std::optional<double> flag_f64(std::string_view arg,
                                       double max) {
   const auto value = detail::flag_value(arg, name);
   if (!value) return std::nullopt;
-  double parsed = 0.0;
-  const char* end = value->data() + value->size();
-  const auto [ptr, ec] = std::from_chars(value->data(), end, parsed);
-  if (ec != std::errc{} || ptr != end || !(parsed >= min && parsed <= max))
-    detail::reject_flag(name, *value, "a number", min, max);
+  const auto parsed = parse_f64(*value, min, max);
+  if (!parsed) detail::reject_flag(name, *value, "a number", min, max);
   return parsed;
+}
+
+/// Positional argument `index` as a decimal integer in [min, max], or
+/// `fallback` when argv is shorter. Exits 2 like flag_u64 otherwise.
+inline std::uint64_t arg_u64(
+    int argc, char** argv, int index, std::string_view name,
+    std::uint64_t fallback, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (argc <= index) return fallback;
+  const auto parsed = parse_u64(argv[index], min, max);
+  if (!parsed) detail::reject_flag(name, argv[index], "an integer", min, max);
+  return *parsed;
 }
 
 }  // namespace cellscope::examples

@@ -10,10 +10,10 @@
 // truth — i.e., do patterns learned in one city transfer to another?
 //
 //   $ ./land_use_inference [n_towers] [seed_a] [seed_b]
-#include <cstdlib>
 #include <iostream>
 
 #include "core/cellscope.h"
+#include "flag_util.h"
 
 namespace {
 
@@ -41,11 +41,10 @@ Templates learn_templates(const Experiment& experiment) {
 
 int main(int argc, char** argv) {
   const std::size_t n_towers =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
-  const std::uint64_t seed_a =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2015;
+      examples::arg_u64(argc, argv, 1, "n_towers", 600, 20, UINT32_MAX);
+  const std::uint64_t seed_a = examples::arg_u64(argc, argv, 2, "seed_a", 2015);
   const std::uint64_t seed_b =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 31337;
+      examples::arg_u64(argc, argv, 3, "seed_b", 31337);
 
   std::cout << "Land-use inference: learn patterns in city A (seed " << seed_a
             << "), classify city B (seed " << seed_b << ")\n\n";

@@ -4,17 +4,18 @@
 // (latent) ground truth.
 //
 //   $ ./quickstart [n_towers] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "core/cellscope.h"
+#include "flag_util.h"
 
 int main(int argc, char** argv) {
   using namespace cellscope;
 
   ExperimentConfig config;
-  config.n_towers = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 800;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2015;
+  config.n_towers =
+      examples::arg_u64(argc, argv, 1, "n_towers", 800, 20, UINT32_MAX);
+  config.seed = examples::arg_u64(argc, argv, 2, "seed", 2015);
 
   std::cout << "CellScope quickstart: " << config.n_towers
             << " towers, seed " << config.seed << "\n\n";

@@ -3,17 +3,18 @@
 // serves, from its traffic alone.
 //
 //   $ ./tower_decomposition [n_towers] [seed] [tower_id]
-#include <cstdlib>
 #include <iostream>
 
 #include "core/cellscope.h"
+#include "flag_util.h"
 
 int main(int argc, char** argv) {
   using namespace cellscope;
 
   ExperimentConfig config;
-  config.n_towers = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2015;
+  config.n_towers =
+      examples::arg_u64(argc, argv, 1, "n_towers", 600, 20, UINT32_MAX);
+  config.seed = examples::arg_u64(argc, argv, 2, "seed", 2015);
 
   const auto experiment = Experiment::run(config);
   const auto& features = experiment.freq_features();
@@ -25,8 +26,8 @@ int main(int argc, char** argv) {
   // Which tower? Default: the first comprehensive tower.
   std::size_t row;
   if (argc > 3) {
-    row = experiment.matrix().row_of(
-        static_cast<std::uint32_t>(std::strtoul(argv[3], nullptr, 10)));
+    row = experiment.matrix().row_of(static_cast<std::uint32_t>(
+        examples::arg_u64(argc, argv, 3, "tower_id", 0, 0, UINT32_MAX)));
   } else {
     row = experiment
               .rows_of_cluster(*experiment.cluster_of_region(

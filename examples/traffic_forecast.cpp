@@ -4,17 +4,18 @@
 // query: which nearby tower will be least loaded at a given hour?
 //
 //   $ ./traffic_forecast [n_towers] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "core/cellscope.h"
+#include "flag_util.h"
 
 int main(int argc, char** argv) {
   using namespace cellscope;
 
   ExperimentConfig config;
-  config.n_towers = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 400;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2015;
+  config.n_towers =
+      examples::arg_u64(argc, argv, 1, "n_towers", 400, 20, UINT32_MAX);
+  config.seed = examples::arg_u64(argc, argv, 2, "seed", 2015);
 
   std::cout << "Traffic forecast: predict week 4 from weeks 1-3, then pick "
                "the least-loaded nearby tower\n\n";

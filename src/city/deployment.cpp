@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "geo/geocoder.h"
+#include "geo/address_codec.h"
 
 namespace cellscope {
 

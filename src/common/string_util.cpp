@@ -1,8 +1,10 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <system_error>
 
 namespace cellscope {
 
@@ -63,6 +65,27 @@ std::string format_bytes(double bytes) {
   std::snprintf(buf, sizeof(buf), "%s%.2f %s", bytes < 0 ? "-" : "", v,
                 kUnits[u]);
   return buf;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text,
+                                       std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min || value > max)
+    return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_f64(std::string_view text, double min,
+                                double max) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      value < min || value > max)
+    return std::nullopt;
+  return value;
 }
 
 }  // namespace cellscope

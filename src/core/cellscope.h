@@ -32,10 +32,9 @@
 #include "forecast/seasonal_naive.h"       // IWYU pragma: export
 #include "forecast/spectral_forecaster.h"  // IWYU pragma: export
 #include "geo/density_grid.h"              // IWYU pragma: export
-#include "geo/geocoder.h"                  // IWYU pragma: export
+#include "geo/address_codec.h"             // IWYU pragma: export
 #include "geo/latlon.h"                    // IWYU pragma: export
 #include "geo/spatial_index.h"             // IWYU pragma: export
-#include "mapred/mapreduce.h"              // IWYU pragma: export
 #include "mapred/thread_pool.h"            // IWYU pragma: export
 #include "ml/hierarchical.h"               // IWYU pragma: export
 #include "ml/kmeans.h"                     // IWYU pragma: export

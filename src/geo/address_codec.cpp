@@ -1,4 +1,4 @@
-#include "geo/geocoder.h"
+#include "geo/address_codec.h"
 
 #include <algorithm>
 #include <charconv>
@@ -86,27 +86,6 @@ std::optional<LatLon> AddressCodec::decode(const std::string& address) const {
   const double fx = (static_cast<double>(ix) + 0.5) / total;
   return LatLon{box_.lat_min + fy * (box_.lat_max - box_.lat_min),
                 box_.lon_min + fx * (box_.lon_max - box_.lon_min)};
-}
-
-Geocoder::Geocoder(const BoundingBox& box, Options options)
-    : codec_(box), options_(options) {}
-
-std::optional<LatLon> Geocoder::geocode(const std::string& address) {
-  if (const auto it = cache_.find(address); it != cache_.end()) {
-    ++cache_hits_;
-    return it->second;
-  }
-  if (options_.quota != 0 && api_calls_ >= options_.quota)
-    throw Error("geocoder quota exhausted after " +
-                std::to_string(api_calls_) + " calls");
-  ++api_calls_;
-  auto result = codec_.decode(address);
-  cache_.emplace(address, result);
-  return result;
-}
-
-std::string Geocoder::reverse_geocode(const LatLon& p) const {
-  return codec_.encode(p);
 }
 
 }  // namespace cellscope

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 
@@ -49,7 +51,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::enqueue_locked(QueuedTask queued) {
-  auto future = queued.task.get_future();
+  auto future = queued.done.get_future();
   tasks_.push(std::move(queued));
   submitted_.fetch_add(1, std::memory_order_relaxed);
   metric_submitted_->add(1);
@@ -58,8 +60,7 @@ std::future<void> ThreadPool::enqueue_locked(QueuedTask queued) {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  QueuedTask queued{std::packaged_task<void()>(std::move(task)),
-                    std::chrono::steady_clock::now()};
+  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
   std::future<void> future;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -84,8 +85,7 @@ std::optional<std::future<void>> ThreadPool::try_submit(
     metric_rejected_->add(1);
     return std::nullopt;
   }
-  QueuedTask queued{std::packaged_task<void()>(std::move(task)),
-                    std::chrono::steady_clock::now()};
+  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
   std::future<void> future;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -148,12 +148,21 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
                             "\"worker\":" + std::to_string(worker_index));
     }
     metric_queue_depth_->add(-1);
-    queued.task();
+    std::exception_ptr error;
+    try {
+      queued.task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     busy_ns_[worker_index].fetch_add(
         elapsed_ns(started, std::chrono::steady_clock::now()),
         std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
     metric_completed_->add(1);
+    if (error)
+      queued.done.set_exception(error);
+    else
+      queued.done.set_value();
   }
 }
 
@@ -183,10 +192,8 @@ std::size_t default_thread_count() {
 std::size_t configured_thread_count() {
   const char* env = std::getenv("CELLSCOPE_THREADS");
   if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed >= 1)
-      return static_cast<std::size_t>(parsed);
+    if (const auto parsed = parse_u64(env, 1))
+      return static_cast<std::size_t>(*parsed);
   }
   return default_thread_count();
 }

@@ -1,10 +1,10 @@
 // A fixed-size worker thread pool.
 //
-// Backbone of the in-process MapReduce engine that substitutes for the
-// paper's Hadoop platform (DESIGN.md §2). Tasks are arbitrary callables;
-// parallel_for partitions an index range over the workers. The pool keeps
-// utilization stats (tasks run, queue wait, per-worker busy time) and
-// feeds the global cellscope.mapred.* metrics.
+// The parallel substrate that substitutes for the paper's Hadoop platform
+// (DESIGN.md §2) and runs every pooled stage (§8). Tasks are arbitrary
+// callables; parallel_for partitions an index range over the workers. The
+// pool keeps utilization stats (tasks run, queue wait, per-worker busy
+// time) and feeds the global cellscope.mapred.* metrics.
 #pragma once
 
 #include <atomic>
@@ -88,7 +88,10 @@ class ThreadPool {
 
  private:
   struct QueuedTask {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
+    /// Made ready after the task's stats are counted, so stats() read
+    /// after future.get() always includes the task.
+    std::promise<void> done;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -119,7 +122,7 @@ class ThreadPool {
 };
 
 /// A sensible default worker count for this machine (at least 2 so the
-/// MapReduce path is genuinely concurrent even on single-core CI).
+/// pooled paths are genuinely concurrent even on single-core CI).
 std::size_t default_thread_count();
 
 /// Worker count for the analytics pools: the CELLSCOPE_THREADS environment

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
-#include <limits>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -82,104 +81,6 @@ double davies_bouldin(const std::vector<std::vector<double>>& points,
     dbi += worst;
   }
   return dbi / static_cast<double>(k);
-}
-
-double silhouette(const std::vector<std::vector<double>>& points,
-                  const std::vector<int>& labels) {
-  CS_CHECK_MSG(points.size() == labels.size() && points.size() >= 2,
-               "need >= 2 labeled points");
-  const std::size_t k = num_clusters(labels);
-  CS_CHECK_MSG(k >= 2, "silhouette requires at least two clusters");
-  const auto members = cluster_members(labels);
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto own = static_cast<std::size_t>(labels[i]);
-    // a(i): mean distance to own cluster (0 for singleton, per convention
-    // s(i) = 0 for singletons).
-    if (members[own].size() == 1) continue;
-    double a = 0.0;
-    for (const std::size_t j : members[own]) {
-      if (j == i) continue;
-      a += euclidean_distance(points[i], points[j]);
-    }
-    a /= static_cast<double>(members[own].size() - 1);
-
-    double b = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < k; ++c) {
-      if (c == own) continue;
-      double mean_d = 0.0;
-      for (const std::size_t j : members[c])
-        mean_d += euclidean_distance(points[i], points[j]);
-      mean_d /= static_cast<double>(members[c].size());
-      b = std::min(b, mean_d);
-    }
-    total += (b - a) / std::max(a, b);
-  }
-  return total / static_cast<double>(points.size());
-}
-
-double silhouette(const DistanceMatrix& distances,
-                  const std::vector<int>& labels) {
-  CS_CHECK_MSG(distances.n() == labels.size() && labels.size() >= 2,
-               "distance matrix and labels must match, n >= 2");
-  const std::size_t k = num_clusters(labels);
-  CS_CHECK_MSG(k >= 2, "silhouette requires at least two clusters");
-  const auto members = cluster_members(labels);
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const auto own = static_cast<std::size_t>(labels[i]);
-    if (members[own].size() == 1) continue;  // s(i) = 0 for singletons
-    double a = 0.0;
-    for (const std::size_t j : members[own]) {
-      if (j == i) continue;
-      a += distances(i, j);
-    }
-    a /= static_cast<double>(members[own].size() - 1);
-
-    double b = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < k; ++c) {
-      if (c == own) continue;
-      double mean_d = 0.0;
-      for (const std::size_t j : members[c]) mean_d += distances(i, j);
-      mean_d /= static_cast<double>(members[c].size());
-      b = std::min(b, mean_d);
-    }
-    total += (b - a) / std::max(a, b);
-  }
-  return total / static_cast<double>(labels.size());
-}
-
-double calinski_harabasz(const std::vector<std::vector<double>>& points,
-                         const std::vector<int>& labels) {
-  const auto centroids = cluster_centroids(points, labels);
-  const std::size_t k = centroids.size();
-  const std::size_t n = points.size();
-  CS_CHECK_MSG(k >= 2 && n > k, "CH requires 2 <= k < n");
-  const std::size_t dim = points[0].size();
-
-  std::vector<double> global(dim, 0.0);
-  for (const auto& p : points)
-    for (std::size_t d = 0; d < dim; ++d) global[d] += p[d];
-  for (auto& v : global) v /= static_cast<double>(n);
-
-  std::vector<std::size_t> counts(k, 0);
-  for (const int l : labels) ++counts[static_cast<std::size_t>(l)];
-
-  double between = 0.0;
-  for (std::size_t c = 0; c < k; ++c)
-    between += static_cast<double>(counts[c]) *
-               squared_distance(centroids[c], global);
-
-  double within = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    within += squared_distance(points[i],
-                               centroids[static_cast<std::size_t>(labels[i])]);
-  CS_CHECK_MSG(within > 0.0, "zero within-cluster scatter");
-
-  return (between / static_cast<double>(k - 1)) /
-         (within / static_cast<double>(n - k));
 }
 
 std::vector<DbiSweepPoint> dbi_sweep(

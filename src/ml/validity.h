@@ -2,8 +2,7 @@
 //
 // The Davies-Bouldin index drives the identifier's stop condition: the
 // paper sweeps the clustering threshold and keeps the cut minimizing DBI,
-// which lands at five clusters (Fig. 6a). Silhouette and Calinski-Harabasz
-// are provided as cross-checks and for the linkage-ablation bench.
+// which lands at five clusters (Fig. 6a).
 #pragma once
 
 #include <cstddef>
@@ -26,20 +25,6 @@ std::vector<std::vector<double>> cluster_centroids(
 /// max_j (Si+Sj)/Mij. Requires >= 2 clusters, each non-empty.
 double davies_bouldin(const std::vector<std::vector<double>>& points,
                       const std::vector<int>& labels);
-
-/// Mean silhouette coefficient in [-1, 1] (higher is better); O(n²·dim).
-double silhouette(const std::vector<std::vector<double>>& points,
-                  const std::vector<int>& labels);
-
-/// Silhouette from a precomputed distance matrix — O(n²) lookups instead
-/// of O(n²·dim) Euclidean recomputation. Values differ from the pointwise
-/// overload only by the matrix's float rounding.
-double silhouette(const DistanceMatrix& distances,
-                  const std::vector<int>& labels);
-
-/// Calinski-Harabasz index (higher is better).
-double calinski_harabasz(const std::vector<std::vector<double>>& points,
-                         const std::vector<int>& labels);
 
 /// One row of the metric tuner's sweep.
 struct DbiSweepPoint {

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -85,14 +86,13 @@ bool IntrospectionServer::maybe_start_from_env() {
   if (server.running()) return true;
   const char* env = std::getenv("CELLSCOPE_INTROSPECT_PORT");
   if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed > 65535) {
+  const auto parsed = parse_u64(env, 0, 65535);
+  if (!parsed) {
     log_warn("introspect.bad_port", {{"value", env}});
     return false;
   }
   try {
-    server.start(static_cast<std::uint16_t>(parsed));
+    server.start(static_cast<std::uint16_t>(*parsed));
   } catch (const Error& e) {
     // A stats port that cannot be bound must not take the process down.
     log_warn("introspect.start_failed", {{"error", e.what()}});

@@ -2,16 +2,15 @@
 
 #include <cstdlib>
 
+#include "common/string_util.h"
+
 namespace cellscope::obs {
 
 TraceSampler::TraceSampler() {
   const char* env = std::getenv("CELLSCOPE_TRACE_SAMPLE");
   if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (end != nullptr && *end == '\0' && parsed >= 1 &&
-      parsed <= 0xFFFFFFFFUL)
-    every_.store(static_cast<std::uint32_t>(parsed),
+  if (const auto parsed = parse_u64(env, 1, 0xFFFFFFFFULL))
+    every_.store(static_cast<std::uint32_t>(*parsed),
                  std::memory_order_relaxed);
 }
 

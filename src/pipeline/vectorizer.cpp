@@ -1,10 +1,9 @@
 #include "pipeline/vectorizer.h"
 
-#include <span>
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/error.h"
-#include "mapred/mapreduce.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -13,9 +12,9 @@ namespace cellscope {
 
 TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
                              const std::vector<Tower>& towers,
-                             ThreadPool& pool,
-                             const VectorizerOptions& options) {
+                             ThreadPool& pool) {
   CS_CHECK_MSG(!towers.empty(), "need at least one tower");
+  obs::ScopedTimer timer;
 
   std::unordered_map<std::uint32_t, std::size_t> row_of;
   row_of.reserve(towers.size());
@@ -28,46 +27,45 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
   matrix.rows.assign(towers.size(),
                      std::vector<double>(TimeGrid::kSlots, 0.0));
 
-  // Map: log -> ((tower, slot), bytes); combine: sum. Keys are packed into
-  // one 64-bit integer — the shuffle key of the Hadoop job.
-  obs::ScopedTimer timer;
-  MapReduceOptions mr;
-  mr.chunk_size = options.chunk_size;
-  const auto aggregated = map_reduce<TrafficLog, std::uint64_t, double>(
-      std::span<const TrafficLog>(logs), pool,
-      [&row_of](const TrafficLog& log,
-                const std::function<void(const std::uint64_t&, double)>&
-                    emit) {
-        if (!row_of.contains(log.tower_id)) return;  // unknown tower
-        const std::uint64_t slot =
-            log.start_minute / TimeGrid::kSlotMinutes;
-        if (slot >= TimeGrid::kSlots) return;  // outside the 4-week grid
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(log.tower_id) << 32) | slot;
-        emit(key, static_cast<double>(log.bytes));
-      },
-      [](double& acc, double value) { acc += value; }, mr);
-
-  double total_bytes = 0.0;
-  for (const auto& [key, bytes] : aggregated) {
-    const auto tower_id = static_cast<std::uint32_t>(key >> 32);
-    const auto slot = static_cast<std::size_t>(key & 0xFFFFFFFFULL);
-    matrix.rows[row_of.at(tower_id)][slot] = bytes;
-    total_bytes += bytes;
+  // Each log's row, resolved once; kSkip marks unknown towers and starts
+  // outside the 4-week grid.
+  constexpr std::size_t kSkip = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> log_row(logs.size(), kSkip);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const auto it = row_of.find(logs[i].tower_id);
+    if (it != row_of.end() &&
+        logs[i].start_minute / TimeGrid::kSlotMinutes < TimeGrid::kSlots)
+      log_row[i] = it->second;
   }
+
+  // One stripe of rows per worker. A stripe scans every log in input
+  // order and adds only its own rows' logs, so each bin sees its logs in
+  // input order whatever the stripe count.
+  const std::size_t n_rows = towers.size();
+  const std::size_t n_stripes = std::min(pool.thread_count(), n_rows);
+  pool.parallel_for(n_stripes, [&](std::size_t stripe) {
+    const std::size_t begin = stripe * n_rows / n_stripes;
+    const std::size_t end = (stripe + 1) * n_rows / n_stripes;
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      const std::size_t r = log_row[i];
+      if (r < begin || r >= end) continue;  // kSkip is never in a stripe
+      matrix.rows[r][logs[i].start_minute / TimeGrid::kSlotMinutes] +=
+          static_cast<double>(logs[i].bytes);
+    }
+  });
   matrix.check();
 
-  const std::size_t n_chunks =
-      logs.empty() ? 0 : (logs.size() + mr.chunk_size - 1) / mr.chunk_size;
+  double total_bytes = 0.0;
+  for (const auto& row : matrix.rows)
+    for (const double bytes : row) total_bytes += bytes;
   auto& registry = obs::MetricsRegistry::instance();
-  registry.counter("cellscope.pipeline.vectorizer_chunks").add(n_chunks);
   registry.counter("cellscope.pipeline.vectorizer_logs").add(logs.size());
   registry.counter("cellscope.pipeline.vectorizer_bytes")
       .add(static_cast<std::uint64_t>(total_bytes));
   obs::log_debug("vectorizer.logs_done",
                  {{"logs", logs.size()},
-                  {"chunks", n_chunks},
                   {"towers", towers.size()},
+                  {"stripes", n_stripes},
                   {"bytes", total_bytes},
                   {"wall_ms", timer.elapsed_ms()}});
   return matrix;

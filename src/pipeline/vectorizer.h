@@ -1,10 +1,11 @@
 // The traffic vectorizer — the paper's §3.2 system component.
 //
-// Converts cleaned connection logs into per-tower traffic vectors: the logs
-// are chunked and aggregated with the MapReduce engine (bytes attributed to
-// the 10-minute slot containing the connection start), yielding one
-// 4032-entry vector per tower; z-scoring is applied downstream by
-// zscore_rows (the paper's "normalization phase").
+// Converts cleaned connection logs into per-tower traffic vectors: each
+// log's bytes are added to the 10-minute slot containing its start,
+// yielding one 4032-entry vector per tower; z-scoring is applied
+// downstream by zscore_rows (the paper's "normalization phase"). The
+// paper runs this sum on Hadoop because its 1.96 B records span
+// machines; here it is a direct per-bin sum on a thread pool.
 //
 // A second entry point builds the matrix directly from the intensity model
 // — the fast path for the clustering/frequency experiments, which need
@@ -22,19 +23,16 @@
 
 namespace cellscope {
 
-/// Vectorizer configuration.
-struct VectorizerOptions {
-  /// Logs per MapReduce chunk.
-  std::size_t chunk_size = 16384;
-};
-
 /// Aggregates cleaned logs into a TrafficMatrix. Rows appear for every
 /// tower in `towers` (towers with no traffic get all-zero rows); logs whose
-/// tower id is unknown are ignored (the cleaner should have dropped them).
+/// tower id is unknown, or whose start falls outside the 4-week grid, are
+/// ignored (the cleaner should have dropped them). Each bin adds its logs
+/// in input order, whatever the pool size, so the result is bit-identical
+/// across pools. This is the batch oracle the stream ingestor is checked
+/// against, so it shares no code with the ingestor (DESIGN.md §8).
 TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
                              const std::vector<Tower>& towers,
-                             ThreadPool& pool,
-                             const VectorizerOptions& options = {});
+                             ThreadPool& pool);
 
 /// Builds the matrix straight from the intensity model with per-slot
 /// sampling noise — statistically what vectorize_logs(clean(generate()))

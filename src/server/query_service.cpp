@@ -1,6 +1,5 @@
 #include "server/query_service.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -10,6 +9,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/stats.h"
+#include "common/string_util.h"
 #include "common/time_grid.h"
 #include "obs/metrics.h"
 
@@ -40,16 +40,6 @@ HttpResponse error_response(int status, std::string_view message) {
   // body stays valid JSON no matter what e.what() contains.
   return json_response(status,
                        "{\"error\":\"" + obs::json_escape(message) + "\"}");
-}
-
-/// Strict decimal parse of a path segment / query value.
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t value = 0;
-  if (s.empty()) return std::nullopt;
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
-  return value;
 }
 
 std::string classification_json(const Classification& c,
@@ -314,7 +304,7 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   if (folded.size() != static_cast<std::size_t>(TimeGrid::kSlotsPerWeek))
     return error_response(400, "folded week must have 1008 slots");
 
-  // Nearest folded-week centroid — the same ANN-backed scoring rule
+  // Nearest folded-week centroid — the same scoring rule
   // OnlineClassifier::classify applies to a live window.
   const ModelSnapshot& snapshot = classifier->model();
   double best = 0.0;

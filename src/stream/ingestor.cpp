@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "obs/introspect.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -18,10 +19,8 @@ namespace {
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* env = std::getenv(name);
   if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed >= 1)
-      return static_cast<std::size_t>(parsed);
+    if (const auto parsed = parse_u64(env, 1))
+      return static_cast<std::size_t>(*parsed);
   }
   return fallback;
 }

@@ -57,9 +57,7 @@ ModelSnapshot snapshot_model(const Experiment& experiment) {
 }
 
 OnlineClassifier::OnlineClassifier(ModelSnapshot model)
-    : model_(std::move(model)),
-      forecaster_(model_.centroids),
-      index_(model_.centroids) {
+    : model_(std::move(model)), forecaster_(model_.centroids) {
   CS_CHECK_MSG(!model_.centroids.empty(), "model needs at least one cluster");
   CS_CHECK_MSG(model_.regions.size() == model_.centroids.size() &&
                    model_.populations.size() == model_.centroids.size(),
@@ -67,6 +65,24 @@ OnlineClassifier::OnlineClassifier(ModelSnapshot model)
   prior_ = static_cast<std::size_t>(
       std::max_element(model_.populations.begin(), model_.populations.end()) -
       model_.populations.begin());
+}
+
+std::size_t OnlineClassifier::nearest_centroid(
+    std::span<const double> folded, double* distance_out) const {
+  const auto& centroids = model_.centroids;
+  CS_CHECK_MSG(folded.size() == centroids[0].size(),
+               "query dimension must match the centroids");
+  double best = squared_distance(folded, centroids[0]);
+  std::size_t best_index = 0;
+  for (std::size_t c = 1; c < centroids.size(); ++c) {
+    const double d = squared_distance(folded, centroids[c]);
+    if (d < best) {
+      best = d;
+      best_index = c;
+    }
+  }
+  if (distance_out != nullptr) *distance_out = best;
+  return best_index;
 }
 
 Classification OnlineClassifier::classify(const TowerWindow& window) const {
@@ -88,7 +104,7 @@ Classification OnlineClassifier::classify(const TowerWindow& window) const {
   const auto zscored = window.zscored();
   const auto folded = fold_to_week({zscored}).front();
   double best = 0.0;
-  const std::size_t best_cluster = index_.nearest(folded, &best);
+  const std::size_t best_cluster = nearest_centroid(folded, &best);
   out.cluster = best_cluster;
   out.region = model_.regions[best_cluster];
   out.distance = best;

@@ -27,7 +27,6 @@
 
 #include "analysis/labeling.h"
 #include "forecast/pattern_forecaster.h"
-#include "ml/centroid_index.h"
 #include "stream/ingestor.h"
 #include "stream/tower_window.h"
 
@@ -94,16 +93,14 @@ class OnlineClassifier {
   std::vector<std::pair<std::uint32_t, Classification>> classify_all(
       const StreamIngestor& ingestor, ThreadPool* pool = nullptr) const;
 
-  /// Nearest centroid to a folded week (1008 slots) through the ANN
-  /// index: sublinear in the cluster count once the model is large
-  /// enough to build a graph (CentroidIndex::Options::brute_force_below),
-  /// the classic exact scan below that. *distance_out (optional) gets
-  /// the exact squared distance. This is the single scoring rule shared
-  /// by classify() and the serving plane's /classify endpoint.
+  /// Nearest centroid to a folded week (1008 slots): an ascending-index
+  /// scan with strict <, so ties keep the lowest index. *distance_out
+  /// (optional) gets the squared distance. This is the single scoring
+  /// rule shared by classify() and the serving plane's /classify
+  /// endpoint. Throws cellscope::Error when the query's dimension differs
+  /// from the centroids'.
   std::size_t nearest_centroid(std::span<const double> folded,
-                               double* distance_out = nullptr) const {
-    return index_.nearest(folded, distance_out);
-  }
+                               double* distance_out = nullptr) const;
 
   /// The cold-start prior: cluster with the largest training population.
   std::size_t prior_cluster() const { return prior_; }
@@ -118,7 +115,6 @@ class OnlineClassifier {
  private:
   ModelSnapshot model_;
   PatternForecaster forecaster_;  // templates = the centroids
-  CentroidIndex index_;           // ANN over the folded-week centroids
   std::size_t prior_ = 0;
 };
 

@@ -82,8 +82,8 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
 /// Knobs for replaying straight from a trace file (out-of-core: only one
 /// batch / chunk of records is resident at a time).
 struct FileReplayOptions {
-  /// Backend; kAuto routes by extension. Columnar inputs always replay
-  /// through the mapped reader (kBinary is treated as kMmap here).
+  /// Backend; kAuto routes by extension. Columnar inputs (kBinary or
+  /// kMmap) replay through the mapped reader.
   TraceCodec codec = TraceCodec::kAuto;
   /// Columnar inputs: apply decoded chunks via ingest_columns (the fused
   /// bulk path — no queue, no drain, user/address columns never decoded).

@@ -76,33 +76,6 @@ bool parse_trace_line(const std::string& line, TrafficLog& log,
   return fill_log(cells.data(), log);
 }
 
-/// Per-file accounting shared by the binary backends, recorded once at
-/// end of stream: read/record counters plus a corrupt-chunk quality
-/// verdict (the binary analogue of the CSV trace_reject_ratio).
-void record_binary_trace_read(std::optional<obs::StageSpan>& span,
-                              std::size_t records, std::size_t chunks,
-                              std::size_t corrupt) {
-  auto& registry = obs::MetricsRegistry::instance();
-  registry.counter("cellscope.io.trace_reads").add(1);
-  registry.counter("cellscope.io.trace_records").add(records);
-  if (span) {
-    span->annotate({"records", records});
-    span->annotate({"chunks", chunks});
-    span->annotate({"corrupt_chunks", corrupt});
-  }
-  if (chunks > 0) {
-    auto result = obs::check_reject_ratio(corrupt, chunks, kMaxRejectRatio);
-    obs::QualityBoard::instance().record(
-        {.check = "trace_chunk_corrupt_ratio",
-         .stage = "io.read_trace",
-         .severity = obs::Severity::kFail,
-         .passed = result.passed,
-         .value = result.value,
-         .detail = std::move(result.detail)});
-  }
-  span.reset();
-}
-
 /// Streaming CSV reader — the line-at-a-time successor of the legacy
 /// whole-file read_trace_csv, with identical reject accounting: the same
 /// counters, span annotations, and trace_reject_ratio verdict, recorded
@@ -190,114 +163,6 @@ class CsvTraceReader final : public TraceReader {
   std::size_t rejected_ = 0;
 };
 
-/// Sequential columnar reader over buffered file reads — the no-mmap
-/// fallback. Reads the footer index up front (so corruption recovery and
-/// chunk accounting match the mapped reader), then streams chunk frames
-/// through one reused buffer.
-class BinTraceReader final : public TraceReader {
- public:
-  explicit BinTraceReader(const std::string& path) : path_(path) {
-    if (CS_FAILPOINT("trace.read.fail"))
-      throw IoError("failpoint trace.read.fail: refusing to read " + path);
-    in_.open(path, std::ios::binary);
-    if (!in_) throw IoError("cannot open for reading: " + path);
-    in_.seekg(0, std::ios::end);
-    const auto end_pos = in_.tellg();
-    if (end_pos < 0) throw IoError("cannot stat: " + path);
-    const std::uint64_t size = static_cast<std::uint64_t>(end_pos);
-
-    constexpr std::size_t kMinTail =
-        columnar::kFooterHeaderBytes + 4 + columnar::kTrailerBytes;
-    if (size < columnar::kHeaderBytes + kMinTail)
-      throw IoError("bad columnar trace header: " + path +
-                    " (file too small)");
-    unsigned char header[columnar::kHeaderBytes];
-    read_at(0, header, sizeof(header));
-    if (!columnar::check_header(header, sizeof(header)))
-      throw IoError("bad columnar trace header: " + path);
-
-    unsigned char trailer[columnar::kTrailerBytes];
-    read_at(size - columnar::kTrailerBytes, trailer, sizeof(trailer));
-    std::uint64_t footer_offset = 0;
-    if (!columnar::read_trailer(trailer, footer_offset))
-      throw IoError("bad columnar trace footer: " + path +
-                    " (bad trailer magic)");
-    if (footer_offset < columnar::kHeaderBytes ||
-        footer_offset > size - kMinTail)
-      throw IoError("bad columnar trace footer: " + path +
-                    " (footer offset out of bounds)");
-    std::vector<unsigned char> region(size - footer_offset);
-    read_at(footer_offset, region.data(), region.size());
-    std::string error;
-    if (!columnar::parse_footer_region(region.data(), region.size(),
-                                       footer_offset, index_, error))
-      throw IoError("bad columnar trace footer: " + path + " (" + error + ")");
-    for (const auto& entry : index_) record_count_ += entry.n_records;
-    span_.emplace("io.read_trace", "io", obs::LogLevel::kDebug);
-  }
-
-  ~BinTraceReader() override { finalize(); }
-
-  bool next_batch(std::vector<TrafficLog>& out) override {
-    out.clear();
-    auto& metrics = columnar::io_metrics();
-    while (next_chunk_ < index_.size()) {
-      const std::size_t i = next_chunk_++;
-      const auto& entry = index_[i];
-      frame_.resize(entry.frame_len());
-      read_at(entry.offset, frame_.data(), frame_.size());
-      bool ok;
-      {
-        obs::ScopedTimer timer(metrics.decode_ms);
-        ok = columnar::decode_chunk_records(frame_.data(), frame_.size(), out);
-      }
-      if (!ok) {  // skip-and-count, same contract as the mapped reader
-        metrics.chunks_corrupt->add(1);
-        obs::log_warn("io.chunk_corrupt",
-                      {{"path", path_}, {"chunk", i}, {"mode", "records"}});
-        ++corrupt_;
-        out.clear();
-        continue;
-      }
-      metrics.chunks_read->add(1);
-      records_ += out.size();
-      return true;
-    }
-    finalize();
-    return false;
-  }
-
-  std::optional<std::uint64_t> record_count() const override {
-    return record_count_;
-  }
-
- private:
-  void read_at(std::uint64_t offset, unsigned char* buf, std::size_t n) {
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-    in_.read(reinterpret_cast<char*>(buf), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n)
-      throw IoError("short read in columnar trace: " + path_);
-  }
-
-  void finalize() {
-    if (finalized_) return;
-    finalized_ = true;
-    record_binary_trace_read(span_, records_, index_.size(), corrupt_);
-  }
-
-  std::string path_;
-  std::ifstream in_;
-  std::vector<columnar::ChunkIndexEntry> index_;
-  std::vector<unsigned char> frame_;
-  std::optional<obs::StageSpan> span_;
-  std::uint64_t record_count_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::size_t records_ = 0;
-  std::size_t corrupt_ = 0;
-  bool finalized_ = false;
-};
-
 /// Batch adapter over the mapped reader: one chunk per batch, decoded
 /// straight out of the mapping.
 class MmapBatchReader final : public TraceReader {
@@ -327,10 +192,32 @@ class MmapBatchReader final : public TraceReader {
   }
 
  private:
+  /// Per-file accounting, recorded once at end of stream: read/record
+  /// counters plus a corrupt-chunk quality verdict (the binary analogue
+  /// of the CSV trace_reject_ratio).
   void finalize() {
     if (finalized_) return;
     finalized_ = true;
-    record_binary_trace_read(span_, records_, reader_.chunk_count(), corrupt_);
+    const std::size_t chunks = reader_.chunk_count();
+    auto& registry = obs::MetricsRegistry::instance();
+    registry.counter("cellscope.io.trace_reads").add(1);
+    registry.counter("cellscope.io.trace_records").add(records_);
+    if (span_) {
+      span_->annotate({"records", records_});
+      span_->annotate({"chunks", chunks});
+      span_->annotate({"corrupt_chunks", corrupt_});
+    }
+    if (chunks > 0) {
+      auto result = obs::check_reject_ratio(corrupt_, chunks, kMaxRejectRatio);
+      obs::QualityBoard::instance().record(
+          {.check = "trace_chunk_corrupt_ratio",
+           .stage = "io.read_trace",
+           .severity = obs::Severity::kFail,
+           .passed = result.passed,
+           .value = result.value,
+           .detail = std::move(result.detail)});
+    }
+    span_.reset();
   }
 
   MmapTraceReader reader_;
@@ -401,7 +288,6 @@ std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
     case TraceCodec::kCsv:
       return std::make_unique<CsvTraceReader>(path, batch_records);
     case TraceCodec::kBinary:
-      return std::make_unique<BinTraceReader>(path);
     case TraceCodec::kMmap:
       return std::make_unique<MmapBatchReader>(path);
     case TraceCodec::kAuto:

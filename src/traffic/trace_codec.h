@@ -1,11 +1,10 @@
-// Pluggable trace codecs: one reader/writer interface over the CSV,
-// sequential-binary, and mmap backends.
+// Pluggable trace codecs: one reader/writer interface over the CSV and
+// columnar-binary backends.
 //
 // Callers pick a backend with an explicit TraceCodec or let kAuto route
 // by extension: ".csv" is the text format, ".ctb"/".bin" the columnar
-// binary (traffic/columnar.h) — read through the mmap backend by
-// default, since indexed mapped access is strictly better than a
-// sequential read of the same bytes. The streaming interface hands out
+// binary (traffic/columnar.h), always read through the mapped, indexed
+// reader (traffic/trace_mmap.h). The streaming interface hands out
 // bounded batches, so every consumer — conversion tools, the stream
 // replay harness, tests — can process a trace far larger than RAM
 // without ever holding more than one batch of records.
@@ -29,7 +28,7 @@ namespace cellscope {
 enum class TraceCodec {
   kAuto,    ///< by extension: .csv -> kCsv, .ctb/.bin -> kMmap (read) / kBinary (write)
   kCsv,     ///< text CSV (trace_io.h format)
-  kBinary,  ///< columnar binary via buffered sequential reads
+  kBinary,  ///< columnar binary (read through the mapped reader, as kMmap)
   kMmap,    ///< columnar binary via the mapped, indexed reader
 };
 

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/error.h"
-#include "geo/geocoder.h"
+#include "geo/address_codec.h"
 
 namespace cellscope {
 namespace {
@@ -89,9 +89,9 @@ TEST(Deployment, AddressesGeocodeBackToPositions) {
   DeploymentOptions options;
   options.n_towers = 40;
   const auto towers = deploy_towers(city, options);
-  Geocoder geocoder(city.box());
+  const AddressCodec codec(city.box());
   for (const auto& t : towers) {
-    const auto resolved = geocoder.geocode(t.address);
+    const auto resolved = codec.decode(t.address);
     ASSERT_TRUE(resolved.has_value());
     EXPECT_LT(haversine_m(t.position, *resolved), 15.0);
   }

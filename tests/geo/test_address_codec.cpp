@@ -1,4 +1,4 @@
-#include "geo/geocoder.h"
+#include "geo/address_codec.h"
 
 #include <gtest/gtest.h>
 
@@ -64,43 +64,6 @@ TEST(AddressCodec, OverlongDigitRunsDecodeToNullNotUndefinedBehavior) {
   EXPECT_FALSE(
       codec.decode("District-2147483648/Street-2/No-3").has_value());
   EXPECT_TRUE(codec.decode("District-0001/Street-2/No-3").has_value());
-}
-
-TEST(Geocoder, ResolvesAddressesItIssued) {
-  Geocoder geocoder(shanghai_bbox());
-  const LatLon p{31.15, 121.35};
-  const auto address = geocoder.reverse_geocode(p);
-  const auto resolved = geocoder.geocode(address);
-  ASSERT_TRUE(resolved.has_value());
-  EXPECT_LT(haversine_m(p, *resolved), 15.0);
-}
-
-TEST(Geocoder, CachesRepeatLookups) {
-  Geocoder geocoder(shanghai_bbox());
-  const auto address = geocoder.reverse_geocode({31.1, 121.4});
-  geocoder.geocode(address);
-  geocoder.geocode(address);
-  geocoder.geocode(address);
-  EXPECT_EQ(geocoder.api_calls(), 1u);
-  EXPECT_EQ(geocoder.cache_hits(), 2u);
-}
-
-TEST(Geocoder, QuotaLimitsUncachedLookups) {
-  Geocoder geocoder(shanghai_bbox(), {.quota = 2});
-  const auto a1 = geocoder.reverse_geocode({31.10, 121.30});
-  const auto a2 = geocoder.reverse_geocode({31.11, 121.31});
-  const auto a3 = geocoder.reverse_geocode({31.12, 121.32});
-  geocoder.geocode(a1);
-  geocoder.geocode(a2);
-  geocoder.geocode(a1);  // cache hit — free
-  EXPECT_THROW(geocoder.geocode(a3), Error);
-}
-
-TEST(Geocoder, MalformedLookupsAreCachedToo) {
-  Geocoder geocoder(shanghai_bbox());
-  EXPECT_FALSE(geocoder.geocode("not-an-address").has_value());
-  EXPECT_FALSE(geocoder.geocode("not-an-address").has_value());
-  EXPECT_EQ(geocoder.api_calls(), 1u);
 }
 
 }  // namespace

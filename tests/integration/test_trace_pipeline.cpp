@@ -1,14 +1,14 @@
 // Integration of the session-level path: generate raw logs (with injected
-// defects), persist to CSV, re-read, clean with geocoder validation,
-// vectorize on the MapReduce engine, and verify the result against the
-// generator's ground truth — the paper's §2.2 + §3.2 preprocessing chain.
+// defects), persist to CSV, re-read, clean with address validation,
+// vectorize per bin, and verify the result against the generator's ground
+// truth — the paper's §2.2 + §3.2 preprocessing chain.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "city/deployment.h"
 #include "common/stats.h"
-#include "geo/geocoder.h"
+#include "geo/address_codec.h"
 #include "pipeline/cleaner.h"
 #include "pipeline/vectorizer.h"
 #include "traffic/trace_generator.h"
@@ -49,11 +49,11 @@ TEST_F(TracePipelineTest, FullChainRecoversGroundTruth) {
   const auto reloaded = read_trace_csv(trace_path_.string());
   ASSERT_EQ(reloaded.size(), trace.logs.size());
 
-  // Clean with geocoder-backed address validation.
-  Geocoder geocoder(CityModel::create_default().box());
+  // Clean with address validation.
+  const AddressCodec codec(CityModel::create_default().box());
   CleanerOptions cleaner_options;
-  cleaner_options.validator = [&geocoder](const TrafficLog& log) {
-    return geocoder.geocode(log.address).has_value();
+  cleaner_options.validator = [&codec](const TrafficLog& log) {
+    return codec.decode(log.address).has_value();
   };
   CleanStats stats;
   const auto cleaned = clean_logs(reloaded, cleaner_options, &stats);
@@ -86,10 +86,10 @@ TEST_F(TracePipelineTest, CorruptedAddressesAreDroppedByTheValidator) {
     ++corrupted;
   }
 
-  Geocoder geocoder(CityModel::create_default().box());
+  const AddressCodec codec(CityModel::create_default().box());
   CleanerOptions cleaner_options;
-  cleaner_options.validator = [&geocoder](const TrafficLog& log) {
-    return geocoder.geocode(log.address).has_value();
+  cleaner_options.validator = [&codec](const TrafficLog& log) {
+    return codec.decode(log.address).has_value();
   };
   CleanStats stats;
   const auto cleaned = clean_logs(trace.logs, cleaner_options, &stats);
@@ -113,23 +113,6 @@ TEST_F(TracePipelineTest, DirtyPipelineOvercountsCleanUndercountsNothing) {
     for (std::size_t s = 0; s < TimeGrid::kSlots; ++s)
       ASSERT_GE(dirty.rows[r][s] + 1e-9, clean.rows[r][s]);
   EXPECT_GT(sum(aggregate_series(dirty)), sum(aggregate_series(clean)));
-}
-
-TEST_F(TracePipelineTest, GeocoderCacheMakesValidationCheap) {
-  TraceOptions options;
-  options.day_begin = 0;
-  options.day_end = 1;
-  const auto trace = generate_trace(towers_, *intensity_, options);
-
-  Geocoder geocoder(CityModel::create_default().box());
-  CleanerOptions cleaner_options;
-  cleaner_options.validator = [&geocoder](const TrafficLog& log) {
-    return geocoder.geocode(log.address).has_value();
-  };
-  clean_logs(trace.logs, cleaner_options);
-  // Only one uncached API call per distinct tower address.
-  EXPECT_EQ(geocoder.api_calls(), towers_.size());
-  EXPECT_GT(geocoder.cache_hits(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The pluggable codec layer (traffic/trace_codec.h): extension routing,
-// cross-backend read identity, csv -> bin -> csv byte identity, and a
+// csv/columnar read identity, csv -> bin -> csv byte identity, and a
 // systematic corruption sweep over the binary format — every bit flip
 // and truncation must end in IoError or skip-and-count, never a crash.
 #include "traffic/trace_codec.h"
@@ -82,12 +82,10 @@ TEST_F(TraceCodecTest, AllThreeBackendsReadIdenticalRecords) {
   write_trace(path("t.csv"), logs);
   write_trace(path("t.ctb"), logs, TraceCodec::kBinary);
 
-  const auto via_csv = read_trace(path("t.csv"), TraceCodec::kCsv);
-  const auto via_seq = read_trace(path("t.ctb"), TraceCodec::kBinary);
-  const auto via_map = read_trace(path("t.ctb"), TraceCodec::kMmap);
-  EXPECT_EQ(via_csv, logs);
-  EXPECT_EQ(via_seq, logs);
-  EXPECT_EQ(via_map, logs);
+  EXPECT_EQ(read_trace(path("t.csv"), TraceCodec::kCsv), logs);
+  // kBinary and kMmap both name the one mapped columnar reader.
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kBinary), logs);
+  EXPECT_EQ(read_trace(path("t.ctb"), TraceCodec::kMmap), logs);
 }
 
 TEST_F(TraceCodecTest, StreamingReadersBatchAndReportCounts) {
@@ -144,15 +142,12 @@ TEST_F(TraceCodecTest, BitFlipSweepNeverCrashes) {
     bad[pos] = static_cast<char>(bad[pos] ^ (1 << (pos % 8)));
     spit(path("bad.ctb"), bad);
     try {
-      // Sequential and mapped backends share the corruption contract.
-      const auto via_map = read_trace(path("bad.ctb"), TraceCodec::kMmap);
-      const auto via_seq = read_trace(path("bad.ctb"), TraceCodec::kBinary);
-      EXPECT_EQ(via_map, via_seq) << "flip at byte " << pos;
-      EXPECT_LE(via_map.size(), logs.size()) << "flip at byte " << pos;
-      if (via_map.size() == logs.size()) {
+      const auto decoded = read_trace(path("bad.ctb"), TraceCodec::kMmap);
+      EXPECT_LE(decoded.size(), logs.size()) << "flip at byte " << pos;
+      if (decoded.size() == logs.size()) {
         // A flip that left every record intact can only have hit
         // redundant structure bytes; the records must be unchanged.
-        EXPECT_EQ(via_map, logs) << "flip at byte " << pos;
+        EXPECT_EQ(decoded, logs) << "flip at byte " << pos;
         ++clean_reads;
       } else {
         ++skipped_reads;
@@ -177,10 +172,8 @@ TEST_F(TraceCodecTest, TruncationSweepNeverCrashes) {
   for (std::size_t len = 0; len < good.size(); ++len) {
     spit(path("cut.ctb"), good.substr(0, len));
     // Any truncation removes the trailer, so the file must be rejected
-    // as structurally damaged by both binary backends.
+    // as structurally damaged.
     EXPECT_THROW(read_trace(path("cut.ctb"), TraceCodec::kMmap), IoError)
-        << "truncated to " << len;
-    EXPECT_THROW(read_trace(path("cut.ctb"), TraceCodec::kBinary), IoError)
         << "truncated to " << len;
   }
 }

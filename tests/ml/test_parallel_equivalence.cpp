@@ -1,7 +1,7 @@
 // Serial/parallel equivalence of the analytics core (DESIGN.md §8).
 //
-// The determinism contract: every pooled stage — the intensity
-// vectorizer, the blocked distance kernel, the incremental DBI sweep, the
+// The determinism contract: every pooled stage — the log and intensity
+// vectorizers, the blocked distance kernel, the incremental DBI sweep, the
 // per-row z-score/fold loops, the per-tower spectra and POI counts, and
 // the representative search — produces BIT-IDENTICAL output for any
 // worker count, because tiles/rows partition the output and every
@@ -250,6 +250,63 @@ TEST(ParallelEquivalence, VectorizeIntensityBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.rows, par8.rows);
 }
 
+TEST(ParallelEquivalence, VectorizeLogsBitIdenticalAcrossPoolSizes) {
+  const SmallCity s(45);
+  // Byte counts around 2^50..2^54 packed into few bins: the per-bin sums
+  // pass 2^53, so each addition rounds and the summation order shows in
+  // the result. A few logs name an unknown tower or start past the grid.
+  Rng rng(23);
+  std::vector<TrafficLog> logs(6000);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    auto& log = logs[i];
+    log.tower_id = i % 97 == 0
+                       ? 999999u
+                       : s.towers[static_cast<std::size_t>(
+                                   rng.uniform_int(0, 44))].id;
+    const auto slot = static_cast<std::uint32_t>(rng.uniform_int(0, 15)) * 251;
+    log.start_minute =
+        i % 89 == 0 ? static_cast<std::uint32_t>(TimeGrid::kSlots) * 10 + 3
+                    : slot * 10 + static_cast<std::uint32_t>(i % 10);
+    log.end_minute = log.start_minute + 1;
+    log.bytes = static_cast<std::uint64_t>(
+        rng.uniform(std::ldexp(1.0, 50), std::ldexp(1.0, 54)));
+  }
+
+  // Oracle: a plain per-bin loop in input order.
+  TrafficMatrix oracle;
+  oracle.rows.assign(s.towers.size(),
+                     std::vector<double>(TimeGrid::kSlots, 0.0));
+  std::vector<double> reversed(oracle.rows.size() * TimeGrid::kSlots, 0.0);
+  for (std::size_t r = 0; r < s.towers.size(); ++r) {
+    oracle.tower_ids.push_back(s.towers[r].id);
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      const std::size_t slot = logs[i].start_minute / TimeGrid::kSlotMinutes;
+      if (logs[i].tower_id == s.towers[r].id && slot < TimeGrid::kSlots)
+        oracle.rows[r][slot] += static_cast<double>(logs[i].bytes);
+    }
+    for (std::size_t i = logs.size(); i-- > 0;) {
+      const std::size_t slot = logs[i].start_minute / TimeGrid::kSlotMinutes;
+      if (logs[i].tower_id == s.towers[r].id && slot < TimeGrid::kSlots)
+        reversed[r * TimeGrid::kSlots + slot] +=
+            static_cast<double>(logs[i].bytes);
+    }
+  }
+  // The trace is order-sensitive: summing backwards changes some bin.
+  std::size_t order_sensitive_bins = 0;
+  for (std::size_t r = 0; r < oracle.rows.size(); ++r)
+    for (std::size_t slot = 0; slot < TimeGrid::kSlots; ++slot)
+      if (reversed[r * TimeGrid::kSlots + slot] != oracle.rows[r][slot])
+        ++order_sensitive_bins;
+  ASSERT_GT(order_sensitive_bins, 0u);
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const auto matrix = vectorize_logs(logs, s.towers, pool);
+    EXPECT_EQ(matrix.tower_ids, oracle.tower_ids) << threads << " threads";
+    EXPECT_EQ(matrix.rows, oracle.rows) << threads << " threads";
+  }
+}
+
 TEST(ParallelEquivalence, PoiCountsIdenticalAcrossThreadCounts) {
   const SmallCity s(45);
   ThreadPool pool1(1);
@@ -360,17 +417,6 @@ TEST(ParallelEquivalence, RepresentativeIdenticalAcrossThreadCounts) {
                 find_representative(features, labels, c, options, &pool8));
     }
   }
-}
-
-TEST(ParallelEquivalence, SilhouetteOverloadReusesDistanceMatrix) {
-  const auto points = blob_points(20, 12, 8);
-  const auto dendrogram =
-      Dendrogram::run(DistanceMatrix::compute(points), Linkage::kAverage);
-  const auto labels = dendrogram.cut_k(4);
-  const auto distances = DistanceMatrix::compute(points);
-  // Agreement limited only by the matrix's float storage.
-  EXPECT_NEAR(silhouette(distances, labels), silhouette(points, labels),
-              1e-4);
 }
 
 TEST(ParallelEquivalence, ThresholdCutsMatchLinearScan) {

@@ -79,40 +79,6 @@ TEST(DaviesBouldin, RequiresTwoClusters) {
   EXPECT_THROW(davies_bouldin(points, {0, 0}), Error);
 }
 
-TEST(Silhouette, PerfectClustersScoreNearOne) {
-  const auto blobs = make_blobs(3, 15, 0.1, 50.0, 3);
-  EXPECT_GT(silhouette(blobs.points, blobs.truth), 0.95);
-}
-
-TEST(Silhouette, RandomLabelsScoreNearZeroOrBelow) {
-  const auto blobs = make_blobs(1, 60, 1.0, 0.0, 4);
-  Rng rng(5);
-  std::vector<int> random_labels(blobs.points.size());
-  for (auto& l : random_labels)
-    l = static_cast<int>(rng.uniform_int(0, 2));
-  // Ensure all 3 labels appear.
-  random_labels[0] = 0;
-  random_labels[1] = 1;
-  random_labels[2] = 2;
-  EXPECT_LT(silhouette(blobs.points, random_labels), 0.1);
-}
-
-TEST(Silhouette, BetterClusteringScoresHigher) {
-  const auto blobs = make_blobs(2, 20, 0.3, 10.0, 6);
-  auto scrambled = blobs.truth;
-  for (std::size_t i = 0; i < scrambled.size(); i += 3)
-    scrambled[i] = 1 - scrambled[i];
-  EXPECT_GT(silhouette(blobs.points, blobs.truth),
-            silhouette(blobs.points, scrambled));
-}
-
-TEST(CalinskiHarabasz, SeparatedClustersScoreHigh) {
-  const auto good = make_blobs(3, 20, 0.2, 20.0, 7);
-  const auto bad = make_blobs(3, 20, 3.0, 2.0, 7);
-  EXPECT_GT(calinski_harabasz(good.points, good.truth),
-            10.0 * calinski_harabasz(bad.points, bad.truth));
-}
-
 TEST(DbiSweep, MinimumAtTheTrueClusterCount) {
   const auto blobs = make_blobs(5, 25, 0.3, 15.0, 8);
   const auto dendrogram = Dendrogram::run(

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -55,6 +56,21 @@ std::string http_request(std::uint16_t port, const std::string& request) {
 std::string get(std::uint16_t port, const std::string& path) {
   return http_request(port,
                       "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
+}
+
+TEST(IntrospectionServer, EnvPortRejectsJunkSignsSpacesAndOverflow) {
+  // Each value once became a port through strtoul (" 80" and "+80" as
+  // 80); all of them must log introspect.bad_port and start nothing.
+  auto& server = IntrospectionServer::instance();
+  server.stop();
+  for (const char* bad :
+       {"abc", " 80", "+80", "80 ", "-1", "65536", "99999999999999999999"}) {
+    ::setenv("CELLSCOPE_INTROSPECT_PORT", bad, 1);
+    EXPECT_FALSE(IntrospectionServer::maybe_start_from_env())
+        << "'" << bad << "'";
+    EXPECT_FALSE(server.running()) << "'" << bad << "'";
+  }
+  ::unsetenv("CELLSCOPE_INTROSPECT_PORT");
 }
 
 TEST(IntrospectionServer, HandleRoutesBuiltInEndpoints) {

@@ -60,27 +60,6 @@ TEST(Vectorizer, IgnoresUnknownTowersAndOutOfGridSlots) {
     for (const double v : row) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(Vectorizer, ResultIndependentOfChunkSize) {
-  const auto towers = make_towers(4);
-  const auto intensity = IntensityModel::create(towers, IntensityOptions{});
-  TraceOptions trace_options;
-  trace_options.day_begin = 0;
-  trace_options.day_end = 1;
-  const auto trace = generate_trace(towers, intensity, trace_options);
-
-  ThreadPool pool(3);
-  VectorizerOptions small;
-  small.chunk_size = 7;
-  VectorizerOptions large;
-  large.chunk_size = 1 << 20;
-  const auto a = vectorize_logs(trace.logs, towers, pool, small);
-  const auto b = vectorize_logs(trace.logs, towers, pool, large);
-  ASSERT_EQ(a.n(), b.n());
-  for (std::size_t r = 0; r < a.n(); ++r)
-    for (std::size_t s = 0; s < TimeGrid::kSlots; ++s)
-      EXPECT_DOUBLE_EQ(a.rows[r][s], b.rows[r][s]);
-}
-
 TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
   // The headline pipeline property: generate (with defects) -> clean ->
   // vectorize must reproduce the generator's clean per-(tower, slot)

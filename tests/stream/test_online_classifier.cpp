@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
@@ -205,10 +206,9 @@ TEST(OnlineClassifier, SnapshotOfTrainedExperimentIsSelfConsistent) {
 }
 
 TEST(OnlineClassifier, NearestCentroidMatchesExplicitScanOnSmallModels) {
-  // Small models (like the paper's five patterns) stay on the index's
-  // brute-force path — nearest_centroid must be the old classify loop
-  // exactly: same argmin, same strict-< first-index tie-break, same
-  // distance value bit for bit.
+  // nearest_centroid must be the explicit classify loop exactly: same
+  // argmin, same strict-< first-index tie-break, same distance value bit
+  // for bit.
   const auto model = synthetic_model();
   const OnlineClassifier classifier(model);
   for (const auto profile : {office_bytes, resident_bytes}) {
@@ -228,10 +228,9 @@ TEST(OnlineClassifier, NearestCentroidMatchesExplicitScanOnSmallModels) {
   }
 }
 
-TEST(OnlineClassifier, AnnIndexAgreesWithExactScanOnLargeModels) {
-  // A model wide enough to cross brute_force_below builds the ANN graph;
-  // on separated centroids its answers still match the exact scan, and
-  // classify() keeps reporting exact distances.
+TEST(OnlineClassifier, NearestCentroidMatchesExplicitScanOnLargeModels) {
+  // A model far wider than the paper's five patterns is scanned the same
+  // way: the answers match the explicit scan, distances included.
   Rng rng(99);
   ModelSnapshot model;
   const std::size_t k = 150;
@@ -262,6 +261,29 @@ TEST(OnlineClassifier, AnnIndexAgreesWithExactScanOnLargeModels) {
         << "trial " << trial;
     EXPECT_EQ(got_best, want_best) << "trial " << trial;
   }
+}
+
+TEST(OnlineClassifier, NearestCentroidTiesKeepTheLowestIndex) {
+  // Duplicate centroids: the first index wins — the strict < of the
+  // ascending scan.
+  const std::vector<double> a(kWeek, 1.0);
+  std::vector<double> b(kWeek, -4.0);
+  b[7] = 9.0;
+  ModelSnapshot model;
+  model.centroids = {b, a, a, b, a};
+  model.regions.assign(5, FunctionalRegion::kComprehensive);
+  model.populations.assign(5, 1);
+  const OnlineClassifier classifier(model);
+  EXPECT_EQ(classifier.nearest_centroid(a), 1u);
+  EXPECT_EQ(classifier.nearest_centroid(b), 0u);
+}
+
+TEST(OnlineClassifier, NearestCentroidRejectsMismatchedDimension) {
+  const OnlineClassifier classifier(synthetic_model());
+  const std::vector<double> wrong_dim = {1.0, 2.0};
+  EXPECT_THROW(classifier.nearest_centroid(wrong_dim), Error);
+  const std::vector<double> one_slot_long(kWeek + 1, 0.0);
+  EXPECT_THROW(classifier.nearest_centroid(one_slot_long), Error);
 }
 
 }  // namespace
