@@ -11,49 +11,30 @@
 
 #include "bench_common.h"
 
-#include <algorithm>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/time_grid.h"
 #include "mapred/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace_sample.h"
 #include "stream/ingestor.h"
 #include "stream/replay.h"
+#include "traffic/trace_generator.h"
 
 namespace {
 
 using namespace cellscope;
 
-std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
-                                       std::uint32_t n_towers) {
+/// The uniform load-test feed (traffic/trace_generator.h), generated
+/// once and reused by every case.
+std::vector<TrafficLog> cached_feed(std::size_t n_records,
+                                    std::uint32_t n_towers) {
   static std::vector<TrafficLog> cache;
   static std::size_t cached_records = 0;
-  if (cached_records == n_records) return cache;
-  Rng rng(4321);
-  std::vector<TrafficLog> logs;
-  logs.reserve(n_records);
-  constexpr std::uint64_t kGridMinutes =
-      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
-  for (std::size_t i = 0; i < n_records; ++i) {
-    TrafficLog log;
-    log.user_id = static_cast<std::uint64_t>(rng.uniform_int(0, 99999));
-    log.tower_id = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_towers) - 1));
-    const auto base = i * kGridMinutes / n_records;
-    log.start_minute = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kGridMinutes - 1,
-                                base + static_cast<std::uint64_t>(
-                                           rng.uniform_int(0, 30))));
-    log.end_minute = log.start_minute +
-                     static_cast<std::uint32_t>(rng.uniform_int(0, 15));
-    log.bytes = static_cast<std::uint64_t>(rng.uniform_int(100, 200000));
-    logs.push_back(log);
+  if (cached_records != n_records) {
+    cache = uniform_feed(n_records, n_towers, 4321);
+    cached_records = n_records;
   }
-  cache = std::move(logs);
-  cached_records = n_records;
   return cache;
 }
 
@@ -62,7 +43,7 @@ void BM_ReplayWithSampling(benchmark::State& state) {
   const auto sample_every = static_cast<std::uint32_t>(state.range(0));
   const auto n_towers =
       static_cast<std::uint32_t>(cellscope::bench::bench_towers());
-  const auto logs = synthetic_logs(1'000'000, n_towers);
+  const auto logs = cached_feed(1'000'000, n_towers);
   ThreadPool pool(default_thread_count());
   auto& sampler = obs::TraceSampler::instance();
   const auto saved = sampler.sample_every();
@@ -105,7 +86,7 @@ BENCHMARK(BM_PrometheusSnapshot)->Unit(benchmark::kMicrosecond);
 void BM_StreamStatusJson(benchmark::State& state) {
   const auto n_towers =
       static_cast<std::uint32_t>(cellscope::bench::bench_towers());
-  const auto logs = synthetic_logs(1'000'000, n_towers);
+  const auto logs = cached_feed(1'000'000, n_towers);
   ThreadPool pool(default_thread_count());
   StreamIngestor ingestor(StreamConfig{.n_shards = 4, .queue_capacity = 0});
   ingestor.offer_batch(logs);

@@ -41,12 +41,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time_grid.h"
 #include "core/cellscope.h"
 #include "flag_util.h"
 #include "mapred/thread_pool.h"
-#include "obs/introspect.h"
 #include "obs/report.h"
 #include "server/query_service.h"
 #include "server/server.h"
@@ -56,36 +54,7 @@
 #include "stream/replay.h"
 #include "stream/snapshot.h"
 
-namespace {
-
 using namespace cellscope;
-
-std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
-                                       std::uint32_t n_towers,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TrafficLog> logs;
-  logs.reserve(n_records);
-  constexpr std::uint64_t kGridMinutes =
-      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
-  for (std::size_t i = 0; i < n_records; ++i) {
-    TrafficLog log;
-    log.user_id = static_cast<std::uint64_t>(rng.uniform_int(0, 99999));
-    log.tower_id = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_towers) - 1));
-    const auto base = i * kGridMinutes / n_records;
-    log.start_minute = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        kGridMinutes - 1,
-        base + static_cast<std::uint64_t>(rng.uniform_int(0, 30))));
-    log.end_minute =
-        log.start_minute + static_cast<std::uint32_t>(rng.uniform_int(0, 15));
-    log.bytes = static_cast<std::uint64_t>(rng.uniform_int(100, 200000));
-    logs.push_back(log);
-  }
-  return logs;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::uint16_t port = 8080;
@@ -161,7 +130,7 @@ int main(int argc, char** argv) {
     while (!examples::stop_requested())
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
   } else {
-    const auto base_logs = synthetic_logs(
+    const auto base_logs = uniform_feed(
         n_records, static_cast<std::uint32_t>(n_towers), 4321);
     constexpr std::uint64_t kGridMinutes =
         TimeGrid::kSlots * TimeGrid::kSlotMinutes;

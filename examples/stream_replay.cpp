@@ -1,13 +1,14 @@
-// Live stream replay — the hands-on harness for the introspection plane.
+// Stream replay — the offline harness for the streaming ingestor.
 //
-// Trains a model on a synthetic city, then replays a synthetic record
-// feed through the streaming ingestor round after round, each round one
-// 4-week grid further along in event time so the watermark keeps
-// advancing. While it runs, the embedded stats server (set
-// CELLSCOPE_INTROSPECT_PORT) serves /metrics, /metrics.json, /healthz,
-// and /stream for curl; see README "Watching a live run".
+// Trains a model on a synthetic city, then replays the uniform feed
+// (traffic/trace_generator.h) through the streaming ingestor round after
+// round, each round one 4-week grid further along in event time so the
+// watermark keeps advancing — or replays a trace file once (--trace).
+// It serves no HTTP: scrape a run with --metrics-jsonl, sample records
+// into the Chrome trace with CELLSCOPE_TRACE_SAMPLE, and curl a live
+// process through cellscoped instead (README "Watching a live run").
 //
-//   $ CELLSCOPE_INTROSPECT_PORT=9090 ./stream_replay --rounds=20 --pause-ms=1000
+//   $ ./stream_replay --metrics-interval-ms=500 --metrics-jsonl=m.jsonl
 //
 // Flags (all optional):
 //   --towers=N              city size (default 400)
@@ -37,12 +38,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time_grid.h"
 #include "core/cellscope.h"
 #include "flag_util.h"
 #include "mapred/thread_pool.h"
-#include "obs/introspect.h"
 #include "obs/report.h"
 #include "signal_util.h"
 #include "stream/ingestor.h"
@@ -53,32 +52,6 @@
 namespace {
 
 using namespace cellscope;
-
-std::vector<TrafficLog> synthetic_logs(std::size_t n_records,
-                                       std::uint32_t n_towers,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TrafficLog> logs;
-  logs.reserve(n_records);
-  constexpr std::uint64_t kGridMinutes =
-      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
-  for (std::size_t i = 0; i < n_records; ++i) {
-    TrafficLog log;
-    log.user_id = static_cast<std::uint64_t>(rng.uniform_int(0, 99999));
-    log.tower_id = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_towers) - 1));
-    const auto base = i * kGridMinutes / n_records;
-    log.start_minute = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kGridMinutes - 1,
-                                base + static_cast<std::uint64_t>(
-                                           rng.uniform_int(0, 30))));
-    log.end_minute = log.start_minute +
-                     static_cast<std::uint32_t>(rng.uniform_int(0, 15));
-    log.bytes = static_cast<std::uint64_t>(rng.uniform_int(100, 200000));
-    logs.push_back(log);
-  }
-  return logs;
-}
 
 /// The SIGINT/SIGTERM (and normal-exit) epilogue: drain what's pending,
 /// flush the checkpoint if one was requested, and let the armed run
@@ -143,15 +116,6 @@ int main(int argc, char** argv) {
   examples::install_stop_handlers();
   obs::arm_run_report("stream_replay");  // no-op unless CELLSCOPE_RUN_REPORT
 
-  if (obs::IntrospectionServer::maybe_start_from_env()) {
-    std::cout << "introspection server on http://127.0.0.1:"
-              << obs::IntrospectionServer::instance().port()
-              << "  (/metrics /metrics.json /healthz /stream)\n";
-  } else {
-    std::cout << "introspection server off "
-                 "(set CELLSCOPE_INTROSPECT_PORT to enable)\n";
-  }
-
   std::cout << "training model on " << n_towers << " towers...\n";
   ExperimentConfig config;
   config.n_towers = n_towers;
@@ -185,7 +149,7 @@ int main(int argc, char** argv) {
   }
 
   const auto base_logs =
-      synthetic_logs(n_records, static_cast<std::uint32_t>(n_towers), 4321);
+      uniform_feed(n_records, static_cast<std::uint32_t>(n_towers), 4321);
   constexpr std::uint64_t kGridMinutes =
       TimeGrid::kSlots * TimeGrid::kSlotMinutes;
 

@@ -4,10 +4,10 @@
 # and run `ctest -L 'stream|fault|introspect|io'` under it. The sharded
 # ingestor's lock striping, the bounded thread-pool queue, the
 # classify-all pass, the snapshot write/restore paths with injected
-# faults, the embedded stats server scraping live metric traffic, and
-# the columnar trace codecs feeding the bulk ingest path are the
-# intended targets (DESIGN.md §7, §9, and §10); any data race or
-# crash-safety violation fails the run.
+# faults, the HTTP parser/dispatch fuzz driver, the endpoint registry's
+# handler drain, and the columnar trace codecs feeding the bulk ingest
+# path are the intended targets (DESIGN.md §7, §9, and §10); any data
+# race or crash-safety violation fails the run.
 #
 # Usage:
 #   scripts/check_stream.sh            # configure (once), build, run
@@ -22,8 +22,8 @@ build_dir="${CELLSCOPE_TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
 cmake -B "${build_dir}" -S "${repo_root}" -DCELLSCOPE_SANITIZE=thread
 
 cmake --build "${build_dir}" -j --target test_stream --target test_obs \
-  --target test_fault --target snapshot_fuzz --target test_introspect \
-  --target test_io
+  --target test_fault --target snapshot_fuzz --target http_fuzz \
+  --target test_introspect --target test_io
 
 echo "check_stream: running ctest -L 'stream|fault|introspect|io' under ThreadSanitizer"
 ctest --test-dir "${build_dir}" -L 'stream|fault|introspect|io' --output-on-failure

@@ -31,6 +31,8 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
+  static constexpr std::size_t kMaxDepth = 256;
+
   JsonValue parse_document() {
     JsonValue value = parse_value();
     skip_whitespace();
@@ -74,9 +76,15 @@ class Parser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Bounded recursion: a 1 MiB request body of '[' must be a
+        // parse error, not a stack overflow.
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        JsonValue value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -211,6 +219,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects currently open
 };
 
 }  // namespace

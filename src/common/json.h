@@ -30,7 +30,8 @@ class JsonValue {
   explicit JsonValue(Array v) : value_(std::move(v)) {}
   explicit JsonValue(Object v) : value_(std::move(v)) {}
 
-  /// Parses a complete document (trailing garbage is an error).
+  /// Parses a complete document (trailing garbage, and arrays or objects
+  /// nested more than 256 deep, are errors).
   static JsonValue parse(std::string_view text);
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }

@@ -1,12 +1,12 @@
-// Embedded introspection server — live, queryable telemetry over a
+// Introspection endpoint registry — live, queryable telemetry over a
 // running process.
 //
-// The obs stack previously surfaced state only at process exit (run
-// reports, bench JSON). The IntrospectionServer makes the same state
-// observable *while the process runs*: a dependency-free HTTP/1.1
-// server with a single accept-and-serve thread (stats endpoints are
-// cheap; one connection at a time is plenty and keeps the code tiny).
-// Built-in endpoints:
+// The obs stack surfaces state at process exit (run reports, bench JSON);
+// the EndpointRegistry makes the same state observable *while the process
+// runs*. It is a socket-free path → handler table; the query daemon's
+// QueryServer (server/server.h) is the one HTTP stack that serves it —
+// QueryService::dispatch falls through to handle() for every GET it does
+// not route itself. Built-in endpoints:
 //
 //   /metrics       Prometheus text exposition of the MetricsRegistry
 //   /metrics.json  the registry's JSON snapshot
@@ -15,30 +15,16 @@
 //
 // Components register further endpoints with set_handler() — the
 // StreamIngestor mounts /stream (per-shard queue depth, drops,
-// watermarks, lag). Handlers run on the server thread; they must be
-// thread-safe against the instrumented process (everything built on
-// MetricsRegistry/QualityBoard already is).
-//
-// Wire behavior: every response carries `Connection: close` (one request
-// per connection, and says so), a malformed request line is answered
-// with a typed 400 instead of a silent close, and accept() failures are
-// counted on cellscope.introspect.accept_errors.
-//
-// Enable with CELLSCOPE_INTROSPECT_PORT=<port> (0 picks an ephemeral
-// port, logged at startup); maybe_start_from_env() is called by the
-// replay harness and the stream_replay CLI, or call start() directly.
-// handle() dispatches a request path without any socket — the unit-test
-// seam and the building block for ROADMAP item 1's query daemon.
+// watermarks, lag). Handlers run on the server's worker threads; they
+// must be thread-safe against the instrumented process (everything built
+// on MetricsRegistry/QualityBoard already is).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 namespace cellscope::obs {
 
@@ -50,22 +36,16 @@ struct HttpResponse {
   std::string body;
 };
 
-/// Minimal single-threaded HTTP/1.1 stats server.
-class IntrospectionServer {
+/// Process-wide table of GET endpoints, keyed by exact path.
+class EndpointRegistry {
  public:
   using Handler = std::function<HttpResponse()>;
 
   /// The process-global instance (leaked, like every obs singleton, so
   /// exit-time handler deregistration stays safe).
-  static IntrospectionServer& instance();
+  static EndpointRegistry& instance();
 
-  /// Reads CELLSCOPE_INTROSPECT_PORT and starts the global instance when
-  /// it names a port (idempotent; failures log a warning rather than
-  /// throw). Returns whether the global server is running afterwards.
-  static bool maybe_start_from_env();
-
-  IntrospectionServer();
-  ~IntrospectionServer();
+  EndpointRegistry();
 
   /// Registers (or replaces) the GET handler for an exact path. `owner`
   /// tags the registration so remove_handler can be scoped: a component
@@ -82,46 +62,21 @@ class IntrospectionServer {
   void remove_handler(const std::string& path, const void* owner = nullptr);
 
   /// Dispatches one request path (query strings are ignored) through the
-  /// handler table — the socket loop calls this, and tests can hit it
-  /// without opening a port. Unknown paths get 404; a throwing handler
-  /// gets 500 with the exception text.
+  /// handler table. Unknown paths get 404; a throwing handler gets 500
+  /// with the exception text.
   HttpResponse handle(std::string_view path) const;
 
-  /// Binds 127.0.0.1:<port> (0 = ephemeral) and starts the accept loop
-  /// thread. Throws IoError when the socket cannot be bound; calling
-  /// start() on a running server is a no-op.
-  void start(std::uint16_t port);
-
-  /// Stops the accept loop and joins the thread. Safe when not running.
-  void stop();
-
-  bool running() const;
-
-  /// The actually bound port (resolves port 0), 0 when not running.
-  std::uint16_t port() const;
-
-  IntrospectionServer(const IntrospectionServer&) = delete;
-  IntrospectionServer& operator=(const IntrospectionServer&) = delete;
+  EndpointRegistry(const EndpointRegistry&) = delete;
+  EndpointRegistry& operator=(const EndpointRegistry&) = delete;
 
  private:
-  void serve_loop();
-  void serve_one(int client_fd) const;
-  /// Frames and best-effort-writes one response (always Connection:
-  /// close — this server answers one request per connection).
-  static void write_response(int client_fd, const HttpResponse& response);
-
-  mutable std::mutex mutex_;       // guards handlers_ and lifecycle fields
+  mutable std::mutex mutex_;       // guards handlers_
   mutable std::mutex exec_mutex_;  // held while a handler runs
   struct Registration {
     Handler handler;
     const void* owner = nullptr;
   };
   std::map<std::string, Registration, std::less<>> handlers_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace cellscope::obs

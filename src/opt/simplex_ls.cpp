@@ -57,6 +57,20 @@ SimplexLsResult solve_simplex_ls(
       if (mask & (1u << i)) support.push_back(i);
     const std::size_t s = support.size();
 
+    std::vector<double> x(m, 0.0);
+    if (s == 1) {
+      // A vertex of the simplex is x = e_i exactly. Its 2×2 KKT solve
+      // loses x_i to cancellation when |Aᵀb| ≫ |G| (a target far outside
+      // the components' scale), which could leave no support feasible.
+      x[support[0]] = 1.0;
+      const double obj = objective_value(a, target, x);
+      if (obj < best.objective) {
+        best.objective = obj;
+        best.coefficients = std::move(x);
+      }
+      continue;
+    }
+
     Matrix kkt(s + 1, s + 1);
     std::vector<double> rhs(s + 1, 0.0);
     for (std::size_t i = 0; i < s; ++i) {
@@ -84,7 +98,6 @@ SimplexLsResult solve_simplex_ls(
     }
     if (!feasible) continue;
 
-    std::vector<double> x(m, 0.0);
     for (std::size_t i = 0; i < s; ++i)
       x[support[i]] = std::max(0.0, solution[i]);
     // Renormalize away the clamp's epsilon drift.

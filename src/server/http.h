@@ -1,8 +1,7 @@
 // Minimal HTTP/1.1 message layer for the query daemon (DESIGN.md §11).
 //
-// The introspection server (obs/introspect.h) parses just enough of a
-// request line to route GETs; the query daemon needs more — POST bodies,
-// keep-alive, pipelining, and bounded buffering — so the wire format
+// The one wire parser in the repo: the query daemon needs POST bodies,
+// keep-alive, pipelining, and bounded buffering, so the wire format
 // lives here as pure functions over byte buffers: parse_http_request
 // consumes one request from a growing receive buffer (telling the caller
 // whether it needs more bytes), serialize_response frames one response.
@@ -14,8 +13,7 @@
 // (Connection: close opts out; 1.0 must opt in with keep-alive). Limits
 // are explicit: an over-long head is 431, an over-long body 413, and any
 // structural damage 400 — malformed input is a typed rejection, never a
-// silent close (the contract the introspect satellite of ISSUE 9 also
-// adopts).
+// silent close (a request cut short by the client's half-close included).
 #pragma once
 
 #include <cstddef>
@@ -28,9 +26,9 @@
 
 namespace cellscope::server {
 
-/// Responses reuse the introspection server's shape so query-service
+/// Responses reuse the endpoint registry's shape so query-service
 /// handlers and obs handlers compose (the daemon falls back to the
-/// introspect handler table for /metrics, /healthz, /stream).
+/// registry for /metrics, /healthz, /stream).
 using obs::HttpResponse;
 
 /// One parsed request. Header names are lowercased; values are trimmed.

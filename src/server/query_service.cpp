@@ -147,9 +147,9 @@ HttpResponse QueryService::dispatch(const HttpRequest& request,
                      ? handle_stats()
                      : error_response(405, "only GET is supported");
     } else if (request.method == "GET") {
-      // Everything the introspection plane already serves (/metrics,
-      // /metrics.json, /healthz, /stream) plus its 404 for the rest.
-      response = obs::IntrospectionServer::instance().handle(request.path);
+      // The introspection endpoints (/metrics, /metrics.json, /healthz,
+      // /stream) plus the registry's 404 for the rest.
+      response = obs::EndpointRegistry::instance().handle(request.path);
     } else {
       response = error_response(405, "only GET is supported");
     }
@@ -294,8 +294,10 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
     }
     folded.reserve(array->size());
     for (const auto& v : *array) {
-      if (!v.is_number())
-        return error_response(400, "folded week must be all numbers");
+      // Finite only: NaN, infinities and numbers that overflow a double
+      // have no distance to a centroid and no spectrum to decompose.
+      if (!v.is_number() || !std::isfinite(v.as_number()))
+        return error_response(400, "folded week must be all finite numbers");
       folded.push_back(v.as_number());
     }
   } catch (const InvalidArgument&) {
@@ -309,6 +311,10 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   const ModelSnapshot& snapshot = classifier->model();
   double best = 0.0;
   const std::size_t best_cluster = classifier->nearest_centroid(folded, &best);
+  // A finite squared distance keeps every |slot| below ~1e152, so the
+  // spectrum and the decomposition below stay finite too.
+  if (!std::isfinite(best))
+    return error_response(400, "folded week values are too large");
 
   std::string json = "{\"cluster\":" + std::to_string(best_cluster);
   json += ",\"region\":\"" +

@@ -14,8 +14,8 @@
 //   GET  /stats                    serving-plane view: per-endpoint
 //                                  request counts and latency quantiles,
 //                                  shed counters, model epoch, ingest
-//   GET  <anything else>           falls back to the introspection
-//                                  handler table (/metrics, /metrics.json,
+//   GET  <anything else>           falls back to the obs endpoint
+//                                  registry (/metrics, /metrics.json,
 //                                  /healthz, /stream), then 404
 //
 // Model publication is RCU-style: publish_model() swaps a

@@ -25,7 +25,7 @@ void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-HttpResponse shed_response(int status, std::string_view reason) {
+HttpResponse error_reply(int status, std::string_view reason) {
   HttpResponse response;
   response.status = status;
   response.content_type = "application/json";
@@ -130,7 +130,7 @@ void QueryServer::stop() {
   }
   const auto& metrics = ServerMetrics::instance();
   for (int fd : leftover)
-    reply_and_close(fd, shed_response(503, "server shutting down"));
+    reply_and_close(fd, error_reply(503, "server shutting down"));
   metrics.queue_depth->set(0);
   metrics.connections->set(0);
 
@@ -217,7 +217,7 @@ void QueryServer::accept_loop() {
     } else {
       // Connection-level shed: no worker will ever see this fd.
       metrics.shed_503->add(1);
-      reply_and_close(client, shed_response(503, "admission queue full"));
+      reply_and_close(client, error_reply(503, "admission queue full"));
     }
   }
 }
@@ -274,11 +274,9 @@ void QueryServer::serve_connection(int fd) {
       if (parsed.status == ParseStatus::kNeedMore) break;
       if (parsed.status == ParseStatus::kBad) {
         metrics.bad_requests->add(1);
-        HttpResponse response;
-        response.status = parsed.error_status;
-        response.content_type = "application/json";
-        response.body = "{\"error\":\"" + parsed.error + "\"}";
-        write_frame(fd, serialize_response(response, /*keep_alive=*/false));
+        write_frame(fd, serialize_response(
+                            error_reply(parsed.error_status, parsed.error),
+                            /*keep_alive=*/false));
         return;  // framing is lost — nothing after this can be trusted
       }
       buffer.erase(0, parsed.consumed);
@@ -288,7 +286,7 @@ void QueryServer::serve_connection(int fd) {
         // back on connected clients too — typed reply, then close.
         metrics.shed_429->add(1);
         write_frame(fd, serialize_response(
-                            shed_response(429, "server saturated, back off"),
+                            error_reply(429, "server saturated, back off"),
                             /*keep_alive=*/false));
         return;
       }
@@ -306,7 +304,16 @@ void QueryServer::serve_connection(int fd) {
     }
 
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return;  // EOF, timeout, or shutdown
+    if (n == 0 && !buffer.empty()) {
+      // The client half-closed mid-request: no more bytes can complete
+      // it, so answer with a typed 400 rather than a silent close.
+      metrics.bad_requests->add(1);
+      write_frame(fd, serialize_response(
+                          error_reply(400, "incomplete request before EOF"),
+                          /*keep_alive=*/false));
+      return;
+    }
+    if (n <= 0) return;  // clean EOF, timeout, or shutdown
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }

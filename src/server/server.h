@@ -1,6 +1,6 @@
-// The query daemon's socket layer (DESIGN.md §11) — a multi-client
-// HTTP/1.1 loop that generalizes the introspection server's
-// single-threaded poll-accept design to a worker pool.
+// The query daemon's socket layer (DESIGN.md §11) — the repo's one
+// HTTP listener: a multi-client HTTP/1.1 loop over a worker pool that
+// serves the query endpoints and the obs endpoint registry alike.
 //
 // Threading model: one acceptor thread plus `workers` worker threads.
 // The acceptor admits connections into a bounded FIFO (the admission

@@ -74,7 +74,7 @@ StreamIngestor::StreamIngestor(StreamConfig config) : config_(config) {
   metric_e2e_ms_ = &registry.histogram("cellscope.stream.record_e2e_ms");
   // Live shard view; the destructor's remove_handler drains any in-flight
   // request before `this` goes away.
-  obs::IntrospectionServer::instance().set_handler(
+  obs::EndpointRegistry::instance().set_handler(
       "/stream",
       [this] {
         obs::HttpResponse response;
@@ -86,7 +86,7 @@ StreamIngestor::StreamIngestor(StreamConfig config) : config_(config) {
 }
 
 StreamIngestor::~StreamIngestor() {
-  obs::IntrospectionServer::instance().remove_handler("/stream", this);
+  obs::EndpointRegistry::instance().remove_handler("/stream", this);
 }
 
 void StreamIngestor::register_towers(const std::vector<Tower>& towers) {

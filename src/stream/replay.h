@@ -39,8 +39,8 @@ struct ReplayOptions {
   std::size_t classify_every_batches = 0;
   /// When > 0 (and metrics_jsonl_path is set), append one full metrics
   /// snapshot line to the JSONL file at roughly this wall-time cadence
-  /// during the replay, plus one final line — a file-based scrape that
-  /// works with the HTTP introspection server disabled. Each line is
+  /// during the replay, plus one final line — a file-based scrape for
+  /// processes that serve no HTTP. Each line is
   /// {"wall_ms": <replay wall clock>, "metrics": <snapshot_json()>}.
   std::uint32_t metrics_interval_ms = 0;
   std::string metrics_jsonl_path;

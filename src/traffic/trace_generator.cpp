@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace cellscope {
 
@@ -127,6 +128,32 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
   // unordered across collection points).
   rng.shuffle(result.logs);
   return result;
+}
+
+std::vector<TrafficLog> uniform_feed(std::size_t n_records,
+                                     std::uint32_t n_towers,
+                                     std::uint64_t seed) {
+  CS_CHECK_MSG(n_towers >= 1, "need at least one tower");
+  Rng rng(seed);
+  std::vector<TrafficLog> logs;
+  logs.reserve(n_records);
+  constexpr std::uint64_t kGridMinutes =
+      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
+  for (std::size_t i = 0; i < n_records; ++i) {
+    TrafficLog log;
+    log.user_id = static_cast<std::uint64_t>(rng.uniform_int(0, 99999));
+    log.tower_id = static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n_towers) - 1));
+    const auto base = i * kGridMinutes / n_records;
+    log.start_minute = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        kGridMinutes - 1,
+        base + static_cast<std::uint64_t>(rng.uniform_int(0, 30))));
+    log.end_minute =
+        log.start_minute + static_cast<std::uint32_t>(rng.uniform_int(0, 15));
+    log.bytes = static_cast<std::uint64_t>(rng.uniform_int(100, 200000));
+    logs.push_back(log);
+  }
+  return logs;
 }
 
 }  // namespace cellscope

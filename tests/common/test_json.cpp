@@ -76,5 +76,21 @@ TEST(Json, RoundTripsMetricSnapshotShape) {
   EXPECT_EQ(h.at("buckets").as_array().size(), 2u);
 }
 
+TEST(Json, NestingIsBoundedNotAStackOverflow) {
+  // 256 levels parse; one more is an InvalidArgument. A request body of
+  // a million '[' (inside the server's 1 MiB limit) used to recurse
+  // until the stack ran out.
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(JsonValue::parse(nested(256, '[', ']')));
+  EXPECT_THROW(JsonValue::parse(nested(257, '[', ']')), InvalidArgument);
+  EXPECT_THROW(JsonValue::parse(std::string(1 << 20, '[')), InvalidArgument);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(300, '}');
+  EXPECT_THROW(JsonValue::parse(objects), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace cellscope

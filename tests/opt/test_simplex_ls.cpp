@@ -173,6 +173,23 @@ TEST(SimplexLs, ObjectiveIsNeverWorseThanAnyVertex) {
   }
 }
 
+TEST(SimplexLs, TargetFarOutsideTheComponentsStillGetsAnAnswer) {
+  // |Aᵀb| ≫ |G|: each vertex's KKT solve cancels x_i to 0, so unless the
+  // vertices are taken as they are, no support is feasible and the solve
+  // throws.
+  const std::vector<std::vector<double>> components = {
+      {1.2, 0.3, 0.8}, {0.9, -2.0, 0.4}, {1.1, 2.5, 0.2}, {0.7, 1.0, 0.9}};
+  const std::vector<double> target = {1e18, 1e17, 1e16};
+  const auto result = solve_simplex_ls(components, target);
+  expect_on_simplex(result.coefficients);
+  for (const auto& c : components) {
+    double vertex_obj = 0.0;
+    for (std::size_t d = 0; d < 3; ++d)
+      vertex_obj += (c[d] - target[d]) * (c[d] - target[d]);
+    EXPECT_LE(result.objective, vertex_obj * (1.0 + 1e-12));
+  }
+}
+
 TEST(SimplexLs, ValidatesArguments) {
   EXPECT_THROW(solve_simplex_ls({}, {1.0}), Error);
   EXPECT_THROW(solve_simplex_ls({{1.0, 2.0}}, {}), Error);

@@ -263,6 +263,33 @@ TEST_F(QueryServiceTest, ClassifyPostRejectsDamage) {
             400);
 }
 
+TEST_F(QueryServiceTest, ClassifyPostRejectsNonFiniteAndOverflowingWeeks) {
+  service.publish_model(make_classifier());
+  const auto week_with = [](const std::string& slot_7) {
+    std::string body = "[";
+    for (std::size_t i = 0; i < TimeGrid::kSlotsPerWeek; ++i) {
+      if (i > 0) body += ',';
+      body += i == 7 ? slot_7 : "0.5";
+    }
+    return body + "]";
+  };
+  // The JSON reader takes these through strtod; none may reach scoring.
+  for (const char* poison : {"NaN", "-Infinity", "1e999"}) {
+    const auto response =
+        service.dispatch(post_request("/classify", week_with(poison)));
+    EXPECT_EQ(response.status, 400) << poison;
+    EXPECT_NE(response.body.find("finite"), std::string::npos) << poison;
+  }
+  // Finite, but its squared distance to every centroid overflows.
+  EXPECT_EQ(service.dispatch(post_request("/classify", week_with("1e200")))
+                .status,
+            400);
+  // Large but representable is still answered.
+  EXPECT_EQ(service.dispatch(post_request("/classify", week_with("1e100")))
+                .status,
+            200);
+}
+
 TEST_F(QueryServiceTest, RoutingEdges) {
   service.publish_model(make_classifier());
   EXPECT_EQ(service.dispatch(get_request("/towers/99/class")).status, 404);

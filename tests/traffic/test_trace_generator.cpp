@@ -180,5 +180,49 @@ TEST(TraceGenerator, ValidatesOptions) {
                Error);
 }
 
+TEST(UniformFeed, ReproducesTheLoadTestFeedExactly) {
+  // The gated perf_stream/perf_introspect baselines were recorded on the
+  // feed the benches used to generate inline; this FNV-1a checksum over
+  // every field of every record pins uniform_feed to those bytes.
+  const auto logs = uniform_feed(10000, 400, 4321);
+  ASSERT_EQ(logs.size(), 10000u);
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  for (const auto& log : logs) {
+    mix(log.user_id);
+    mix(log.tower_id);
+    mix(log.start_minute);
+    mix(log.end_minute);
+    mix(log.bytes);
+    mix(log.address.size());
+  }
+  EXPECT_EQ(hash, 0x9f70793d0f8de8adull);
+  EXPECT_EQ(logs.front().user_id, 79359u);
+  EXPECT_EQ(logs.front().tower_id, 144u);
+  EXPECT_EQ(logs.back().start_minute, 40319u);  // clamped to the grid end
+}
+
+TEST(UniformFeed, StaysInRangeAndTimeOrderedUpToJitter) {
+  const auto logs = uniform_feed(5000, 7, 99);
+  constexpr std::uint32_t kGridMinutes =
+      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const auto& log = logs[i];
+    EXPECT_LE(log.user_id, 99999u);
+    EXPECT_LT(log.tower_id, 7u);
+    EXPECT_LT(log.start_minute, kGridMinutes);
+    EXPECT_LE(log.end_minute - log.start_minute, 15u);
+    EXPECT_GE(log.bytes, 100u);
+    EXPECT_LE(log.bytes, 200000u);
+    const auto base = i * kGridMinutes / logs.size();
+    EXPECT_GE(log.start_minute, base);
+    EXPECT_LE(log.start_minute, base + 30);
+  }
+  EXPECT_THROW(uniform_feed(10, 0, 1), Error);
+}
+
 }  // namespace
 }  // namespace cellscope
