@@ -14,29 +14,28 @@ namespace cellscope::bench {
 
 namespace {
 
-/// The value of environment variable `name` as a decimal integer in
-/// [min, max], or `fallback` when it is unset or empty. Junk, overflow
-/// and out-of-range values exit 2 with a message, like a bad CLI flag.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                      std::uint64_t min, std::uint64_t max) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  if (const auto parsed = parse_u64(env, min, max)) return *parsed;
-  std::cerr << "invalid " << name << "='" << env
-            << "': expected an integer in [" << min << ", " << max << "]\n";
-  std::exit(2);
+/// env_u64 with a bad value exiting 2 with its message, like a bad CLI
+/// flag.
+std::uint64_t checked_env(const char* name, std::uint64_t fallback,
+                          std::uint64_t min, std::uint64_t max) {
+  try {
+    return env_u64(name, fallback, min, max);
+  } catch (const InvalidArgument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 }  // namespace
 
 std::size_t bench_towers() {
-  return env_u64("CELLSCOPE_TOWERS", 800, 20,
-                 std::numeric_limits<std::uint32_t>::max());
+  return checked_env("CELLSCOPE_TOWERS", 800, 20,
+                     std::numeric_limits<std::uint32_t>::max());
 }
 
 std::uint64_t bench_seed() {
-  return env_u64("CELLSCOPE_SEED", 2015, 0,
-                 std::numeric_limits<std::uint64_t>::max());
+  return checked_env("CELLSCOPE_SEED", 2015, 0,
+                     std::numeric_limits<std::uint64_t>::max());
 }
 
 const Experiment& experiment() {

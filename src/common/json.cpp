@@ -1,6 +1,11 @@
 #include "common/json.h"
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <string>
+#include <system_error>
 
 #include "common/error.h"
 
@@ -145,13 +150,61 @@ class Parser {
     }
   }
 
+  /// RFC 8259 numbers only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// scanned inside the view (never past its end) and finite. NaN,
+  /// Infinity, hex floats, "+1", "01", ".5" and overflowing literals such
+  /// as 1e999 are rejected.
   JsonValue parse_number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) fail("invalid number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    const std::size_t begin = pos_;
+    const auto at = [&](char c) {
+      return pos_ < text_.size() && text_[pos_] == c;
+    };
+    const auto digits = [&] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+        ++pos_;
+      return pos_ > from;
+    };
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;
+    } else if (!digits()) {
+      fail_number();
+    }
+    if (at('.')) {
+      ++pos_;
+      if (!digits()) fail_number();
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!digits()) fail_number();
+    }
+    // Only whitespace or a delimiter may follow a value; anything that
+    // would extend the number ("01", "0x1p3", "1.2.3") is not one.
+    if (pos_ < text_.size() &&
+        (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
+         at('.') || at('+') || at('-')))
+      fail_number();
+    const std::string_view token = text_.substr(begin, pos_ - begin);
+    double value = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      // Out of double range either way: an underflow is a valid number
+      // that rounds toward zero, an overflow is not finite. The token is
+      // grammar-checked, so strtod on a terminated copy reads exactly it
+      // and tells the two apart.
+      value = std::strtod(std::string(token).c_str(), nullptr);
+    } else if (ec != std::errc{}) {
+      fail_number();
+    }
+    if (!std::isfinite(value)) fail_number();
     return JsonValue(value);
+  }
+
+  [[noreturn]] void fail_number() const {
+    fail("expected a finite JSON number");
   }
 
   unsigned int parse_hex4() {

@@ -4,7 +4,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <system_error>
+
+#include "common/error.h"
 
 namespace cellscope {
 
@@ -75,6 +78,16 @@ std::optional<std::uint64_t> parse_u64(std::string_view text,
   if (ec != std::errc{} || ptr != end || value < min || value > max)
     return std::nullopt;
   return value;
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  if (const auto parsed = parse_u64(env, min, max)) return *parsed;
+  throw InvalidArgument("invalid " + std::string(name) + "='" + env +
+                        "': expected an integer in [" + std::to_string(min) +
+                        ", " + std::to_string(max) + "]");
 }
 
 std::optional<double> parse_f64(std::string_view text, double min,

@@ -41,6 +41,15 @@ std::optional<std::uint64_t> parse_u64(
     std::string_view text, std::uint64_t min = 0,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
+/// The one reader of numeric environment knobs: the value of variable
+/// `name` through parse_u64 in [min, max], or `fallback` when it is unset
+/// or empty. Junk, overflow and out-of-range values throw InvalidArgument
+/// naming the variable and the range.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min = 0,
+                      std::uint64_t max =
+                          std::numeric_limits<std::uint64_t>::max());
+
 /// As parse_u64, for a finite decimal number in [min, max].
 std::optional<double> parse_f64(std::string_view text, double min,
                                 double max);

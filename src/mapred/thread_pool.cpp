@@ -1,7 +1,6 @@
 #include "mapred/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
 #include "common/error.h"
@@ -190,12 +189,8 @@ std::size_t default_thread_count() {
 }
 
 std::size_t configured_thread_count() {
-  const char* env = std::getenv("CELLSCOPE_THREADS");
-  if (env != nullptr && *env != '\0') {
-    if (const auto parsed = parse_u64(env, 1))
-      return static_cast<std::size_t>(*parsed);
-  }
-  return default_thread_count();
+  return static_cast<std::size_t>(
+      env_u64("CELLSCOPE_THREADS", default_thread_count(), 1, 4096));
 }
 
 }  // namespace cellscope

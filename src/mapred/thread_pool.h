@@ -126,8 +126,8 @@ class ThreadPool {
 std::size_t default_thread_count();
 
 /// Worker count for the analytics pools: the CELLSCOPE_THREADS environment
-/// variable when set to a positive integer, otherwise
-/// default_thread_count(). CELLSCOPE_THREADS=1 forces the serial path —
+/// variable when set, otherwise default_thread_count(). A value that is
+/// not an integer in [1, 4096] throws InvalidArgument. CELLSCOPE_THREADS=1 forces the serial path —
 /// results are bit-identical either way (DESIGN.md §8).
 std::size_t configured_thread_count();
 

@@ -1,17 +1,22 @@
 #include "obs/trace_sample.h"
 
-#include <cstdlib>
+#include <cstdio>
 
+#include "common/error.h"
 #include "common/string_util.h"
 
 namespace cellscope::obs {
 
 TraceSampler::TraceSampler() {
-  const char* env = std::getenv("CELLSCOPE_TRACE_SAMPLE");
-  if (env == nullptr || *env == '\0') return;
-  if (const auto parsed = parse_u64(env, 1, 0xFFFFFFFFULL))
-    every_.store(static_cast<std::uint32_t>(*parsed),
+  try {
+    every_.store(static_cast<std::uint32_t>(
+                     env_u64("CELLSCOPE_TRACE_SAMPLE", 0, 1, 0xFFFFFFFFULL)),
                  std::memory_order_relaxed);
+  } catch (const InvalidArgument& e) {
+    // A bad knob must not take the process down from a lazy singleton;
+    // say so once and leave sampling off.
+    std::fprintf(stderr, "cellscope: ignoring %s\n", e.what());
+  }
 }
 
 TraceSampler& TraceSampler::instance() {

@@ -28,8 +28,9 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 /// Process-global sampling knob (CELLSCOPE_TRACE_SAMPLE).
 class TraceSampler {
  public:
-  /// Singleton; first call reads CELLSCOPE_TRACE_SAMPLE (a positive
-  /// integer; anything else leaves sampling off).
+  /// Singleton; first call reads CELLSCOPE_TRACE_SAMPLE (an integer in
+  /// [1, 2^32 - 1]; any other set value prints one "cellscope: ignoring"
+  /// line on stderr and leaves sampling off).
   static TraceSampler& instance();
 
   /// 0 = sampling off; N >= 1 = trace one record in N.

@@ -293,15 +293,15 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
           400, "body must be a folded-week array or {folded_week:[...]}");
     }
     folded.reserve(array->size());
+    // The parser admits finite numbers only: NaN, infinities and
+    // numbers that overflow a double are parse errors below.
     for (const auto& v : *array) {
-      // Finite only: NaN, infinities and numbers that overflow a double
-      // have no distance to a centroid and no spectrum to decompose.
-      if (!v.is_number() || !std::isfinite(v.as_number()))
+      if (!v.is_number())
         return error_response(400, "folded week must be all finite numbers");
       folded.push_back(v.as_number());
     }
-  } catch (const InvalidArgument&) {
-    return error_response(400, "malformed JSON body");
+  } catch (const InvalidArgument& e) {
+    return error_response(400, std::string("malformed JSON body: ") + e.what());
   }
   if (folded.size() != static_cast<std::size_t>(TimeGrid::kSlotsPerWeek))
     return error_response(400, "folded week must have 1008 slots");

@@ -1,7 +1,6 @@
 #include "stream/ingestor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.h"
@@ -15,15 +14,6 @@
 namespace cellscope {
 
 namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && *env != '\0') {
-    if (const auto parsed = parse_u64(env, 1))
-      return static_cast<std::size_t>(*parsed);
-  }
-  return fallback;
-}
 
 /// Sampling identity of a record: a pure function of its content, so the
 /// same record makes the same trace decision at every stage with no state
@@ -40,17 +30,73 @@ std::uint64_t low_watermark_of(std::uint64_t watermark,
   return watermark > max_lateness ? watermark - max_lateness : 0;
 }
 
+/// Raises `target` to `value` when `value` is larger.
+void atomic_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
+  std::uint64_t seen = target.load(std::memory_order_relaxed);
+  while (value > seen && !target.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+/// Lowers `target` to `value` when `target` is 0 (none yet) or larger.
+void atomic_min_nonzero(std::atomic<std::uint64_t>& target,
+                        std::uint64_t value) {
+  std::uint64_t seen = target.load(std::memory_order_relaxed);
+  while ((seen == 0 || value < seen) &&
+         !target.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+/// The fields of one record the ingest paths read, whichever form it
+/// arrived in (a queued TrafficLog or a decoded column row), plus the
+/// wall stamp of the call that offered it.
+struct RecordRef {
+  std::uint32_t tower;
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t bytes;
+  double offered_us;
+};
+
+RecordRef ref_of(const TrafficLog& log, double offered_us) {
+  return {log.tower_id, log.start_minute, log.end_minute, log.bytes,
+          offered_us};
+}
+
+constexpr std::uint32_t kNoWindow = std::numeric_limits<std::uint32_t>::max();
+
+std::size_t home_slot(std::uint32_t tower_id, std::size_t mask) {
+  return (tower_id * 2654435761u) & mask;
+}
+
+/// Puts (tower_id, pos) into the first free slot of its probe sequence.
+void index_insert(std::vector<std::pair<std::uint32_t, std::uint32_t>>& index,
+                  std::uint32_t tower_id, std::uint32_t pos) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t slot = home_slot(tower_id, mask);
+  while (index[slot].second != kNoWindow) slot = (slot + 1) & mask;
+  index[slot] = {tower_id, pos};
+}
+
 /// Bound on sampled records awaiting their classify span per shard —
 /// a classifier that never runs must not grow memory without limit.
 constexpr std::size_t kMaxSampledAwaiting = 256;
 
 }  // namespace
 
+struct StreamIngestor::ShardRuns {
+  std::vector<std::uint32_t> order;
+  std::vector<std::size_t> begins;
+};
+
 StreamConfig StreamConfig::from_env() {
   StreamConfig config;
-  config.n_shards = env_size("CELLSCOPE_STREAM_SHARDS", config.n_shards);
-  config.queue_capacity =
-      env_size("CELLSCOPE_STREAM_QUEUE", config.queue_capacity);
+  config.n_shards = static_cast<std::size_t>(
+      env_u64("CELLSCOPE_STREAM_SHARDS", config.n_shards, 1, 65536));
+  config.queue_capacity = static_cast<std::size_t>(
+      env_u64("CELLSCOPE_STREAM_QUEUE", config.queue_capacity, 1,
+              std::numeric_limits<std::size_t>::max()));
   return config;
 }
 
@@ -89,101 +135,155 @@ StreamIngestor::~StreamIngestor() {
   obs::EndpointRegistry::instance().remove_handler("/stream", this);
 }
 
+std::uint32_t StreamIngestor::Shard::find(std::uint32_t tower_id) const {
+  if (index.empty()) return kNoWindow;
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t slot = home_slot(tower_id, mask);;
+       slot = (slot + 1) & mask) {
+    const auto& [id, pos] = index[slot];
+    if (pos == kNoWindow || id == tower_id) return pos;
+  }
+}
+
+const TowerWindow& StreamIngestor::Shard::window(
+    std::uint32_t tower_id) const {
+  const std::uint32_t pos = find(tower_id);
+  if (pos == kNoWindow)
+    throw InvalidArgument("no window for tower id " +
+                          std::to_string(tower_id));
+  return windows[pos].second;
+}
+
+TowerWindow& StreamIngestor::Shard::window_or_create(std::uint32_t tower_id) {
+  if (const std::uint32_t pos = find(tower_id); pos != kNoWindow)
+    return windows[pos].second;
+  const auto pos = static_cast<std::uint32_t>(windows.size());
+  if (2 * (windows.size() + 1) > index.size()) {
+    // Double the table and re-place every window (amortized O(1)).
+    index.assign(std::max<std::size_t>(8, 2 * index.size()), {0, kNoWindow});
+    for (std::uint32_t p = 0; p < pos; ++p)
+      index_insert(index, windows[p].first, p);
+  }
+  index_insert(index, tower_id, pos);
+  return windows.emplace_back(tower_id, TowerWindow()).second;
+}
+
 void StreamIngestor::register_towers(const std::vector<Tower>& towers) {
   for (const auto& tower : towers) {
     Shard& shard = shard_of(tower.id);
     std::lock_guard<std::mutex> lock(shard.window_mutex);
-    window_in(shard, tower.id);
+    shard.window_or_create(tower.id);
   }
 }
 
-TowerWindow& StreamIngestor::window_in(Shard& shard, std::uint32_t tower_id) {
-  auto it = std::lower_bound(
-      shard.windows.begin(), shard.windows.end(), tower_id,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (it == shard.windows.end() || it->first != tower_id)
-    it = shard.windows.emplace(it, tower_id, TowerWindow());
-  return it->second;
-}
-
-bool StreamIngestor::account_arrival(const TrafficLog& log, Shard& shard,
-                                     obs::HistogramBatch& lag) {
-  offered_.fetch_add(1, std::memory_order_relaxed);
-  metric_offered_->add(1);
-  // Watermark: largest end_minute seen so far. `observed` ends up holding
-  // the watermark *excluding* this record's own update, so a long
-  // connection never marks itself late.
-  const std::uint64_t end = log.end_minute;
+template <typename Record>
+StreamIngestor::ShardRuns StreamIngestor::arrive(std::size_t n,
+                                                 const Record& record) {
+  const std::size_t n_shards = shards_.size();
+  ShardRuns runs;
+  runs.begins.assign(n_shards + 1, 0);
+  std::vector<std::uint64_t> shard_max_end(n_shards, 0);
+  obs::HistogramBatch lag(*metric_event_lag_);
+  // `observed` carries the global watermark exactly as each record would
+  // have seen it offered alone: every earlier record's end included, its
+  // own excluded, so a long connection never marks itself late.
   std::uint64_t observed = watermark_minute_.load(std::memory_order_relaxed);
-  while (end > observed &&
-         !watermark_minute_.compare_exchange_weak(observed, end,
-                                                  std::memory_order_relaxed)) {
+  std::uint64_t late = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const RecordRef r = record(i);
+    // Event-time lag: how far this record's start trails the watermark
+    // (the frontier record itself has zero lag).
+    const std::uint64_t lag_minutes =
+        observed > r.start ? observed - r.start : 0;
+    lag.observe_bucket(obs::pow2_minute_bucket(lag_minutes),
+                       static_cast<double>(lag_minutes));
+    if (r.start + config_.max_lateness_minutes < observed) ++late;
+    if (r.end > observed) observed = r.end;
+    const std::size_t s = r.tower % n_shards;
+    ++runs.begins[s + 1];
+    if (r.end > shard_max_end[s]) shard_max_end[s] = r.end;
   }
-  std::uint64_t shard_seen =
-      shard.watermark_minute.load(std::memory_order_relaxed);
-  while (end > shard_seen &&
-         !shard.watermark_minute.compare_exchange_weak(
-             shard_seen, end, std::memory_order_relaxed)) {
+  offered_.fetch_add(n, std::memory_order_relaxed);
+  metric_offered_->add(n);
+  atomic_max(watermark_minute_, observed);
+  for (std::size_t s = 0; s < n_shards; ++s)
+    atomic_max(shards_[s]->watermark_minute, shard_max_end[s]);
+  if (late > 0) {
+    late_.fetch_add(late, std::memory_order_relaxed);
+    metric_late_->add(late);
   }
-  // Event-time lag: how far this record's start trails the watermark as
-  // it stood on arrival (the frontier record itself has zero lag).
-  const std::uint64_t lag_minutes =
-      observed > log.start_minute ? observed - log.start_minute : 0;
-  lag.observe_bucket(obs::pow2_minute_bucket(lag_minutes),
-                     static_cast<double>(lag_minutes));
-  const bool late =
-      static_cast<std::uint64_t>(log.start_minute) +
-          config_.max_lateness_minutes <
-      observed;
-  if (late) {
-    late_.fetch_add(1, std::memory_order_relaxed);
-    metric_late_->add(1);
+  // Counting sort of record positions by shard: stable, so each shard's
+  // run keeps arrival order.
+  for (std::size_t s = 0; s < n_shards; ++s)
+    runs.begins[s + 1] += runs.begins[s];
+  runs.order.resize(n);
+  std::vector<std::size_t> cursor(runs.begins.begin(), runs.begins.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    runs.order[cursor[record(i).tower % n_shards]++] =
+        static_cast<std::uint32_t>(i);
+  return runs;
+}
+
+template <typename Record, typename OnApplied>
+void StreamIngestor::apply_run(Shard& shard, std::size_t len,
+                               const Record& record,
+                               const OnApplied& on_applied) {
+  if (len == 0) return;
+  std::uint64_t stale = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.window_mutex);
+    for (std::size_t k = 0; k < len; ++k) {
+      const RecordRef r = record(k);
+      if (shard.window_or_create(r.tower).add(r.start, r.bytes) ==
+          TowerWindow::Apply::kStale)
+        ++stale;
+      on_applied(k);
+    }
   }
-  return late;
+  // Offer-to-apply latency: records of one offer_batch/ingest_columns
+  // call share an offer stamp, so one observe_n per run of equal stamps
+  // covers every record at per-call cost.
+  const double applied_us = obs::now_us();
+  for (std::size_t i = 0; i < len;) {
+    const double offered_us = record(i).offered_us;
+    std::size_t j = i + 1;
+    while (j < len && record(j).offered_us == offered_us) ++j;
+    metric_apply_ms_->observe_n((applied_us - offered_us) / 1000.0, j - i);
+    i = j;
+  }
+  // The run is in arrival order, so its first stamp is the oldest; clamp
+  // it to >= 1 because 0 means "none" in the frontier.
+  atomic_min_nonzero(shard.oldest_unclassified_us,
+                     std::max<std::uint64_t>(
+                         1, static_cast<std::uint64_t>(record(0).offered_us)));
+  if (stale > 0) {
+    stale_.fetch_add(stale, std::memory_order_relaxed);
+    metric_stale_->add(stale);
+  }
 }
 
 OfferResult StreamIngestor::offer(const TrafficLog& log) {
-  obs::HistogramBatch lag(*metric_event_lag_);
-  Shard& shard = shard_of(log.tower_id);
-  account_arrival(log, shard, lag);
-  const double offered_us = obs::now_us();
-  {
-    std::lock_guard<std::mutex> lock(shard.queue_mutex);
-    if (config_.queue_capacity > 0 &&
-        shard.pending.size() >= config_.queue_capacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      shard.dropped.fetch_add(1, std::memory_order_relaxed);
-      metric_dropped_->add(1);
-      return OfferResult::kDropped;
-    }
-    shard.pending.push_back(Pending{log, offered_us});
-  }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  metric_accepted_->add(1);
-  metric_pending_->add(1);
-  return OfferResult::kAccepted;
+  return offer_batch(std::span<const TrafficLog>(&log, 1)) == 1
+             ? OfferResult::kAccepted
+             : OfferResult::kDropped;
 }
 
 std::size_t StreamIngestor::offer_batch(std::span<const TrafficLog> logs) {
+  if (logs.empty()) return 0;
   // Group by shard first: one stripe lock per shard per call, not per
   // record — the difference between ~1 M and ~10 M records/sec on the
-  // replay path. Lag observations aggregate locally and flush once, and
-  // the whole batch shares one offer stamp — per-record cost stays at a
-  // hash-free bucket increment.
-  obs::HistogramBatch lag(*metric_event_lag_);
+  // replay path. The whole batch shares one offer stamp.
   const double offered_us = obs::now_us();
-  std::vector<std::vector<const TrafficLog*>> buckets(shards_.size());
-  for (const auto& log : logs) {
-    const std::size_t s = log.tower_id % shards_.size();
-    account_arrival(log, *shards_[s], lag);
-    buckets[s].push_back(&log);
-  }
+  const ShardRuns runs = arrive(logs.size(), [&](std::size_t i) {
+    return ref_of(logs[i], offered_us);
+  });
   std::size_t total_accepted = 0;
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    const auto& bucket = buckets[s];
-    if (bucket.empty()) continue;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::size_t begin = runs.begins[s];
+    const std::size_t size = runs.begins[s + 1] - begin;
+    if (size == 0) continue;
     Shard& shard = *shards_[s];
-    std::size_t taken = bucket.size();
+    std::size_t taken = size;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mutex);
       if (config_.queue_capacity > 0) {
@@ -194,10 +294,10 @@ std::size_t StreamIngestor::offer_batch(std::span<const TrafficLog> logs) {
         taken = std::min(taken, room);
       }
       shard.pending.reserve(shard.pending.size() + taken);
-      for (std::size_t i = 0; i < taken; ++i)
-        shard.pending.push_back(Pending{*bucket[i], offered_us});
+      for (std::size_t k = begin; k < begin + taken; ++k)
+        shard.pending.push_back(Pending{logs[runs.order[k]], offered_us});
     }
-    const std::size_t refused = bucket.size() - taken;
+    const std::size_t refused = size - taken;
     if (refused > 0) {
       dropped_.fetch_add(refused, std::memory_order_relaxed);
       shard.dropped.fetch_add(refused, std::memory_order_relaxed);
@@ -213,179 +313,24 @@ std::size_t StreamIngestor::offer_batch(std::span<const TrafficLog> logs) {
   return total_accepted;
 }
 
-void StreamIngestor::rebuild_window_index(Shard& shard) {
-  std::size_t cap = 8;
-  while (cap < shard.windows.size() * 2) cap <<= 1;
-  shard.window_index.assign(
-      cap, {0, std::numeric_limits<std::uint32_t>::max()});
-  const std::size_t mask = cap - 1;
-  for (std::size_t pos = 0; pos < shard.windows.size(); ++pos) {
-    std::size_t slot =
-        (shard.windows[pos].first * 2654435761u) & mask;
-    while (shard.window_index[slot].second !=
-           std::numeric_limits<std::uint32_t>::max())
-      slot = (slot + 1) & mask;
-    shard.window_index[slot] = {shard.windows[pos].first,
-                                static_cast<std::uint32_t>(pos)};
-  }
-  shard.window_index_size = shard.windows.size();
-}
-
-void StreamIngestor::create_windows(
-    Shard& shard, const std::vector<std::uint32_t>& towers) {
-  const std::size_t old_count = shard.windows.size();
-  // Appends stay sorted because `towers` is sorted and distinct.
-  for (const std::uint32_t id : towers)
-    shard.windows.emplace_back(id, TowerWindow());
-  std::inplace_merge(
-      shard.windows.begin(), shard.windows.begin() + old_count,
-      shard.windows.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  rebuild_window_index(shard);
-}
-
-std::uint32_t StreamIngestor::window_position(const Shard& shard,
-                                              std::uint32_t tower_id) const {
-  const std::size_t mask = shard.window_index.size() - 1;
-  std::size_t slot = (tower_id * 2654435761u) & mask;
-  for (;;) {
-    const auto& entry = shard.window_index[slot];
-    if (entry.second == std::numeric_limits<std::uint32_t>::max())
-      return std::numeric_limits<std::uint32_t>::max();
-    if (entry.first == tower_id) return entry.second;
-    slot = (slot + 1) & mask;
-  }
-}
-
 std::size_t StreamIngestor::ingest_columns(const DecodedColumns& cols) {
   const std::size_t n = cols.size();
   if (n == 0) return 0;
-  obs::HistogramBatch lag(*metric_event_lag_);
   const double offered_us = obs::now_us();
-  offered_.fetch_add(n, std::memory_order_relaxed);
-  metric_offered_->add(n);
-
-  // Watermark/lateness/lag accounting with sequential-arrival semantics,
-  // fused into one pass: `observed` carries the global watermark exactly
-  // as each record would have seen it had the batch been offered
-  // record-by-record (excluding the record's own update).
-  std::uint64_t observed = watermark_minute_.load(std::memory_order_relaxed);
-  std::uint64_t late = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t start = cols.start[i];
-    const std::uint64_t end = cols.end[i];
-    const std::uint64_t lag_minutes = observed > start ? observed - start : 0;
-    lag.observe_bucket(obs::pow2_minute_bucket(lag_minutes),
-                       static_cast<double>(lag_minutes));
-    if (start + config_.max_lateness_minutes < observed) ++late;
-    if (end > observed) observed = end;
-  }
-  std::uint64_t seen = watermark_minute_.load(std::memory_order_relaxed);
-  while (observed > seen &&
-         !watermark_minute_.compare_exchange_weak(seen, observed,
-                                                  std::memory_order_relaxed)) {
-  }
-  if (late > 0) {
-    late_.fetch_add(late, std::memory_order_relaxed);
-    metric_late_->add(late);
-  }
-
-  // Scatter record positions by shard (counting sort keeps this one
-  // allocation-light linear pass), then apply each shard's run under its
-  // window lock.
-  const std::size_t n_shards = shards_.size();
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> begins;  // per-shard [begin, end) into order
-  if (n_shards > 1) {
-    std::vector<std::size_t> counts(n_shards, 0);
-    for (std::size_t i = 0; i < n; ++i) ++counts[cols.tower[i] % n_shards];
-    begins.resize(n_shards + 1, 0);
-    for (std::size_t s = 0; s < n_shards; ++s)
-      begins[s + 1] = begins[s] + counts[s];
-    order.resize(n);
-    std::vector<std::size_t> cursor(begins.begin(), begins.end() - 1);
-    for (std::size_t i = 0; i < n; ++i)
-      order[cursor[cols.tower[i] % n_shards]++] =
-          static_cast<std::uint32_t>(i);
-  }
-
-  const std::uint64_t stamp = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(offered_us));
-  std::uint64_t stale_total = 0;
-  // Per-shard scratch, reused across shards: per-record window positions
-  // and the (usually empty) list of towers still missing a window.
-  std::vector<std::uint32_t> pos;
-  std::vector<std::uint32_t> missing;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    const std::size_t begin = n_shards > 1 ? begins[s] : 0;
-    const std::size_t end = n_shards > 1 ? begins[s + 1] : n;
-    if (begin == end) continue;
-    const std::size_t len = end - begin;
-    Shard& shard = *shards_[s];
-    std::uint64_t shard_max_end = 0;
-    std::uint64_t stale = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard.window_mutex);
-      if (shard.window_index_size != shard.windows.size() ||
-          shard.window_index.empty())
-        rebuild_window_index(shard);
-      // Resolve every record's window position first, collecting towers
-      // that still need one. In steady state `missing` stays empty and
-      // this is a single O(1) probe per record; on a cold start the
-      // misses are created in one batch (append + merge + one index
-      // rebuild) instead of a per-tower middle-insert + full rebuild,
-      // which made first-chunk ingest quadratic at city scale.
-      pos.resize(len);
-      missing.clear();
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::uint32_t p =
-            window_position(shard, cols.tower[n_shards > 1 ? order[k] : k]);
-        pos[k - begin] = p;
-        if (p == std::numeric_limits<std::uint32_t>::max())
-          missing.push_back(cols.tower[n_shards > 1 ? order[k] : k]);
-      }
-      if (!missing.empty()) {
-        std::sort(missing.begin(), missing.end());
-        missing.erase(std::unique(missing.begin(), missing.end()),
-                      missing.end());
-        create_windows(shard, missing);
-        // The merge shifted existing windows too — re-resolve them all.
-        for (std::size_t k = begin; k < end; ++k)
-          pos[k - begin] =
-              window_position(shard, cols.tower[n_shards > 1 ? order[k] : k]);
-      }
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t i = n_shards > 1 ? order[k] : k;
-        TowerWindow& window = shard.windows[pos[k - begin]].second;
-        if (window.add(cols.start[i], cols.bytes[i]) ==
-            TowerWindow::Apply::kStale)
-          ++stale;
-        if (cols.end[i] > shard_max_end) shard_max_end = cols.end[i];
-      }
-    }
-    std::uint64_t shard_seen =
-        shard.watermark_minute.load(std::memory_order_relaxed);
-    while (shard_max_end > shard_seen &&
-           !shard.watermark_minute.compare_exchange_weak(
-               shard_seen, shard_max_end, std::memory_order_relaxed)) {
-    }
-    const double applied_us = obs::now_us();
-    metric_apply_ms_->observe_n((applied_us - offered_us) / 1000.0,
-                                end - begin);
-    std::uint64_t oldest =
-        shard.oldest_unclassified_us.load(std::memory_order_relaxed);
-    while ((oldest == 0 || stamp < oldest) &&
-           !shard.oldest_unclassified_us.compare_exchange_weak(
-               oldest, stamp, std::memory_order_relaxed)) {
-    }
-    stale_total += stale;
+  const auto row = [&](std::size_t i) {
+    return RecordRef{cols.tower[i], cols.start[i], cols.end[i], cols.bytes[i],
+                     offered_us};
+  };
+  const ShardRuns runs = arrive(n, row);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::size_t begin = runs.begins[s];
+    apply_run(
+        *shards_[s], runs.begins[s + 1] - begin,
+        [&](std::size_t k) { return row(runs.order[begin + k]); },
+        [](std::size_t) {});
   }
   accepted_.fetch_add(n, std::memory_order_relaxed);
   metric_accepted_->add(n);
-  if (stale_total > 0) {
-    stale_.fetch_add(stale_total, std::memory_order_relaxed);
-    metric_stale_->add(stale_total);
-  }
   return n;
 }
 
@@ -398,55 +343,25 @@ void StreamIngestor::drain_shard(Shard& shard) {
   if (batch.empty()) return;
   auto& sampler = obs::TraceSampler::instance();
   auto& trace = obs::StageTrace::instance();
-  // Per-record work below only happens for sampled records while tracing
-  // is on; with tracing off the loop body is the window update alone.
+  // Per-record work beyond the window update only happens for sampled
+  // records while tracing is on.
   const bool tracing = sampler.active() && trace.enabled();
-  std::uint64_t stale = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.window_mutex);
-    for (const auto& entry : batch) {
-      const TrafficLog& log = entry.log;
-      TowerWindow& window = window_in(shard, log.tower_id);
-      if (window.add(log.start_minute, log.bytes) == TowerWindow::Apply::kStale)
-        ++stale;
-      if (tracing && sampler.sampled(record_hash(log))) {
+  apply_run(
+      shard, batch.size(),
+      [&](std::size_t k) { return ref_of(batch[k].log, batch[k].offered_us); },
+      [&](std::size_t k) {
+        const TrafficLog& log = batch[k].log;
+        if (!tracing || !sampler.sampled(record_hash(log))) return;
         const double applied_us = obs::now_us();
         trace.record_complete(
-            "record.apply", "stream", entry.offered_us,
-            applied_us - entry.offered_us,
+            "record.apply", "stream", batch[k].offered_us,
+            applied_us - batch[k].offered_us,
             "\"tower\":" + std::to_string(log.tower_id) +
                 ",\"user\":" + std::to_string(log.user_id) +
                 ",\"start_minute\":" + std::to_string(log.start_minute));
         if (shard.sampled_awaiting.size() < kMaxSampledAwaiting)
           shard.sampled_awaiting.emplace_back(log.tower_id, applied_us);
-      }
-    }
-  }
-  // Offer-to-apply latency: records queued by one offer_batch call share
-  // an offer stamp, so one observe_n per run of equal stamps covers every
-  // record at per-batch cost.
-  const double applied_us = obs::now_us();
-  for (std::size_t i = 0; i < batch.size();) {
-    std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].offered_us == batch[i].offered_us) ++j;
-    metric_apply_ms_->observe_n((applied_us - batch[i].offered_us) / 1000.0,
-                                j - i);
-    i = j;
-  }
-  // The batch is in arrival order, so its first stamp is the oldest;
-  // CAS-min it into the shard's unclassified frontier (0 = empty, so
-  // clamp real stamps to >= 1).
-  const std::uint64_t stamp = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(batch.front().offered_us));
-  std::uint64_t seen = shard.oldest_unclassified_us.load(std::memory_order_relaxed);
-  while ((seen == 0 || stamp < seen) &&
-         !shard.oldest_unclassified_us.compare_exchange_weak(
-             seen, stamp, std::memory_order_relaxed)) {
-  }
-  if (stale > 0) {
-    stale_.fetch_add(stale, std::memory_order_relaxed);
-    metric_stale_->add(stale);
-  }
+      });
   metric_pending_->add(-static_cast<std::int64_t>(batch.size()));
 }
 
@@ -612,25 +527,13 @@ std::vector<std::uint32_t> StreamIngestor::tower_ids() const {
 TowerWindow StreamIngestor::window_copy(std::uint32_t tower_id) const {
   const Shard& shard = shard_of(tower_id);
   std::lock_guard<std::mutex> lock(shard.window_mutex);
-  const auto it = std::lower_bound(
-      shard.windows.begin(), shard.windows.end(), tower_id,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (it == shard.windows.end() || it->first != tower_id)
-    throw InvalidArgument("no window for tower id " +
-                          std::to_string(tower_id));
-  return it->second;
+  return shard.window(tower_id);
 }
 
 TowerWindowStats StreamIngestor::window_stats(std::uint32_t tower_id) const {
   const Shard& shard = shard_of(tower_id);
   std::lock_guard<std::mutex> lock(shard.window_mutex);
-  const auto it = std::lower_bound(
-      shard.windows.begin(), shard.windows.end(), tower_id,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
-  if (it == shard.windows.end() || it->first != tower_id)
-    throw InvalidArgument("no window for tower id " +
-                          std::to_string(tower_id));
-  const TowerWindow& window = it->second;
+  const TowerWindow& window = shard.window(tower_id);
   TowerWindowStats stats;
   stats.observed_slots = window.observed_slots();
   stats.total_bytes = window.total_bytes();
@@ -683,16 +586,11 @@ void StreamIngestor::import_window(std::uint32_t tower_id,
                                    const TowerWindow::State& state) {
   Shard& shard = shard_of(tower_id);
   std::lock_guard<std::mutex> lock(shard.window_mutex);
-  TowerWindow& window = (window_in(shard, tower_id) =
-                             TowerWindow::from_state(state));
+  TowerWindow& window =
+      (shard.window_or_create(tower_id) = TowerWindow::from_state(state));
   // Re-seed the shard's event-time progress from the restored window so
   // /stream shows a sane (bin-granular) watermark after a restore.
-  const std::uint64_t restored = window.latest_minute();
-  std::uint64_t seen = shard.watermark_minute.load(std::memory_order_relaxed);
-  while (restored > seen &&
-         !shard.watermark_minute.compare_exchange_weak(
-             seen, restored, std::memory_order_relaxed)) {
-  }
+  atomic_max(shard.watermark_minute, window.latest_minute());
 }
 
 void StreamIngestor::restore_stats(const IngestStats& stats) {

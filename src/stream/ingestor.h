@@ -11,6 +11,14 @@
 // queue drops the record and says so — explicit drop accounting, never
 // silent loss or unbounded memory.
 //
+// One ingest path: offer_batch (and offer, a one-record offer_batch) and
+// the fused bulk ingest_columns share one arrival pass (watermarks,
+// lateness, lag, grouping by shard), one per-shard window store (windows
+// in creation order behind an open-addressed tower-id index) and one
+// apply routine (window update, stale count, apply latency, unclassified
+// frontier). drain() feeds queued records to that apply routine;
+// ingest_columns feeds decoded rows to it directly (DESIGN.md §9).
+//
 // Determinism: within a shard, records apply in arrival order; across
 // shards, windows are disjoint and bin updates are exact integer sums, so
 // the final per-tower grids are bit-identical for any shard count and any
@@ -70,8 +78,9 @@ struct StreamConfig {
   /// the ring keeps four weeks — the counter feeds the lateness sentinel.
   std::uint32_t max_lateness_minutes = 120;
 
-  /// Reads CELLSCOPE_STREAM_SHARDS and CELLSCOPE_STREAM_QUEUE (positive
-  /// integers) over the defaults above.
+  /// Reads CELLSCOPE_STREAM_SHARDS (an integer in [1, 65536]) and
+  /// CELLSCOPE_STREAM_QUEUE (a positive integer) over the defaults above;
+  /// any other set value throws InvalidArgument.
   static StreamConfig from_env();
 };
 
@@ -90,7 +99,7 @@ struct IngestStats {
   std::uint64_t stale = 0;    ///< applied-but-rejected by the ring (too old)
   std::uint64_t watermark_minute = 0;  ///< largest end_minute seen
   /// Event-time low watermark: the global watermark minus the lateness
-  /// bound, clamped at 0 — exactly the lateness frontier account_arrival
+  /// bound, clamped at 0 — exactly the lateness frontier the arrival pass
   /// measures against, so a record whose start trails it is counted late.
   /// Monotone non-decreasing because the watermark is.
   std::uint64_t low_watermark_minute = 0;
@@ -130,7 +139,8 @@ class StreamIngestor {
   /// in folded_vectors()/classify_all() (as cold-start rows).
   void register_towers(const std::vector<Tower>& towers);
 
-  /// Routes one record to its shard queue. Thread-safe.
+  /// Routes one record to its shard queue: a one-record offer_batch.
+  /// Thread-safe.
   OfferResult offer(const TrafficLog& log);
 
   /// Routes a batch, grouping by shard first so each stripe is locked
@@ -222,53 +232,63 @@ class StreamIngestor {
   struct Shard {
     mutable std::mutex queue_mutex;      // guards pending
     std::vector<Pending> pending;
-    mutable std::mutex window_mutex;     // guards windows + application
-    std::vector<std::pair<std::uint32_t, TowerWindow>> windows;  // sorted
+    mutable std::mutex window_mutex;     // guards windows, index, application
+    /// The shard's window store: windows in creation order, found through
+    /// `index`, an open-addressed (tower id, position) table kept at most
+    /// half full and updated at every creation (position UINT32_MAX marks
+    /// an empty slot). Creation is an append plus one index insert, so a
+    /// cold start is linear in the towers it creates.
+    std::vector<std::pair<std::uint32_t, TowerWindow>> windows;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> index;
     /// Largest end_minute routed to this shard (CAS-max).
     std::atomic<std::uint64_t> watermark_minute{0};
     /// Offers this shard's full queue rejected.
     std::atomic<std::uint64_t> dropped{0};
     /// Offer stamp (integer µs, >= 1) of the oldest record applied to a
     /// window but not yet covered by a classify pass; 0 = none. CAS-min
-    /// at drain, exchanged to 0 by note_classify_pass.
+    /// at apply, exchanged to 0 by note_classify_pass.
     std::atomic<std::uint64_t> oldest_unclassified_us{0};
     /// Sampled records applied but awaiting their classify span:
     /// (tower id, applied_us). Guarded by window_mutex; bounded.
     mutable std::vector<std::pair<std::uint32_t, double>> sampled_awaiting;
-    /// Open-address tower-id -> windows-position index for the bulk
-    /// ingest path ((tower, pos) slots, pos == UINT32_MAX empty); lazily
-    /// rebuilt whenever the window set changed. Guarded by window_mutex.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> window_index;
-    /// windows.size() the index was built for (0 = never built).
-    std::size_t window_index_size = 0;
+
+    /// The one tower -> window lookup: the window's position in
+    /// `windows`, or UINT32_MAX when the tower has none. Caller holds
+    /// window_mutex.
+    std::uint32_t find(std::uint32_t tower_id) const;
+    /// The tower's window; throws InvalidArgument when it has none.
+    /// Caller holds window_mutex.
+    const TowerWindow& window(std::uint32_t tower_id) const;
+    /// The tower's window, created empty on first use. Caller holds
+    /// window_mutex.
+    TowerWindow& window_or_create(std::uint32_t tower_id);
   };
+
+  /// One offer_batch/ingest_columns call's records grouped by shard:
+  /// shard s owns order[begins[s], begins[s + 1]), in arrival order.
+  struct ShardRuns;
 
   Shard& shard_of(std::uint32_t tower_id) const {
     return *shards_[tower_id % shards_.size()];
   }
-  /// The tower's window within `shard`, created on first use. Caller
-  /// holds shard.window_mutex.
-  TowerWindow& window_in(Shard& shard, std::uint32_t tower_id);
-  /// Creates the windows of the (sorted, distinct, all-absent) `towers`
-  /// in one append + inplace_merge + single index rebuild — the bulk
-  /// path's cold-start move. A per-record window_in would middle-insert
-  /// into the sorted windows vector and invalidate the index on every new
-  /// tower: quadratic on a fresh ingestor at city scale. Caller holds
-  /// shard.window_mutex and guarantees none of `towers` exist yet.
-  void create_windows(Shard& shard, const std::vector<std::uint32_t>& towers);
-  /// O(1) expected windows-position lookup through the shard's
-  /// window_index; UINT32_MAX when the tower has no window yet. Caller
-  /// holds shard.window_mutex and the index is fresh.
-  std::uint32_t window_position(const Shard& shard,
-                                std::uint32_t tower_id) const;
-  void rebuild_window_index(Shard& shard);
+  /// The arrival accounting of every producer path, over `n` records in
+  /// arrival order (record(i) gives the i-th). Advances the global and
+  /// shard watermarks, counts offered and late records, and buckets each
+  /// record's event-time lag, all with sequential-arrival semantics: the
+  /// lag and lateness of record i are measured against the watermark as
+  /// records 0..i-1 left it. Returns the records grouped by shard.
+  template <typename Record>
+  ShardRuns arrive(std::size_t n, const Record& record);
+  /// The apply routine of every path: applies one shard's run of `len`
+  /// records (record(k) gives the k-th, in arrival order) to their
+  /// windows under the shard's window lock, creating missing windows,
+  /// then counts stale records, observes offer-to-apply latency and
+  /// CAS-mins the shard's unclassified frontier. on_applied(k) runs under
+  /// the lock after each record's window update.
+  template <typename Record, typename OnApplied>
+  void apply_run(Shard& shard, std::size_t len, const Record& record,
+                 const OnApplied& on_applied);
   void drain_shard(Shard& shard);
-  /// Watermark/lateness/lag accounting shared by the offer paths:
-  /// advances the global and shard watermarks, counts lateness, and
-  /// buckets the record's event-time lag (pre-update watermark minus
-  /// start) into `lag`. Returns true when the record is late.
-  bool account_arrival(const TrafficLog& log, Shard& shard,
-                       obs::HistogramBatch& lag);
 
   StreamConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

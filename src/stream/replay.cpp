@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -60,13 +61,92 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
   return logs;
 }
 
+namespace {
+
+/// What replay_trace and replay_trace_file share: the stream.replay span
+/// and its wall clock, the classify cadence, and the closing step.
+class ReplayRun {
+ public:
+  ReplayRun(StreamIngestor& ingestor, ThreadPool& pool,
+            const OnlineClassifier* classifier, std::size_t classify_every)
+      : ingestor_(ingestor),
+        pool_(pool),
+        classifier_(classifier),
+        classify_every_(classify_every) {}
+
+  ReplayStats stats;
+
+  obs::StageSpan& span() { return *span_; }
+  double elapsed_ms() const { return timer_.elapsed_ms(); }
+
+  /// Counts one fed batch of `records`; classifies on the cadence.
+  void batch_done(std::size_t records) {
+    stats.records += records;
+    ++stats.batches;
+    if (classify_every_ > 0 && stats.batches % classify_every_ == 0)
+      classify();
+  }
+
+  /// The closing step: the final classify pass, the dropped/late
+  /// sentinels (one-shot checks evaluated as the span closes, like the
+  /// batch pipeline's stage checks), the span annotations, and the
+  /// ReplayStats totals. Returns the filled stats.
+  ReplayStats& finish() {
+    classify();
+    auto& board = obs::QualityBoard::instance();
+    const auto ingest = ingestor_.stats();
+    board.add_check(
+        "stream.replay", "stream_drop_ratio", obs::Severity::kFail,
+        [dropped = ingest.dropped, offered = ingest.offered] {
+          return obs::check_reject_ratio(
+              static_cast<std::size_t>(dropped),
+              static_cast<std::size_t>(offered), 0.01);
+        });
+    board.add_check(
+        "stream.replay", "stream_late_ratio", obs::Severity::kWarn,
+        [late = ingest.late, offered = ingest.offered] {
+          return obs::check_reject_ratio(static_cast<std::size_t>(late),
+                                         static_cast<std::size_t>(offered),
+                                         0.25);
+        });
+    span_->annotate({"records", stats.records});
+    span_->annotate({"batches", stats.batches});
+    span_->annotate({"dropped", ingest.dropped});
+    span_->annotate({"late", ingest.late});
+    span_.reset();
+
+    stats.ingest = ingestor_.stats();
+    stats.wall_ms = timer_.elapsed_ms();
+    stats.records_per_sec =
+        stats.wall_ms > 0.0
+            ? static_cast<double>(stats.records) / (stats.wall_ms / 1e3)
+            : 0.0;
+    return stats;
+  }
+
+ private:
+  void classify() {
+    if (classifier_ == nullptr) return;
+    stats.labels = classifier_->classify_all(ingestor_, &pool_);
+    ++stats.classify_passes;
+  }
+
+  StreamIngestor& ingestor_;
+  ThreadPool& pool_;
+  const OnlineClassifier* classifier_;
+  std::size_t classify_every_;
+  obs::ScopedTimer timer_;
+  std::optional<obs::StageSpan> span_{std::in_place, "stream.replay",
+                                      "stream"};
+};
+
+}  // namespace
+
 ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                          StreamIngestor& ingestor, ThreadPool& pool,
                          const ReplayOptions& options,
                          const OnlineClassifier* classifier) {
   CS_CHECK_MSG(options.batch_size >= 1, "batch_size must be positive");
-  ReplayStats stats;
-  stats.records = logs.size();
 
   // Periodic file-based metrics scrape (see ReplayOptions). Opened once;
   // append mode so successive replays accumulate into one timeline.
@@ -80,74 +160,31 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                     options.metrics_jsonl_path);
   }
 
-  obs::ScopedTimer timer;
+  ReplayRun run(ingestor, pool, classifier, options.classify_every_batches);
   const auto dump_metrics = [&] {
-    metrics_out << "{\"wall_ms\":" << timer.elapsed_ms() << ",\"metrics\":"
+    metrics_out << "{\"wall_ms\":" << run.elapsed_ms() << ",\"metrics\":"
                 << obs::MetricsRegistry::instance().snapshot_json() << "}\n";
     metrics_out.flush();  // a live tail -f must see complete lines
-    ++stats.metrics_snapshots;
+    ++run.stats.metrics_snapshots;
   };
   double next_dump_ms = static_cast<double>(options.metrics_interval_ms);
 
-  {
-    obs::StageSpan span("stream.replay", "stream");
-    for (std::size_t begin = 0; begin < logs.size();
-         begin += options.batch_size) {
-      const std::size_t end =
-          std::min(logs.size(), begin + options.batch_size);
-      ingestor.offer_batch(
-          std::span<const TrafficLog>(logs.data() + begin, end - begin));
-      ingestor.drain(pool);
-      ++stats.batches;
-      if (classifier != nullptr && options.classify_every_batches > 0 &&
-          stats.batches % options.classify_every_batches == 0) {
-        stats.labels = classifier->classify_all(ingestor, &pool);
-        ++stats.classify_passes;
-      }
-      if (scrape && timer.elapsed_ms() >= next_dump_ms) {
-        dump_metrics();
-        next_dump_ms =
-            timer.elapsed_ms() + static_cast<double>(options.metrics_interval_ms);
-      }
+  for (std::size_t begin = 0; begin < logs.size();
+       begin += options.batch_size) {
+    const std::size_t end = std::min(logs.size(), begin + options.batch_size);
+    ingestor.offer_batch(
+        std::span<const TrafficLog>(logs.data() + begin, end - begin));
+    ingestor.drain(pool);
+    run.batch_done(end - begin);
+    if (scrape && run.elapsed_ms() >= next_dump_ms) {
+      dump_metrics();
+      next_dump_ms =
+          run.elapsed_ms() + static_cast<double>(options.metrics_interval_ms);
     }
-    if (classifier != nullptr) {
-      stats.labels = classifier->classify_all(ingestor, &pool);
-      ++stats.classify_passes;
-    }
-
-    // Dropped/late sentinels, evaluated when the stream.replay span
-    // closes (one-shot, like the batch pipeline's stage checks).
-    auto& board = obs::QualityBoard::instance();
-    const auto ingest = ingestor.stats();
-    board.add_check(
-        "stream.replay", "stream_drop_ratio", obs::Severity::kFail,
-        [dropped = ingest.dropped, offered = ingest.offered] {
-          return obs::check_reject_ratio(
-              static_cast<std::size_t>(dropped),
-              static_cast<std::size_t>(offered), 0.01);
-        });
-    board.add_check(
-        "stream.replay", "stream_late_ratio", obs::Severity::kWarn,
-        [late = ingest.late, offered = ingest.offered] {
-          return obs::check_reject_ratio(static_cast<std::size_t>(late),
-                                         static_cast<std::size_t>(offered),
-                                         0.25);
-        });
-    span.annotate({"records", stats.records});
-    span.annotate({"batches", stats.batches});
-    span.annotate({"dropped", ingest.dropped});
-    span.annotate({"late", ingest.late});
   }
-
+  run.finish();
   if (scrape) dump_metrics();  // final state, even for sub-interval replays
-
-  stats.ingest = ingestor.stats();
-  stats.wall_ms = timer.elapsed_ms();
-  stats.records_per_sec =
-      stats.wall_ms > 0.0
-          ? static_cast<double>(stats.records) / (stats.wall_ms / 1e3)
-          : 0.0;
-  return stats;
+  return run.stats;
 }
 
 ReplayStats replay_trace_file(const std::string& path,
@@ -158,91 +195,42 @@ ReplayStats replay_trace_file(const std::string& path,
   TraceCodec codec = options.codec == TraceCodec::kAuto
                          ? trace_codec_for_path(path)
                          : options.codec;
-  ReplayStats stats;
-  obs::ScopedTimer timer;
-  {
-    obs::StageSpan span("stream.replay", "stream");
-    const auto classify_tick = [&] {
-      if (classifier != nullptr && options.classify_every_batches > 0 &&
-          stats.batches % options.classify_every_batches == 0) {
-        stats.labels = classifier->classify_all(ingestor, &pool);
-        ++stats.classify_passes;
+  ReplayRun run(ingestor, pool, classifier, options.classify_every_batches);
+  if (codec == TraceCodec::kCsv) {
+    auto reader = open_trace_reader(path, TraceCodec::kCsv, options.batch_size);
+    std::vector<TrafficLog> batch;
+    while (reader->next_batch(batch)) {
+      ingestor.offer_batch(batch);
+      ingestor.drain(pool);
+      run.batch_done(batch.size());
+    }
+  } else {
+    // Columnar: one chunk per round, decoded straight out of the
+    // mapping; the footer ranges prune chunks the filter rules out.
+    MmapTraceReader reader(path);
+    DecodedColumns cols;
+    std::vector<TrafficLog> chunk;
+    std::size_t skipped = 0;
+    for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
+      if (!reader.chunk_overlaps(i, options.filter)) {
+        columnar::io_metrics().chunks_skipped->add(1);
+        ++skipped;
+        continue;
       }
-    };
-
-    if (codec == TraceCodec::kCsv) {
-      auto reader =
-          open_trace_reader(path, TraceCodec::kCsv, options.batch_size);
-      std::vector<TrafficLog> batch;
-      while (reader->next_batch(batch)) {
-        ingestor.offer_batch(batch);
+      if (options.bulk) {
+        if (!reader.read_chunk_columns(i, cols)) continue;  // corrupt
+        run.batch_done(ingestor.ingest_columns(cols));
+      } else {
+        if (!reader.read_chunk(i, chunk)) continue;  // corrupt
+        ingestor.offer_batch(chunk);
         ingestor.drain(pool);
-        stats.records += batch.size();
-        ++stats.batches;
-        classify_tick();
+        run.batch_done(chunk.size());
       }
-    } else {
-      // Columnar: one chunk per round, decoded straight out of the
-      // mapping; the footer ranges prune chunks the filter rules out.
-      MmapTraceReader reader(path);
-      DecodedColumns cols;
-      std::vector<TrafficLog> chunk;
-      std::size_t skipped = 0;
-      for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
-        if (!reader.chunk_overlaps(i, options.filter)) {
-          columnar::io_metrics().chunks_skipped->add(1);
-          ++skipped;
-          continue;
-        }
-        if (options.bulk) {
-          if (!reader.read_chunk_columns(i, cols)) continue;  // corrupt
-          stats.records += ingestor.ingest_columns(cols);
-        } else {
-          if (!reader.read_chunk(i, chunk)) continue;  // corrupt
-          ingestor.offer_batch(chunk);
-          ingestor.drain(pool);
-          stats.records += chunk.size();
-        }
-        ++stats.batches;
-        classify_tick();
-      }
-      span.annotate({"chunks_skipped", skipped});
     }
-    if (classifier != nullptr) {
-      stats.labels = classifier->classify_all(ingestor, &pool);
-      ++stats.classify_passes;
-    }
-
-    auto& board = obs::QualityBoard::instance();
-    const auto ingest = ingestor.stats();
-    board.add_check(
-        "stream.replay", "stream_drop_ratio", obs::Severity::kFail,
-        [dropped = ingest.dropped, offered = ingest.offered] {
-          return obs::check_reject_ratio(
-              static_cast<std::size_t>(dropped),
-              static_cast<std::size_t>(offered), 0.01);
-        });
-    board.add_check(
-        "stream.replay", "stream_late_ratio", obs::Severity::kWarn,
-        [late = ingest.late, offered = ingest.offered] {
-          return obs::check_reject_ratio(static_cast<std::size_t>(late),
-                                         static_cast<std::size_t>(offered),
-                                         0.25);
-        });
-    span.annotate({"path", path});
-    span.annotate({"records", stats.records});
-    span.annotate({"batches", stats.batches});
-    span.annotate({"dropped", ingest.dropped});
-    span.annotate({"late", ingest.late});
+    run.span().annotate({"chunks_skipped", skipped});
   }
-
-  stats.ingest = ingestor.stats();
-  stats.wall_ms = timer.elapsed_ms();
-  stats.records_per_sec =
-      stats.wall_ms > 0.0
-          ? static_cast<double>(stats.records) / (stats.wall_ms / 1e3)
-          : 0.0;
-  return stats;
+  run.span().annotate({"path", path});
+  return run.finish();
 }
 
 }  // namespace cellscope

@@ -302,12 +302,18 @@ bool check_header(const unsigned char* data, std::size_t len) {
   return version == kVersion;
 }
 
+namespace {
+
+/// Reads the trailer's footer offset from the last kTrailerBytes of a
+/// file. Returns false on a bad trailer magic.
 bool read_trailer(const unsigned char* trailer, std::uint64_t& footer_offset) {
   if (read_u32(trailer + 8) != kTailMagic) return false;
   footer_offset = read_u64(trailer);
   return true;
 }
 
+/// parse_footer's validation of the footer region [footer_offset, file
+/// end): footer body, CRC, trailer and per-entry frame bounds.
 bool parse_footer_region(const unsigned char* region, std::size_t region_len,
                          std::uint64_t footer_offset,
                          std::vector<ChunkIndexEntry>& entries,
@@ -371,6 +377,8 @@ bool parse_footer_region(const unsigned char* region, std::size_t region_len,
   return true;
 }
 
+}  // namespace
+
 bool parse_footer(const unsigned char* data, std::size_t len,
                   std::vector<ChunkIndexEntry>& entries, std::string& error) {
   entries.clear();
@@ -431,10 +439,6 @@ ColumnarTraceWriter::~ColumnarTraceWriter() {
     // Destructors must not throw; an unfinished file fails footer
     // validation on read, which is the detectable outcome we want.
   }
-}
-
-void ColumnarTraceWriter::append(const TrafficLog& log) {
-  append(std::span<const TrafficLog>(&log, 1));
 }
 
 void ColumnarTraceWriter::append(std::span<const TrafficLog> logs) {

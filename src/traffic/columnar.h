@@ -129,19 +129,6 @@ bool check_header(const unsigned char* data, std::size_t len);
 bool parse_footer(const unsigned char* data, std::size_t len,
                   std::vector<ChunkIndexEntry>& entries, std::string& error);
 
-/// Same validation over just the footer region [footer_offset, file_end)
-/// — footer body, CRC, and trailer — for readers that fetched those
-/// bytes into a buffer instead of mapping the whole file. `region_len`
-/// is the region's byte count; `footer_offset` its offset in the file.
-bool parse_footer_region(const unsigned char* region, std::size_t region_len,
-                         std::uint64_t footer_offset,
-                         std::vector<ChunkIndexEntry>& entries,
-                         std::string& error);
-
-/// Reads the trailer's footer offset from the last kTrailerBytes of a
-/// file (pass exactly those bytes). Returns false on a bad trailer magic.
-bool read_trailer(const unsigned char* trailer, std::uint64_t& footer_offset);
-
 /// Hot-path cached handles to the ingest-side IO metrics shared by the
 /// binary trace readers (cellscope.io.chunks_{read,skipped,corrupt},
 /// cellscope.io.bytes_mapped, cellscope.io.chunk_decode_ms).
@@ -167,7 +154,6 @@ class ColumnarTraceWriter {
       std::size_t chunk_records = columnar::kDefaultChunkRecords);
   ~ColumnarTraceWriter();
 
-  void append(const TrafficLog& log);
   void append(std::span<const TrafficLog> logs);
 
   /// Flushes the tail chunk, writes footer + trailer, and closes.

@@ -96,19 +96,6 @@ bool MmapTraceReader::read_chunk_columns(std::size_t i,
   return true;
 }
 
-std::vector<TrafficLog> read_trace_bin(const std::string& path) {
-  MmapTraceReader reader(path);
-  std::vector<TrafficLog> logs;
-  logs.reserve(reader.record_count());
-  std::vector<TrafficLog> chunk;
-  for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
-    if (!reader.read_chunk(i, chunk)) continue;  // skip-and-count
-    logs.insert(logs.end(), std::make_move_iterator(chunk.begin()),
-                std::make_move_iterator(chunk.end()));
-  }
-  return logs;
-}
-
 std::uint64_t merge_trace_bin(const std::vector<std::string>& inputs,
                               const std::string& output) {
   if (CS_FAILPOINT("trace.write.fail"))

@@ -92,13 +92,6 @@ class MmapTraceReader {
   std::uint64_t record_count_ = 0;
 };
 
-/// Reads every (valid) record of a columnar trace file via the mapped
-/// reader — the binary counterpart of read_trace_csv. Corrupt chunks are
-/// skipped and counted; the whole result materializes in memory, so this
-/// is for tests/tools — the streaming paths (stream/replay.h) are the
-/// out-of-core way in.
-std::vector<TrafficLog> read_trace_bin(const std::string& path);
-
 /// Concatenates the chunks of `inputs` into `output` and writes a fresh
 /// footer index — chunk frames are copied verbatim (they are self-
 /// contained and CRC-framed), so merging a month of daily files costs

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "common/error.h"
 
 namespace cellscope {
@@ -51,6 +54,33 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("nul"), InvalidArgument);
   EXPECT_THROW(JsonValue::parse("1 2"), InvalidArgument);  // trailing token
   EXPECT_THROW(JsonValue::parse("\"unterminated"), InvalidArgument);
+}
+
+TEST(Json, NumbersFollowTheJsonGrammarAndStayFinite) {
+  for (const char* bad :
+       {"NaN", "Infinity", "-inf", "0x1p3", "+1", "01", ".5", "1e999",
+        "-1e999", "1.", "1e", "-", "[01]", "[1.5.2]"}) {
+    try {
+      JsonValue::parse(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("finite JSON number"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(JsonValue::parse("-0.5E+2").as_number(), -50.0);
+  EXPECT_DOUBLE_EQ(JsonValue::parse("0").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(JsonValue::parse("1e308").as_number(), 1e308);
+  // Underflow is a valid number that rounds toward zero.
+  EXPECT_EQ(JsonValue::parse("1e-400").as_number(), 0.0);
+}
+
+TEST(Json, NumbersEndAtTheViewNotAtATerminator) {
+  EXPECT_DOUBLE_EQ(JsonValue::parse(std::string_view("123", 2)).as_number(),
+                   12.0);
+  const auto array = JsonValue::parse(std::string_view("[4.25]e9", 6));
+  EXPECT_DOUBLE_EQ(array.as_array()[0].as_number(), 4.25);
 }
 
 TEST(Json, AccessorMismatchesThrow) {

@@ -13,6 +13,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
 
 namespace cellscope {
@@ -121,7 +122,7 @@ TEST_F(ColumnarTest, IndexEntryTracksMinMaxRanges) {
 TEST_F(ColumnarTest, FileRoundTripsThroughMappedReader) {
   const auto logs = varied_logs(10000);
   write_trace_bin(path("t.ctb"), logs, 1024);  // several chunks
-  EXPECT_EQ(read_trace_bin(path("t.ctb")), logs);
+  EXPECT_EQ(read_trace(path("t.ctb")), logs);
 
   MmapTraceReader reader(path("t.ctb"));
   EXPECT_EQ(reader.record_count(), logs.size());
@@ -130,7 +131,7 @@ TEST_F(ColumnarTest, FileRoundTripsThroughMappedReader) {
 
 TEST_F(ColumnarTest, EmptyTraceRoundTrips) {
   write_trace_bin(path("empty.ctb"), {});
-  const auto logs = read_trace_bin(path("empty.ctb"));
+  const auto logs = read_trace(path("empty.ctb"));
   EXPECT_TRUE(logs.empty());
   MmapTraceReader reader(path("empty.ctb"));
   EXPECT_EQ(reader.chunk_count(), 0u);
@@ -143,7 +144,7 @@ TEST_F(ColumnarTest, WriterDestructorFinishesFile) {
     writer.append(std::span<const TrafficLog>(logs));
     // no finish(): the destructor must flush the tail and the footer
   }
-  EXPECT_EQ(read_trace_bin(path("t.ctb")), logs);
+  EXPECT_EQ(read_trace(path("t.ctb")), logs);
 }
 
 TEST_F(ColumnarTest, ChunkFilterPrunesByIndexRanges) {
@@ -190,7 +191,7 @@ TEST_F(ColumnarTest, MergeConcatenatesVerbatim) {
 
   std::vector<TrafficLog> expected = a;
   expected.insert(expected.end(), b.begin(), b.end());
-  EXPECT_EQ(read_trace_bin(path("m.ctb")), expected);
+  EXPECT_EQ(read_trace(path("m.ctb")), expected);
 
   // Chunk count is the sum — frames were copied, not re-chunked.
   MmapTraceReader ra(path("a.ctb")), rb(path("b.ctb")), rm(path("m.ctb"));
@@ -199,7 +200,7 @@ TEST_F(ColumnarTest, MergeConcatenatesVerbatim) {
 
 TEST_F(ColumnarTest, MissingFileThrowsIoError) {
   EXPECT_THROW(MmapTraceReader reader(path("nope.ctb")), IoError);
-  EXPECT_THROW(read_trace_bin(path("nope.ctb")), IoError);
+  EXPECT_THROW(read_trace(path("nope.ctb")), IoError);
 }
 
 }  // namespace

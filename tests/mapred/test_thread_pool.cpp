@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
 #include <numeric>
 #include <vector>
@@ -117,6 +118,17 @@ TEST(ThreadPool, StatsCoverParallelForBlocks) {
 
 TEST(ThreadPool, DefaultThreadCountIsAtLeastTwo) {
   EXPECT_GE(default_thread_count(), 2u);
+}
+
+TEST(ThreadPool, ConfiguredThreadCountReadsAndChecksTheEnv) {
+  ::setenv("CELLSCOPE_THREADS", "3", 1);
+  EXPECT_EQ(configured_thread_count(), 3u);
+  for (const char* bad : {"abc", "0", "3x", "-1", "99999999999999999999"}) {
+    ::setenv("CELLSCOPE_THREADS", bad, 1);
+    EXPECT_THROW(configured_thread_count(), InvalidArgument) << bad;
+  }
+  ::unsetenv("CELLSCOPE_THREADS");
+  EXPECT_EQ(configured_thread_count(), default_thread_count());
 }
 
 TEST(ThreadPool, UnboundedTrySubmitAlwaysAccepts) {

@@ -148,7 +148,8 @@ class Fuzzer {
     static const char* const kPoison[] = {
         "NaN", "nan", "-NaN", "Infinity", "-inf", "INF", "1e999",
         "-1e999", "1e308", "-1.7976931348623157e308", "4.9e-324",
-        "0x1p3", "\"1\"", "true", "null", "[]", "{}", "1..2", "--1", ""};
+        "0x1p3", "+1", "01", ".5", "\"1\"", "true", "null", "[]", "{}",
+        "1..2", "--1", ""};
     switch (below(7)) {
       case 0: {  // one poisoned slot
         const std::string poison = kPoison[below(std::size(kPoison))];

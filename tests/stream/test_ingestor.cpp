@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -125,6 +126,123 @@ TEST(StreamIngestor, RegisteredTowersAppearAsColdWindows) {
   }
 }
 
+DecodedColumns columns_of(const std::vector<TrafficLog>& logs) {
+  DecodedColumns cols;
+  for (const auto& log : logs) {
+    cols.tower.push_back(log.tower_id);
+    cols.start.push_back(log.start_minute);
+    cols.end.push_back(log.end_minute);
+    cols.bytes.push_back(log.bytes);
+  }
+  return cols;
+}
+
+TEST(StreamIngestor, EveryWindowCreationPathSharesOneStore) {
+  // Towers 0..63, each created by one path picked by id % 4: 0 registered
+  // (unsorted), 1 imported from a checkpoint state, 2 offered + drained,
+  // 3 bulk-ingested. The paths interleave in two rounds, so every shard
+  // holds windows of all four origins in mixed creation order, and every
+  // tower then takes more records through both record paths.
+  constexpr std::uint32_t kTowers = 64;
+  const auto records_of = [](std::uint32_t tower, std::uint32_t salt) {
+    std::vector<TrafficLog> logs;
+    for (std::uint32_t j = 0; j < 4; ++j)
+      logs.push_back(make_log(tower, (tower * 37 + j * 1301 + salt) % 40000,
+                              tower * 10 + j + salt));
+    return logs;
+  };
+  const auto ids_in = [&](std::uint32_t path, bool second_half) {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t t = kTowers; t-- > 0;)  // descending: unsorted input
+      if (t % 4 == path && (t >= kTowers / 2) == second_half) ids.push_back(t);
+    std::rotate(ids.begin(), ids.begin() + ids.size() / 3, ids.end());
+    return ids;
+  };
+
+  for (const std::size_t n_shards : {1u, 3u, 4u}) {
+    SCOPED_TRACE(n_shards);
+    StreamIngestor mixed(
+        StreamConfig{.n_shards = n_shards, .queue_capacity = 0});
+    StreamIngestor reference(StreamConfig{.n_shards = 1, .queue_capacity = 0});
+    ThreadPool pool(2);
+    std::vector<TrafficLog> all;  // every record, for the reference
+
+    const auto do_register = [&](bool half) {
+      std::vector<Tower> towers;
+      for (const auto id : ids_in(0, half)) towers.emplace_back().id = id;
+      mixed.register_towers(towers);
+    };
+    const auto do_import = [&](bool half) {
+      for (const auto id : ids_in(1, half)) {
+        TowerWindow window;
+        for (const auto& log : records_of(id, 1)) {
+          window.add(log.start_minute, log.bytes);
+          all.push_back(log);
+        }
+        mixed.import_window(id, window.state());
+      }
+    };
+    const auto do_offer = [&](bool half) {
+      std::vector<TrafficLog> logs;
+      for (const auto id : ids_in(2, half))
+        for (const auto& log : records_of(id, 2)) logs.push_back(log);
+      mixed.offer_batch(logs);
+      mixed.drain(pool);
+      all.insert(all.end(), logs.begin(), logs.end());
+    };
+    const auto do_ingest = [&](bool half) {
+      std::vector<TrafficLog> logs;
+      for (const auto id : ids_in(3, half))
+        for (const auto& log : records_of(id, 3)) logs.push_back(log);
+      mixed.ingest_columns(columns_of(logs));
+      all.insert(all.end(), logs.begin(), logs.end());
+    };
+    do_ingest(false);
+    do_register(false);
+    do_offer(false);
+    do_import(false);
+    do_import(true);
+    do_offer(true);
+    do_register(true);
+    do_ingest(true);
+    // More records for every tower, half through each record path.
+    std::vector<TrafficLog> offered, ingested;
+    for (std::uint32_t t = 0; t < kTowers; ++t)
+      for (const auto& log : records_of(t, 5))
+        (t % 2 == 0 ? offered : ingested).push_back(log);
+    mixed.offer_batch(offered);
+    mixed.drain(pool);
+    mixed.ingest_columns(columns_of(ingested));
+    all.insert(all.end(), offered.begin(), offered.end());
+    all.insert(all.end(), ingested.begin(), ingested.end());
+
+    reference.offer_batch(all);
+    reference.drain(pool);
+
+    std::vector<std::uint32_t> expected(kTowers);
+    for (std::uint32_t t = 0; t < kTowers; ++t) expected[t] = t;
+    ASSERT_EQ(mixed.tower_ids(), expected);
+    const auto exported = mixed.export_windows();
+    ASSERT_EQ(exported.size(), expected.size());
+    std::size_t resident = 0;
+    for (const auto& shard : mixed.shard_stats()) resident += shard.towers;
+    EXPECT_EQ(resident, expected.size());
+    for (std::uint32_t t = 0; t < kTowers; ++t) {
+      EXPECT_EQ(exported[t].first, t);
+      const TowerWindow copy = mixed.window_copy(t);
+      const TowerWindowStats stats = mixed.window_stats(t);
+      EXPECT_EQ(stats.observed_slots, copy.observed_slots()) << t;
+      EXPECT_EQ(stats.total_bytes, copy.total_bytes()) << t;
+      EXPECT_EQ(stats.mean, copy.mean()) << t;
+      EXPECT_EQ(stats.variance, copy.variance()) << t;
+      EXPECT_EQ(stats.latest_minute, copy.latest_minute()) << t;
+      EXPECT_EQ(stats.latest_cycle, copy.latest_cycle()) << t;
+      EXPECT_EQ(copy.raw_vector(), reference.window_copy(t).raw_vector())
+          << t;
+    }
+  }
+}
+
 TEST(StreamIngestor, WindowCopyOfUnknownTowerThrows) {
   StreamIngestor ingestor;
   EXPECT_THROW(ingestor.window_copy(42), InvalidArgument);
@@ -136,6 +254,17 @@ TEST(StreamIngestor, FromEnvReadsShardAndQueueKnobs) {
   const auto config = StreamConfig::from_env();
   EXPECT_EQ(config.n_shards, 7u);
   EXPECT_EQ(config.queue_capacity, 123u);
+  // Junk, zero and overflow are errors, not a silent fall-back to the
+  // defaults.
+  for (const char* name :
+       {"CELLSCOPE_STREAM_SHARDS", "CELLSCOPE_STREAM_QUEUE"}) {
+    for (const char* bad : {"abc", "0", "12x", "99999999999999999999"}) {
+      ::setenv(name, bad, 1);
+      EXPECT_THROW(StreamConfig::from_env(), InvalidArgument)
+          << name << "=" << bad;
+    }
+    ::setenv(name, "2", 1);
+  }
   ::unsetenv("CELLSCOPE_STREAM_SHARDS");
   ::unsetenv("CELLSCOPE_STREAM_QUEUE");
   const auto defaults = StreamConfig::from_env();
