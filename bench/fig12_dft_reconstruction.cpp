@@ -3,6 +3,7 @@
 // reconstructed from only these components (plus DC and conjugates)
 // overlays the original, losing < 6% of energy.
 #include <iostream>
+#include <numeric>
 
 #include "bench_common.h"
 
@@ -14,12 +15,13 @@ int main() {
          "Aggregate-traffic DFT and principal-component reconstruction");
   const auto& e = experiment();
   const auto total = e.total_aggregate();
-  const Spectrum spectrum(total);
 
   // (a) Amplitude spectrum up to k = 100.
-  std::vector<double> amplitude;
-  for (std::size_t k = 1; k <= 100; ++k)
-    amplitude.push_back(spectrum.amplitude(k));
+  std::vector<std::size_t> bins(100);
+  std::iota(bins.begin(), bins.end(), std::size_t{1});
+  std::vector<double> amplitude;  // amplitude[k - 1] = |X[k]|
+  for (const Complex& x : dft_bins(total, bins))
+    amplitude.push_back(std::abs(x));
   LineChartOptions spec_options;
   spec_options.title = "(a) |DFT| of the aggregate traffic, k = 1..100";
   spec_options.x_label = "frequency index k (4 = week, 28 = day, 56 = half "
@@ -29,15 +31,15 @@ int main() {
 
   for (const std::size_t k :
        {kWeeklyComponent, kDailyComponent, kHalfDailyComponent}) {
-    const bool local_peak = spectrum.amplitude(k) > spectrum.amplitude(k - 1) &&
-                            spectrum.amplitude(k) > spectrum.amplitude(k + 1);
-    std::cout << "  k=" << k << ": |X[k]| = " << sci(spectrum.amplitude(k))
+    const double a = amplitude[k - 1];
+    const bool local_peak = a > amplitude[k - 2] && a > amplitude[k];
+    std::cout << "  k=" << k << ": |X[k]| = " << sci(a)
               << (local_peak ? "  (local peak ✓)" : "  (NOT a local peak)")
               << "\n";
   }
 
   // (b) Reconstruction from the three components, first week shown.
-  const auto reconstructed = spectrum.reconstruct_principal();
+  const auto reconstructed = reconstruct_principal(total);
   std::vector<double> original_week(total.begin(),
                                     total.begin() + TimeGrid::kSlotsPerWeek);
   std::vector<double> reconstructed_week(

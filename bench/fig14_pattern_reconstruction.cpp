@@ -3,6 +3,7 @@
 // reconstruction tracks the original, and the spectra differ most at
 // k = 4, 28, 56.
 #include <iostream>
+#include <numeric>
 
 #include "bench_common.h"
 
@@ -14,14 +15,15 @@ int main() {
          "Reconstructed per-pattern traffic and per-pattern spectra");
   const auto& e = experiment();
 
+  std::vector<std::size_t> bins(100);  // k = 1..100
+  std::iota(bins.begin(), bins.end(), std::size_t{1});
   std::vector<std::vector<double>> spectra;
   std::vector<std::string> names;
   for (const auto region :
        {FunctionalRegion::kResident, FunctionalRegion::kTransport,
         FunctionalRegion::kOffice, FunctionalRegion::kEntertainment}) {
     const auto aggregate = e.region_aggregate(region);
-    const Spectrum spectrum(aggregate);
-    const auto reconstructed = spectrum.reconstruct_principal();
+    const auto reconstructed = reconstruct_principal(aggregate);
 
     std::vector<double> original_week(
         aggregate.begin(), aggregate.begin() + TimeGrid::kSlotsPerWeek);
@@ -42,8 +44,8 @@ int main() {
               << "\n\n";
 
     std::vector<double> amplitude;
-    for (std::size_t k = 1; k <= 100; ++k)
-      amplitude.push_back(spectrum.amplitude(k));
+    for (const Complex& x : dft_bins(aggregate, bins))
+      amplitude.push_back(std::abs(x));
     spectra.push_back(max_normalize(amplitude));
     names.push_back(region_name(region));
   }

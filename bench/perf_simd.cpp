@@ -11,12 +11,10 @@
 
 #include "bench_common.h"
 
-#include <complex>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/time_grid.h"
-#include "dsp/fft.h"
 #include "ml/distance.h"
 #include "pipeline/traffic_matrix.h"
 #include "simd/simd.h"
@@ -114,25 +112,6 @@ void BM_SimdZscoreFold(benchmark::State& state) {
       state.iterations());
 }
 BENCHMARK(BM_SimdZscoreFold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_SimdFft(benchmark::State& state) {
-  // The Bluestein path over the full 4032-slot month: chirp products and
-  // the m=8192 radix-2 butterflies both go through the dispatcher.
-  static const std::vector<Complex>& input = [] {
-    static std::vector<Complex> in(TimeGrid::kSlots);
-    Rng rng(bench::bench_seed());
-    for (auto& c : in) c = Complex(rng.normal(), rng.normal());
-    return in;
-  }();
-  IsaScope scope(state);
-  for (auto _ : state) {
-    auto spectrum = fft(input, false);
-    benchmark::DoNotOptimize(spectrum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(input.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_SimdFft)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

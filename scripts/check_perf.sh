@@ -20,7 +20,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${CELLSCOPE_BUILD_DIR:-${repo_root}/build}"
 baseline_dir="${repo_root}/bench/baselines"
 threshold="${CELLSCOPE_PERF_THRESHOLD:-0.15}"
-benches=(perf_fft perf_clustering perf_distance perf_mapred perf_qp perf_pipeline perf_stream perf_ingest_fullscale perf_server perf_simd)
+benches=(perf_clustering perf_distance perf_mapred perf_qp perf_pipeline perf_stream perf_ingest_fullscale perf_server perf_simd)
 
 update=0
 if [[ "${1:-}" == "--update" ]]; then

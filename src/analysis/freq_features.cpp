@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -28,14 +29,17 @@ void for_each_row(ThreadPool* pool, std::size_t n,
 FreqFeatures compute_freq_features(std::span<const double> zscored_series) {
   CS_CHECK_MSG(zscored_series.size() == TimeGrid::kSlots,
                "frequency features need a 4032-slot series");
-  const Spectrum spectrum(zscored_series);
+  const std::size_t bins[] = {kWeeklyComponent, kDailyComponent,
+                              kHalfDailyComponent};
+  const auto x = dft_bins(zscored_series, bins);
+  const std::size_t n = zscored_series.size();
   FreqFeatures f;
-  f.amp_week = spectrum.normalized_amplitude(kWeeklyComponent);
-  f.phase_week = spectrum.phase(kWeeklyComponent);
-  f.amp_day = spectrum.normalized_amplitude(kDailyComponent);
-  f.phase_day = spectrum.phase(kDailyComponent);
-  f.amp_half_day = spectrum.normalized_amplitude(kHalfDailyComponent);
-  f.phase_half_day = spectrum.phase(kHalfDailyComponent);
+  f.amp_week = normalized_amplitude(x[0], n);
+  f.phase_week = std::arg(x[0]);
+  f.amp_day = normalized_amplitude(x[1], n);
+  f.phase_day = std::arg(x[1]);
+  f.amp_half_day = normalized_amplitude(x[2], n);
+  f.phase_half_day = std::arg(x[2]);
   return f;
 }
 
@@ -56,11 +60,13 @@ std::vector<double> amplitude_variance_spectrum(
   const std::size_t n = zscored_rows.size();
   std::vector<std::vector<double>> amp_by_k(
       max_k + 1, std::vector<double>(n, 0.0));
+  std::vector<std::size_t> bins(max_k + 1);
+  std::iota(bins.begin(), bins.end(), std::size_t{0});
   // Each worker owns column i across every frequency row — disjoint slots.
   for_each_row(pool, n, [&](std::size_t i) {
-    const Spectrum spectrum(zscored_rows[i]);
+    const auto x = dft_bins(zscored_rows[i], bins);
     for (std::size_t k = 0; k <= max_k; ++k)
-      amp_by_k[k][i] = spectrum.normalized_amplitude(k);
+      amp_by_k[k][i] = normalized_amplitude(x[k], zscored_rows[i].size());
   });
   std::vector<double> var(max_k + 1, 0.0);
   for_each_row(pool, max_k + 1,

@@ -24,7 +24,6 @@
 #include "common/table.h"                  // IWYU pragma: export
 #include "common/time_grid.h"              // IWYU pragma: export
 #include "core/experiment.h"               // IWYU pragma: export
-#include "dsp/fft.h"                       // IWYU pragma: export
 #include "dsp/spectrum.h"                  // IWYU pragma: export
 #include "forecast/anomaly.h"              // IWYU pragma: export
 #include "forecast/metrics.h"              // IWYU pragma: export
@@ -47,7 +46,7 @@
 #include "traffic/mobility.h"              // IWYU pragma: export
 #include "traffic/mobility_trace.h"        // IWYU pragma: export
 #include "traffic/profiles.h"              // IWYU pragma: export
+#include "traffic/trace_codec.h"           // IWYU pragma: export
 #include "traffic/trace_generator.h"       // IWYU pragma: export
-#include "traffic/trace_io.h"              // IWYU pragma: export
 #include "viz/ascii_plot.h"                // IWYU pragma: export
 #include "viz/figure_export.h"             // IWYU pragma: export

@@ -23,8 +23,8 @@ double principal_energy_fraction(
   for (const auto& row : zscored)
     for (std::size_t s = 0; s < row.size(); ++s) mean[s] += row[s];
   for (auto& v : mean) v /= static_cast<double>(zscored.size());
-  const cellscope::Spectrum spectrum(mean);
-  return 1.0 - cellscope::energy_loss(mean, spectrum.reconstruct_principal());
+  return 1.0 -
+         cellscope::energy_loss(mean, cellscope::reconstruct_principal(mean));
 }
 
 }  // namespace

@@ -1,54 +1,95 @@
 #include "dsp/spectrum.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
 
 namespace cellscope {
 
-Spectrum::Spectrum(std::span<const double> series)
-    : coefficients_(fft_real(series)) {}
+namespace {
 
-const Complex& Spectrum::coefficient(std::size_t k) const {
-  CS_CHECK_MSG(k < coefficients_.size(), "frequency index out of range");
-  return coefficients_[k];
+/// e^{−2πij/N} for j < N.
+std::vector<Complex> roots_of_unity(std::size_t n) {
+  std::vector<Complex> roots(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double angle =
+        -2.0 * M_PI * static_cast<double>(j) / static_cast<double>(n);
+    roots[j] = Complex(std::cos(angle), std::sin(angle));
+  }
+  return roots;
 }
 
-double Spectrum::amplitude(std::size_t k) const {
-  return std::abs(coefficient(k));
+/// Steps a bin's table index from (k·t) mod N to (k·(t+1)) mod N.
+void advance(std::size_t& index, std::size_t k, std::size_t n) {
+  index += k;
+  if (index >= n) index -= n;
 }
 
-double Spectrum::normalized_amplitude(std::size_t k) const {
-  return 2.0 * amplitude(k) / static_cast<double>(size());
-}
-
-double Spectrum::phase(std::size_t k) const {
-  return std::arg(coefficient(k));
-}
-
-std::vector<double> Spectrum::amplitudes() const {
-  std::vector<double> out(size());
-  for (std::size_t k = 0; k < size(); ++k) out[k] = std::abs(coefficients_[k]);
+std::vector<Complex> evaluate(std::span<const double> series,
+                              std::span<const std::size_t> bins,
+                              const std::vector<Complex>& roots) {
+  const std::size_t n = series.size();
+  std::vector<Complex> out(bins.size());
+  std::vector<std::size_t> index(bins.size(), 0);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      out[b] += series[t] * roots[index[b]];
+      advance(index[b], bins[b], n);
+    }
+  }
   return out;
 }
 
-std::vector<double> Spectrum::reconstruct(
-    std::span<const std::size_t> keep) const {
-  const std::size_t n = size();
-  std::vector<Complex> masked(n, Complex(0.0, 0.0));
-  masked[0] = coefficients_[0];  // DC
-  for (const std::size_t k : keep) {
+void check_bins(std::size_t n, std::span<const std::size_t> bins) {
+  CS_CHECK_MSG(n > 0, "dft of empty series");
+  for (const std::size_t k : bins)
     CS_CHECK_MSG(k < n, "frequency index out of range");
-    masked[k] = coefficients_[k];
-    if (k != 0) masked[n - k] = coefficients_[n - k];  // conjugate mirror
-  }
-  return inverse_fft_real(masked);
 }
 
-std::vector<double> Spectrum::reconstruct_principal() const {
+}  // namespace
+
+std::vector<Complex> dft_bins(std::span<const double> series,
+                              std::span<const std::size_t> bins) {
+  check_bins(series.size(), bins);
+  return evaluate(series, bins, roots_of_unity(series.size()));
+}
+
+std::vector<double> reconstruct(std::span<const double> series,
+                                std::span<const std::size_t> keep) {
+  const std::size_t n = series.size();
+  check_bins(n, keep);
+  // DC, each kept bin and its conjugate mirror, each once.
+  std::vector<std::size_t> bins = {0};
+  for (const std::size_t k : keep) {
+    bins.push_back(k);
+    bins.push_back((n - k) % n);
+  }
+  std::sort(bins.begin(), bins.end());
+  bins.erase(std::unique(bins.begin(), bins.end()), bins.end());
+
+  const auto roots = roots_of_unity(n);
+  const auto coefficients = evaluate(series, bins, roots);
+  // x[t] = Re Σ_k X[k]·e^{+2πikt/N} / N, with e^{+2πikt/N} = conj(root).
+  std::vector<double> out(n);
+  std::vector<std::size_t> index(bins.size(), 0);
+  for (std::size_t t = 0; t < n; ++t) {
+    double acc = 0.0;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      const Complex& w = roots[index[b]];
+      acc += coefficients[b].real() * w.real() +
+             coefficients[b].imag() * w.imag();
+      advance(index[b], bins[b], n);
+    }
+    out[t] = acc / static_cast<double>(n);
+  }
+  return out;
+}
+
+std::vector<double> reconstruct_principal(std::span<const double> series) {
   const std::size_t keep[] = {kWeeklyComponent, kDailyComponent,
                               kHalfDailyComponent};
-  return reconstruct(keep);
+  return reconstruct(series, keep);
 }
 
 double signal_energy(std::span<const double> series) {

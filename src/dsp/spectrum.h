@@ -4,59 +4,52 @@
 // dominant components — k = 4 (one week), k = 28 (one day), k = 56 (half a
 // day) over the 4-week / 4032-sample grid — and that reconstructing from
 // just these (plus DC and conjugates) loses under 6 % of signal energy.
-// This module wraps the FFT with those operations: amplitude/phase
-// extraction, band-limited reconstruction, and energy-loss accounting.
+// Every consumer reads a handful of bins (the features three, Fig. 13 up
+// to k = 100), so this module evaluates the requested DFT bins directly
+// instead of transforming the whole series, and builds band-limited
+// reconstructions and energy-loss accounting on top of that one routine.
+//
+// Convention: X[k] = Σ_t x[t]·e^{−2πikt/N} (no scaling); reconstruction
+// divides by N, so keeping every bin returns the series.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
-
 namespace cellscope {
+
+using Complex = std::complex<double>;
 
 /// The paper's three principal frequency indices on the 4032-slot grid.
 inline constexpr std::size_t kWeeklyComponent = 4;     ///< period = 1 week
 inline constexpr std::size_t kDailyComponent = 28;     ///< period = 1 day
 inline constexpr std::size_t kHalfDailyComponent = 56; ///< period = 1/2 day
 
-/// The DFT of one traffic series with amplitude/phase accessors.
-class Spectrum {
- public:
-  /// Forward-transforms the series (any length >= 1).
-  explicit Spectrum(std::span<const double> series);
+/// DFT coefficients X[k] of a real series, one per entry of `bins`, in
+/// `bins` order; every k must be < N = series.size() (N >= 1). One pass
+/// over the series against one table of the N roots of unity, the table
+/// index (k·t) mod N stepped as an exact integer. Each bin sums in
+/// ascending t, so the result is the same on every ISA and pool size.
+/// O(N · bins.size()).
+std::vector<Complex> dft_bins(std::span<const double> series,
+                              std::span<const std::size_t> bins);
 
-  /// Raw DFT coefficient (k < size).
-  const Complex& coefficient(std::size_t k) const;
+/// 2|X[k]|/N — amplitude in the units of the time series (a pure
+/// sinusoid a·cos(...) of length N yields `a` at its frequency). Used for
+/// the Fig. 13 variance spectrum and the Fig. 15/16 features.
+inline double normalized_amplitude(const Complex& coefficient, std::size_t n) {
+  return 2.0 * std::abs(coefficient) / static_cast<double>(n);
+}
 
-  /// |X[k]| — raw amplitude.
-  double amplitude(std::size_t k) const;
+/// Reconstructs the series keeping only DC, the given frequency indices
+/// and their conjugate mirrors N − k — the paper's Xr (§5.1).
+std::vector<double> reconstruct(std::span<const double> series,
+                                std::span<const std::size_t> keep);
 
-  /// 2|X[k]|/N — amplitude in the units of the time series (a pure
-  /// sinusoid a·cos(...) yields `a` at its frequency). Used for the
-  /// Fig. 15/16 features.
-  double normalized_amplitude(std::size_t k) const;
-
-  /// arg X[k] in (-π, π].
-  double phase(std::size_t k) const;
-
-  /// Series length N.
-  std::size_t size() const { return coefficients_.size(); }
-
-  /// Full raw amplitude spectrum (|X[k]| for all k).
-  std::vector<double> amplitudes() const;
-
-  /// Reconstructs the time series keeping only the given frequency
-  /// indices, their conjugate mirrors, and DC — the paper's Xr (§5.1).
-  std::vector<double> reconstruct(std::span<const std::size_t> keep) const;
-
-  /// Reconstruction from the paper's three principal components.
-  std::vector<double> reconstruct_principal() const;
-
- private:
-  std::vector<Complex> coefficients_;
-};
+/// Reconstruction from the paper's three principal components.
+std::vector<double> reconstruct_principal(std::span<const double> series);
 
 /// Total signal energy sum x[n]².
 double signal_energy(std::span<const double> series);

@@ -24,12 +24,11 @@ std::vector<double> spectral_mean_week(std::span<const double> history,
   for (auto& v : week) v /= static_cast<double>(weeks);
 
   // Harmonic truncation: keep DC and the first keep_harmonics lines.
-  const Spectrum spectrum(week);
   std::vector<std::size_t> keep;
   const std::size_t max_k =
       std::min<std::size_t>(options.keep_harmonics, week.size() / 2);
   for (std::size_t k = 1; k <= max_k; ++k) keep.push_back(k);
-  auto smoothed = spectrum.reconstruct(keep);
+  auto smoothed = reconstruct(week, keep);
   // Traffic is non-negative; the truncation can undershoot near deep
   // valleys.
   for (auto& v : smoothed) v = std::max(0.0, v);

@@ -1,13 +1,12 @@
 // Internal per-ISA kernel entry points behind simd.h's dispatchers.
 //
-// Every ISA implements the same five kernels with identical IEEE
+// Every ISA implements the same three kernels with identical IEEE
 // semantics (see simd.h's bit-compatibility contract). The scalar TU is
 // the canonical reference; vector TUs are compiled with their ISA flags
 // plus -ffp-contract=off in their own translation units so no other code
 // needs non-baseline codegen.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 
 // CELLSCOPE_SIMD_ENABLE_AVX2 / _NEON are defined by src/simd/CMakeLists
@@ -24,11 +23,6 @@ void normalize_scalar(const double* v, std::size_t n, double mean, double sd,
                       double* out);
 void fold_mean_scalar(const double* row, std::size_t period, std::size_t folds,
                       double* out);
-void fft_butterfly_scalar(std::complex<double>* a, std::complex<double>* b,
-                          const std::complex<double>* w, std::size_t half);
-void complex_multiply_scalar(const std::complex<double>* x,
-                             const std::complex<double>* y,
-                             std::complex<double>* out, std::size_t n);
 
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
 bool cpu_has_avx2();
@@ -38,11 +32,6 @@ void normalize_avx2(const double* v, std::size_t n, double mean, double sd,
                     double* out);
 void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
                     double* out);
-void fft_butterfly_avx2(std::complex<double>* a, std::complex<double>* b,
-                        const std::complex<double>* w, std::size_t half);
-void complex_multiply_avx2(const std::complex<double>* x,
-                           const std::complex<double>* y,
-                           std::complex<double>* out, std::size_t n);
 #endif
 
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
@@ -52,11 +41,6 @@ void normalize_neon(const double* v, std::size_t n, double mean, double sd,
                     double* out);
 void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,
                     double* out);
-void fft_butterfly_neon(std::complex<double>* a, std::complex<double>* b,
-                        const std::complex<double>* w, std::size_t half);
-void complex_multiply_neon(const std::complex<double>* x,
-                           const std::complex<double>* y,
-                           std::complex<double>* out, std::size_t n);
 #endif
 
 }  // namespace cellscope::simd::detail

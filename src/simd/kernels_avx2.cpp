@@ -85,82 +85,6 @@ void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
   }
 }
 
-namespace {
-
-/// Lane-exact naive complex product of two packed pairs: for each
-/// complex lane, (re, im) = (xr·yr − xi·yi, xr·yi + xi·yr) with x's
-/// components broadcast from `vx` — operand order matches the scalar
-/// reference term for term.
-inline __m256d complex_mul_pd(__m256d vx, __m256d vy) {
-  const __m256d xr = _mm256_movedup_pd(vx);        // [xr0, xr0, xr1, xr1]
-  const __m256d xi = _mm256_permute_pd(vx, 0xF);   // [xi0, xi0, xi1, xi1]
-  const __m256d yswap = _mm256_permute_pd(vy, 0x5);  // [yi0, yr0, yi1, yr1]
-  // even lanes: xr·yr − xi·yi ; odd lanes: xr·yi + xi·yr
-  return _mm256_addsub_pd(_mm256_mul_pd(xr, vy), _mm256_mul_pd(xi, yswap));
-}
-
-}  // namespace
-
-void fft_butterfly_avx2(std::complex<double>* a, std::complex<double>* b,
-                        const std::complex<double>* w, std::size_t half) {
-  double* pa = reinterpret_cast<double*>(a);
-  double* pb = reinterpret_cast<double*>(b);
-  const double* pw = reinterpret_cast<const double*>(w);
-  std::size_t j = 0;
-  for (; j + 2 <= half; j += 2) {
-    const __m256d vb = _mm256_loadu_pd(pb + 2 * j);
-    const __m256d vw = _mm256_loadu_pd(pw + 2 * j);
-    // t1 = [br·wr, bi·wr], t2 = [bi·wi, br·wi]; addsub gives
-    // even: br·wr − bi·wi, odd: bi·wr + br·wi — the scalar (vr, vi)
-    // term for term, same operand order.
-    const __m256d t1 = _mm256_mul_pd(vb, _mm256_movedup_pd(vw));
-    const __m256d bswap = _mm256_permute_pd(vb, 0x5);  // [bi, br, ...]
-    const __m256d t2 = _mm256_mul_pd(bswap, _mm256_permute_pd(vw, 0xF));
-    const __m256d v = _mm256_addsub_pd(t1, t2);
-    const __m256d u = _mm256_loadu_pd(pa + 2 * j);
-    _mm256_storeu_pd(pa + 2 * j, _mm256_add_pd(u, v));
-    _mm256_storeu_pd(pb + 2 * j, _mm256_sub_pd(u, v));
-  }
-  for (; j < half; ++j) {
-    const double br = pb[2 * j];
-    const double bi = pb[2 * j + 1];
-    const double wr = pw[2 * j];
-    const double wi = pw[2 * j + 1];
-    const double vr = br * wr - bi * wi;
-    const double vi = bi * wr + br * wi;
-    const double ur = pa[2 * j];
-    const double ui = pa[2 * j + 1];
-    pa[2 * j] = ur + vr;
-    pa[2 * j + 1] = ui + vi;
-    pb[2 * j] = ur - vr;
-    pb[2 * j + 1] = ui - vi;
-  }
-}
-
-void complex_multiply_avx2(const std::complex<double>* x,
-                           const std::complex<double>* y,
-                           std::complex<double>* out, std::size_t n) {
-  const double* px = reinterpret_cast<const double*>(x);
-  const double* py = reinterpret_cast<const double*>(y);
-  double* po = reinterpret_cast<double*>(out);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d vx = _mm256_loadu_pd(px + 2 * i);
-    const __m256d vy = _mm256_loadu_pd(py + 2 * i);
-    _mm256_storeu_pd(po + 2 * i, complex_mul_pd(vx, vy));
-  }
-  for (; i < n; ++i) {
-    const double xr = px[2 * i];
-    const double xi = px[2 * i + 1];
-    const double yr = py[2 * i];
-    const double yi = py[2 * i + 1];
-    const double re = xr * yr - xi * yi;
-    const double im = xr * yi + xi * yr;
-    po[2 * i] = re;
-    po[2 * i + 1] = im;
-  }
-}
-
 }  // namespace cellscope::simd::detail
 
 #endif  // CELLSCOPE_SIMD_ENABLE_AVX2

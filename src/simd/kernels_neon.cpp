@@ -3,10 +3,7 @@
 // Same bit-compatibility construction as the AVX2 TU, two doubles per
 // vector: reductions vectorize across independent outputs (dot_4x8
 // keeps one accumulator chain per lane), elementwise kernels map op for op,
-// and no fused multiply-add intrinsics are used. NEON has no addsub, so
-// the complex kernels negate the cross-term lane with an exact ±1.0
-// multiply before a plain add — x − y and x + (−y) are the same IEEE
-// operation for finite inputs.
+// and no fused multiply-add intrinsics are used.
 #include "simd/kernels.h"
 
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
@@ -61,56 +58,6 @@ void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,
     double acc = 0.0;
     for (std::size_t f = 0; f < folds; ++f) acc += row[f * period + j];
     out[j] = acc / static_cast<double>(folds);
-  }
-}
-
-namespace {
-
-/// Naive complex product of one packed (re, im) pair per vector, term
-/// order matching the scalar reference: (xr·yr − xi·yi, xr·yi + xi·yr).
-inline float64x2_t complex_mul_f64(float64x2_t vx, float64x2_t vy) {
-  const float64x2_t sign = {-1.0, 1.0};  // exact: flips only the cross lane
-  const float64x2_t xr = vdupq_laneq_f64(vx, 0);
-  const float64x2_t xi = vdupq_laneq_f64(vx, 1);
-  const float64x2_t yswap = vextq_f64(vy, vy, 1);  // [yi, yr]
-  const float64x2_t t1 = vmulq_f64(xr, vy);        // [xr·yr, xr·yi]
-  const float64x2_t t2 = vmulq_f64(xi, yswap);     // [xi·yi, xi·yr]
-  return vaddq_f64(t1, vmulq_f64(t2, sign));
-}
-
-}  // namespace
-
-void fft_butterfly_neon(std::complex<double>* a, std::complex<double>* b,
-                        const std::complex<double>* w, std::size_t half) {
-  double* pa = reinterpret_cast<double*>(a);
-  double* pb = reinterpret_cast<double*>(b);
-  const double* pw = reinterpret_cast<const double*>(w);
-  const float64x2_t sign = {-1.0, 1.0};
-  for (std::size_t j = 0; j < half; ++j) {
-    const float64x2_t vb = vld1q_f64(pb + 2 * j);
-    const float64x2_t vw = vld1q_f64(pw + 2 * j);
-    // t1 = [br·wr, bi·wr], t2 = [bi·wi, br·wi] → v = (br·wr − bi·wi,
-    // bi·wr + br·wi), the scalar (vr, vi) term for term.
-    const float64x2_t t1 = vmulq_f64(vb, vdupq_laneq_f64(vw, 0));
-    const float64x2_t bswap = vextq_f64(vb, vb, 1);
-    const float64x2_t t2 = vmulq_f64(bswap, vdupq_laneq_f64(vw, 1));
-    const float64x2_t v = vaddq_f64(t1, vmulq_f64(t2, sign));
-    const float64x2_t u = vld1q_f64(pa + 2 * j);
-    vst1q_f64(pa + 2 * j, vaddq_f64(u, v));
-    vst1q_f64(pb + 2 * j, vsubq_f64(u, v));
-  }
-}
-
-void complex_multiply_neon(const std::complex<double>* x,
-                           const std::complex<double>* y,
-                           std::complex<double>* out, std::size_t n) {
-  const double* px = reinterpret_cast<const double*>(x);
-  const double* py = reinterpret_cast<const double*>(y);
-  double* po = reinterpret_cast<double*>(out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float64x2_t vx = vld1q_f64(px + 2 * i);
-    const float64x2_t vy = vld1q_f64(py + 2 * i);
-    vst1q_f64(po + 2 * i, complex_mul_f64(vx, vy));
   }
 }
 

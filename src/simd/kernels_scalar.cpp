@@ -35,47 +35,4 @@ void fold_mean_scalar(const double* row, std::size_t period, std::size_t folds,
   }
 }
 
-void fft_butterfly_scalar(std::complex<double>* a, std::complex<double>* b,
-                          const std::complex<double>* w, std::size_t half) {
-  // std::complex<double> is layout-compatible with double[2]
-  // ([complex.numbers.general]); the raw-double form keeps the product
-  // naive (no Annex G repair branch) so it matches the vector lanes on
-  // every input, finite or not.
-  double* pa = reinterpret_cast<double*>(a);
-  double* pb = reinterpret_cast<double*>(b);
-  const double* pw = reinterpret_cast<const double*>(w);
-  for (std::size_t j = 0; j < half; ++j) {
-    const double br = pb[2 * j];
-    const double bi = pb[2 * j + 1];
-    const double wr = pw[2 * j];
-    const double wi = pw[2 * j + 1];
-    const double vr = br * wr - bi * wi;
-    const double vi = bi * wr + br * wi;
-    const double ur = pa[2 * j];
-    const double ui = pa[2 * j + 1];
-    pa[2 * j] = ur + vr;
-    pa[2 * j + 1] = ui + vi;
-    pb[2 * j] = ur - vr;
-    pb[2 * j + 1] = ui - vi;
-  }
-}
-
-void complex_multiply_scalar(const std::complex<double>* x,
-                             const std::complex<double>* y,
-                             std::complex<double>* out, std::size_t n) {
-  const double* px = reinterpret_cast<const double*>(x);
-  const double* py = reinterpret_cast<const double*>(y);
-  double* po = reinterpret_cast<double*>(out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xr = px[2 * i];
-    const double xi = px[2 * i + 1];
-    const double yr = py[2 * i];
-    const double yi = py[2 * i + 1];
-    const double re = xr * yr - xi * yi;
-    const double im = xr * yi + xi * yr;
-    po[2 * i] = re;
-    po[2 * i + 1] = im;
-  }
-}
-
 }  // namespace cellscope::simd::detail

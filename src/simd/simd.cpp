@@ -148,37 +148,4 @@ void fold_mean(const double* row, std::size_t period, std::size_t folds,
   }
 }
 
-void fft_butterfly(std::complex<double>* a, std::complex<double>* b,
-                   const std::complex<double>* w, std::size_t half) {
-  switch (active_isa()) {
-#ifdef CELLSCOPE_SIMD_ENABLE_AVX2
-    case Isa::kAvx2:
-      return detail::fft_butterfly_avx2(a, b, w, half);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::fft_butterfly_neon(a, b, w, half);
-#endif
-    default:
-      return detail::fft_butterfly_scalar(a, b, w, half);
-  }
-}
-
-void complex_multiply(const std::complex<double>* x,
-                      const std::complex<double>* y,
-                      std::complex<double>* out, std::size_t n) {
-  switch (active_isa()) {
-#ifdef CELLSCOPE_SIMD_ENABLE_AVX2
-    case Isa::kAvx2:
-      return detail::complex_multiply_avx2(x, y, out, n);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::complex_multiply_neon(x, y, out, n);
-#endif
-    default:
-      return detail::complex_multiply_scalar(x, y, out, n);
-  }
-}
-
 }  // namespace cellscope::simd

@@ -1,12 +1,11 @@
 // Runtime-dispatched SIMD kernels for the analytics hot loops.
 //
-// The four scalar cores the profiler keeps pointing at — the blocked
-// pairwise-distance tile, per-row z-score normalization, the mean-week
-// fold, and the radix-2/Bluestein FFT inner loops — all dispatch through
-// this layer (DESIGN.md §12). The widest instruction set the CPU supports
-// is picked once at startup via cpuid (AVX2 on x86-64, NEON on aarch64),
-// overridable with CELLSCOPE_SIMD=scalar|avx2|neon|auto or force_isa()
-// from tests.
+// The three scalar cores the profiler keeps pointing at — the blocked
+// pairwise-distance tile, per-row z-score normalization and the
+// mean-week fold — all dispatch through this layer (DESIGN.md §12). The
+// widest instruction set the CPU supports is picked once at startup via
+// cpuid (AVX2 on x86-64, NEON on aarch64), overridable with
+// CELLSCOPE_SIMD=scalar|avx2|neon|auto or force_isa() from tests.
 //
 // The bit-compatibility contract: every kernel is vectorized WITHOUT
 // reassociating any floating-point reduction. Reductions keep their
@@ -16,14 +15,9 @@
 // op onto vector lanes. No FMA contraction is permitted in any kernel TU
 // (-ffp-contract=off, no FMA intrinsics), so for finite inputs every ISA
 // produces bit-identical results, pinned by the `-L par` and `-L simd`
-// suites. The single documented divergence: the scalar reference for the
-// complex kernels uses the naive (ac−bd, ad+bc) product, matching the
-// vector lanes exactly but bypassing libstdc++'s C99 Annex G non-finite
-// "repair" — NaN/Inf spectra differ from pre-SIMD releases (they were
-// garbage either way); finite spectra are unchanged bit for bit.
+// suites.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <optional>
 #include <string_view>
@@ -89,21 +83,5 @@ void normalize(const double* v, std::size_t n, double mean, double sd,
 /// classic `week[s % period] += row[s]` loop. `out` must not alias `row`.
 void fold_mean(const double* row, std::size_t period, std::size_t folds,
                double* out);
-
-/// One FFT butterfly sweep: for j in [0, half):
-///   v = b[j] · w[j]  (naive complex product: re = br·wr − bi·wi,
-///                     im = bi·wr + br·wi)
-///   a[j] = u + v;  b[j] = u − v  (u = old a[j])
-/// `a` and `b` are the two half-blocks of one radix-2 stage, `w` the
-/// per-stage twiddle table.
-void fft_butterfly(std::complex<double>* a, std::complex<double>* b,
-                   const std::complex<double>* w, std::size_t half);
-
-/// out[i] = x[i] · y[i] (naive complex product: re = xr·yr − xi·yi,
-/// im = xr·yi + xi·yr). `out` may alias `x` (the in-place Bluestein
-/// pointwise product).
-void complex_multiply(const std::complex<double>* x,
-                      const std::complex<double>* y,
-                      std::complex<double>* out, std::size_t n);
 
 }  // namespace cellscope::simd

@@ -211,23 +211,28 @@ ReplayStats replay_trace_file(const std::string& path,
     DecodedColumns cols;
     std::vector<TrafficLog> chunk;
     std::size_t skipped = 0;
+    std::size_t corrupt = 0;
     for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
       if (!reader.chunk_overlaps(i, options.filter)) {
         columnar::io_metrics().chunks_skipped->add(1);
         ++skipped;
         continue;
       }
-      if (options.bulk) {
-        if (!reader.read_chunk_columns(i, cols)) continue;  // corrupt
+      const bool intact = options.bulk ? reader.read_chunk_columns(i, cols)
+                                       : reader.read_chunk(i, chunk);
+      if (!intact) {
+        ++corrupt;
+      } else if (options.bulk) {
         run.batch_done(ingestor.ingest_columns(cols));
       } else {
-        if (!reader.read_chunk(i, chunk)) continue;  // corrupt
         ingestor.offer_batch(chunk);
         ingestor.drain(pool);
         run.batch_done(chunk.size());
       }
     }
+    record_chunk_corrupt_ratio(corrupt, reader.chunk_count() - skipped);
     run.span().annotate({"chunks_skipped", skipped});
+    run.span().annotate({"corrupt_chunks", corrupt});
   }
   run.span().annotate({"path", path});
   return run.finish();

@@ -104,7 +104,9 @@ struct FileReplayOptions {
 
 /// Streams a trace file through the ingestor via the codec layer —
 /// the full-scale ingest path. Corrupt chunks / malformed CSV lines are
-/// skipped and counted per the codec contract. Registers the same
+/// skipped and counted per the codec contract; a columnar replay records
+/// the trace_chunk_corrupt_ratio verdict over the chunks it read, on the
+/// bulk and the offer path alike. Registers the same
 /// stream.replay sentinels as replay_trace. Throws IoError when the file
 /// cannot be opened or its structure is invalid.
 ReplayStats replay_trace_file(const std::string& path,

@@ -1,5 +1,5 @@
 // Columnar binary trace format — the out-of-core counterpart of the CSV
-// trace (trace_io.h), built for full-paper scale (§2.1's 1.96 B tuples).
+// trace (trace_codec.h), built for full-paper scale (§2.1's 1.96 B tuples).
 //
 // On-disk layout (all integers little-endian; DESIGN.md §10):
 //

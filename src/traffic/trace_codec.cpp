@@ -1,6 +1,5 @@
 #include "traffic/trace_codec.h"
 
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -10,6 +9,7 @@
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -30,32 +30,23 @@ constexpr double kMaxRejectRatio = 0.01;
 
 constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
-/// Digits-only u64 parse matching the legacy strtoull semantics: rejects
-/// empty, signed, or non-numeric fields; saturates on 64-bit overflow.
-bool parse_u64_field(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (c < '0' || c > '9') return false;
-  const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (res.ec == std::errc::result_out_of_range)
-    out = std::numeric_limits<std::uint64_t>::max();
-  return true;
-}
-
+/// Fills `log` from the six cells; false when a numeric cell is not a
+/// decimal integer that fits its field (64-bit user and bytes, 32-bit
+/// tower and minutes) or the interval violates the half-open
+/// end >= start contract.
 bool fill_log(const std::string_view* cells, TrafficLog& log) {
-  std::uint64_t tower = 0;
-  std::uint64_t start = 0;
-  std::uint64_t end = 0;
-  if (!parse_u64_field(cells[0], log.user_id) ||
-      !parse_u64_field(cells[1], tower) || !parse_u64_field(cells[2], start) ||
-      !parse_u64_field(cells[3], end) || !parse_u64_field(cells[4], log.bytes) ||
-      // Out-of-range: ids/minutes that overflow their 32-bit fields, or
-      // an interval violating the half-open end >= start contract.
-      tower > kU32Max || start > kU32Max || end > kU32Max || end < start)
+  const auto user = parse_u64(cells[0]);
+  const auto tower = parse_u64(cells[1], 0, kU32Max);
+  const auto start = parse_u64(cells[2], 0, kU32Max);
+  const auto end = parse_u64(cells[3], 0, kU32Max);
+  const auto bytes = parse_u64(cells[4]);
+  if (!user || !tower || !start || !end || !bytes || *end < *start)
     return false;
-  log.tower_id = static_cast<std::uint32_t>(tower);
-  log.start_minute = static_cast<std::uint32_t>(start);
-  log.end_minute = static_cast<std::uint32_t>(end);
+  log.user_id = *user;
+  log.tower_id = static_cast<std::uint32_t>(*tower);
+  log.start_minute = static_cast<std::uint32_t>(*start);
+  log.end_minute = static_cast<std::uint32_t>(*end);
+  log.bytes = *bytes;
   log.address.assign(cells[5].data(), cells[5].size());
   return true;
 }
@@ -76,10 +67,14 @@ bool parse_trace_line(const std::string& line, TrafficLog& log,
   return fill_log(cells.data(), log);
 }
 
-/// Streaming CSV reader — the line-at-a-time successor of the legacy
-/// whole-file read_trace_csv, with identical reject accounting: the same
-/// counters, span annotations, and trace_reject_ratio verdict, recorded
-/// once when the stream is exhausted (or the reader is destroyed).
+/// Streaming CSV reader. Malformed rows (wrong column count, non-numeric
+/// fields) and out-of-range rows (a value overflowing its field,
+/// end_minute < start_minute) are skipped — never fatal — and counted on
+/// cellscope.io.rejected_lines; the counters, span annotations and the
+/// trace_reject_ratio verdict (failing above 1% rejected lines) are
+/// recorded once when the stream is exhausted (or the reader is
+/// destroyed). Semantic cleaning (duplicates, conflicts) remains the
+/// pipeline cleaner's job.
 class CsvTraceReader final : public TraceReader {
  public:
   CsvTraceReader(const std::string& path, std::size_t batch_records)
@@ -193,8 +188,7 @@ class MmapBatchReader final : public TraceReader {
 
  private:
   /// Per-file accounting, recorded once at end of stream: read/record
-  /// counters plus a corrupt-chunk quality verdict (the binary analogue
-  /// of the CSV trace_reject_ratio).
+  /// counters plus the corrupt-chunk quality verdict.
   void finalize() {
     if (finalized_) return;
     finalized_ = true;
@@ -207,16 +201,7 @@ class MmapBatchReader final : public TraceReader {
       span_->annotate({"chunks", chunks});
       span_->annotate({"corrupt_chunks", corrupt_});
     }
-    if (chunks > 0) {
-      auto result = obs::check_reject_ratio(corrupt_, chunks, kMaxRejectRatio);
-      obs::QualityBoard::instance().record(
-          {.check = "trace_chunk_corrupt_ratio",
-           .stage = "io.read_trace",
-           .severity = obs::Severity::kFail,
-           .passed = result.passed,
-           .value = result.value,
-           .detail = std::move(result.detail)});
-    }
+    record_chunk_corrupt_ratio(corrupt_, chunks);
     span_.reset();
   }
 
@@ -270,6 +255,18 @@ class BinTraceWriter final : public TraceWriter {
 };
 
 }  // namespace
+
+void record_chunk_corrupt_ratio(std::size_t corrupt, std::size_t chunks) {
+  if (chunks == 0) return;
+  auto result = obs::check_reject_ratio(corrupt, chunks, kMaxRejectRatio);
+  obs::QualityBoard::instance().record(
+      {.check = "trace_chunk_corrupt_ratio",
+       .stage = "io.read_trace",
+       .severity = obs::Severity::kFail,
+       .passed = result.passed,
+       .value = result.value,
+       .detail = std::move(result.detail)});
+}
 
 TraceCodec trace_codec_for_path(const std::string& path) {
   const auto dot = path.find_last_of('.');

@@ -9,8 +9,7 @@
 // replay harness, tests — can process a trace far larger than RAM
 // without ever holding more than one batch of records.
 //
-// read_trace/write_trace are the whole-file conveniences the legacy
-// trace_io entry points delegate to.
+// read_trace/write_trace are the whole-file conveniences.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,7 @@ namespace cellscope {
 /// Backend selector. kAuto routes by file extension.
 enum class TraceCodec {
   kAuto,    ///< by extension: .csv -> kCsv, .ctb/.bin -> kMmap (read) / kBinary (write)
-  kCsv,     ///< text CSV (trace_io.h format)
+  kCsv,     ///< text CSV with a header row
   kBinary,  ///< columnar binary (read through the mapped reader, as kMmap)
   kMmap,    ///< columnar binary via the mapped, indexed reader
 };
@@ -74,6 +73,13 @@ std::unique_ptr<TraceReader> open_trace_reader(
 std::unique_ptr<TraceWriter> open_trace_writer(
     const std::string& path, TraceCodec codec = TraceCodec::kAuto,
     std::size_t chunk_records = 65536);
+
+/// Records the "trace_chunk_corrupt_ratio" quality verdict — the binary
+/// analogue of the CSV trace_reject_ratio, failing when more than 1% of
+/// the `chunks` chunks read were corrupt. Every pass over a columnar file
+/// (the mapped reader, the stream replay) records it once; a file with no
+/// chunks records nothing.
+void record_chunk_corrupt_ratio(std::size_t corrupt, std::size_t chunks);
 
 /// Whole-file read through the selected codec (malformed rows / corrupt
 /// chunks are skipped and counted per the backend's contract).

@@ -15,8 +15,8 @@ namespace cellscope {
 ///
 /// Interval semantics: [start_minute, end_minute) — the start minute is
 /// inside the connection, the end minute is not, and end_minute >=
-/// start_minute always holds for well-formed records (trace_io rejects
-/// violations). A zero-length connection (end == start) is valid and
+/// start_minute always holds for well-formed records (the trace readers
+/// reject violations). A zero-length connection (end == start) is valid and
 /// carries its bytes like any other; binning attributes all bytes to the
 /// 10-minute slot containing start_minute, so a connection crossing
 /// midnight (or any slot boundary) still lands in exactly one slot.

@@ -96,8 +96,7 @@ TEST(Experiment, TimeDomainSignaturesMatchThePaper) {
 TEST(Experiment, AggregateSpectrumReconstructsWithLowLoss) {
   // Fig. 12: three components retain > 94 % of aggregate energy.
   const auto aggregate = shared_experiment().total_aggregate();
-  const Spectrum spectrum(aggregate);
-  EXPECT_LT(energy_loss(aggregate, spectrum.reconstruct_principal()), 0.06);
+  EXPECT_LT(energy_loss(aggregate, reconstruct_principal(aggregate)), 0.06);
 }
 
 TEST(Experiment, WeeklyPhasesSeparateOfficeFromResidentByPi) {

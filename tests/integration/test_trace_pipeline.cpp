@@ -12,7 +12,7 @@
 #include "pipeline/cleaner.h"
 #include "pipeline/vectorizer.h"
 #include "traffic/trace_generator.h"
-#include "traffic/trace_io.h"
+#include "traffic/trace_codec.h"
 
 namespace cellscope {
 namespace {
@@ -45,8 +45,8 @@ TEST_F(TracePipelineTest, FullChainRecoversGroundTruth) {
   const auto trace = generate_trace(towers_, *intensity_, options);
 
   // Persist and re-read (the unstructured-input path).
-  write_trace_csv(trace_path_.string(), trace.logs);
-  const auto reloaded = read_trace_csv(trace_path_.string());
+  write_trace(trace_path_.string(), trace.logs, TraceCodec::kCsv);
+  const auto reloaded = read_trace(trace_path_.string(), TraceCodec::kCsv);
   ASSERT_EQ(reloaded.size(), trace.logs.size());
 
   // Clean with address validation.

@@ -15,6 +15,7 @@
 #include "common/failpoint.h"
 #include "mapred/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/quality.h"
 #include "stream/ingestor.h"
 #include "stream/replay.h"
 #include "traffic/columnar.h"
@@ -104,17 +105,44 @@ TEST_F(IoFaultTest, InjectedCrcMismatchIsSkippedAndCounted) {
   EXPECT_EQ(decoded, tail);
 }
 
+/// The one trace_chunk_corrupt_ratio verdict on the board failed at
+/// `ratio`.
+void expect_corrupt_chunk_verdict(double ratio) {
+  std::size_t found = 0;
+  for (const auto& v : obs::QualityBoard::instance().verdicts()) {
+    if (v.check != "trace_chunk_corrupt_ratio") continue;
+    ++found;
+    EXPECT_EQ(v.severity, obs::Severity::kFail);
+    EXPECT_FALSE(v.passed);
+    EXPECT_DOUBLE_EQ(v.value, ratio);
+  }
+  EXPECT_EQ(found, 1u);
+}
+
 TEST_F(IoFaultTest, ReplayRidesThroughCorruptChunks) {
   const auto logs = sample_logs(4096);
   write_trace_bin(path("t.ctb"), logs, 256);  // 16 chunks
 
   ThreadPool pool(2);
   StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
+  auto& board = obs::QualityBoard::instance();
+  board.clear();
   fp::arm("trace.chunk.corrupt", 3);
   const auto stats = replay_trace_file(path("t.ctb"), ingestor, pool);
   EXPECT_EQ(fp::fire_count("trace.chunk.corrupt"), 3u);
   EXPECT_EQ(stats.records, logs.size() - 3 * 256);
   EXPECT_EQ(stats.ingest.accepted, logs.size() - 3 * 256);
+  expect_corrupt_chunk_verdict(3.0 / 16.0);
+
+  // The offer branch skips and counts the same way as the bulk default.
+  StreamIngestor offered(StreamConfig{.n_shards = 2, .queue_capacity = 0});
+  board.clear();
+  fp::arm("trace.chunk.corrupt", 3);
+  const auto offer_stats = replay_trace_file(
+      path("t.ctb"), offered, pool, FileReplayOptions{.bulk = false});
+  EXPECT_EQ(offer_stats.records, logs.size() - 3 * 256);
+  expect_corrupt_chunk_verdict(3.0 / 16.0);
+  board.clear();
 
   // The surviving state equals replaying the 13 intact chunks directly.
   StreamIngestor reference(StreamConfig{.n_shards = 2, .queue_capacity = 0});

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "traffic/columnar.h"
-#include "traffic/trace_io.h"
 #include "traffic/trace_mmap.h"
 
 namespace cellscope {
@@ -118,16 +117,10 @@ TEST_F(TraceCodecTest, StreamingReadersBatchAndReportCounts) {
 
 TEST_F(TraceCodecTest, CsvToBinToCsvIsByteIdentical) {
   const auto logs = sample_logs(2500);
-  write_trace_csv(path("a.csv"), logs);
+  write_trace(path("a.csv"), logs);
   write_trace(path("a.ctb"), read_trace(path("a.csv")), TraceCodec::kBinary);
-  write_trace_csv(path("b.csv"), read_trace(path("a.ctb")));
+  write_trace(path("b.csv"), read_trace(path("a.ctb")));
   EXPECT_EQ(slurp(path("a.csv")), slurp(path("b.csv")));
-}
-
-TEST_F(TraceCodecTest, LegacyEntryPointsStillWork) {
-  const auto logs = sample_logs(100);
-  write_trace_csv(path("t.csv"), logs);
-  EXPECT_EQ(read_trace_csv(path("t.csv")), logs);
 }
 
 TEST_F(TraceCodecTest, BitFlipSweepNeverCrashes) {

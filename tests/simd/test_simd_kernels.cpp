@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cmath>
-#include <complex>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -120,87 +119,6 @@ TEST(SimdKernels, FoldMeanMatchesModuloAccumulationOracle) {
       EXPECT_EQ(want, got)
           << "period=" << period << " isa=" << simd::isa_name(isa);
     }
-  }
-}
-
-TEST(SimdKernels, FftButterflyMatchesNaiveComplexOracle) {
-  using Complex = std::complex<double>;
-  for (const std::size_t half :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{64}}) {
-    Rng rng(25);
-    std::vector<Complex> a0(half), b0(half), w(half);
-    for (std::size_t j = 0; j < half; ++j) {
-      a0[j] = Complex(rng.normal(), rng.normal());
-      b0[j] = Complex(rng.normal(), rng.normal());
-      w[j] = Complex(rng.normal(), rng.normal());
-    }
-    // Oracle: v = b·w by the naive formula, then (u+v, u−v).
-    std::vector<Complex> want_a(half), want_b(half);
-    for (std::size_t j = 0; j < half; ++j) {
-      const double vr = b0[j].real() * w[j].real() -
-                        b0[j].imag() * w[j].imag();
-      const double vi = b0[j].imag() * w[j].real() +
-                        b0[j].real() * w[j].imag();
-      want_a[j] = Complex(a0[j].real() + vr, a0[j].imag() + vi);
-      want_b[j] = Complex(a0[j].real() - vr, a0[j].imag() - vi);
-    }
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      auto a = a0;
-      auto b = b0;
-      simd::fft_butterfly(a.data(), b.data(), w.data(), half);
-      for (std::size_t j = 0; j < half; ++j) {
-        EXPECT_EQ(want_a[j], a[j])
-            << "half=" << half << " isa=" << simd::isa_name(isa);
-        EXPECT_EQ(want_b[j], b[j])
-            << "half=" << half << " isa=" << simd::isa_name(isa);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, ComplexMultiplyMatchesNaiveOracle) {
-  using Complex = std::complex<double>;
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{33}}) {
-    Rng rng(26);
-    std::vector<Complex> x(n), y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = Complex(rng.normal(), rng.normal());
-      y[i] = Complex(rng.normal(), rng.normal());
-    }
-    // For finite operands libstdc++'s operator* is the same naive
-    // formula (the Annex G repair only fires on NaN results), so the
-    // std::complex product IS the oracle — exactly.
-    std::vector<Complex> want(n);
-    for (std::size_t i = 0; i < n; ++i) want[i] = x[i] * y[i];
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      std::vector<Complex> got(n);
-      simd::complex_multiply(x.data(), y.data(), got.data(), n);
-      EXPECT_EQ(want, got) << "n=" << n << " isa=" << simd::isa_name(isa);
-    }
-  }
-}
-
-TEST(SimdKernels, ComplexMultiplySupportsInPlaceUse) {
-  // Bluestein's pointwise product runs out == x; the kernels must read
-  // each element before writing it.
-  using Complex = std::complex<double>;
-  Rng rng(27);
-  std::vector<Complex> x(17), y(17);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = Complex(rng.normal(), rng.normal());
-    y[i] = Complex(rng.normal(), rng.normal());
-  }
-  for (const simd::Isa isa : sweep_isas()) {
-    ForcedIsa forced(isa);
-    std::vector<Complex> separate(x.size());
-    simd::complex_multiply(x.data(), y.data(), separate.data(), x.size());
-    auto in_place = x;
-    simd::complex_multiply(in_place.data(), y.data(), in_place.data(),
-                           in_place.size());
-    EXPECT_EQ(separate, in_place) << "isa=" << simd::isa_name(isa);
   }
 }
 

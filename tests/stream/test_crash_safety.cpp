@@ -20,7 +20,7 @@
 #include "obs/metrics.h"
 #include "stream/ingestor.h"
 #include "stream/snapshot.h"
-#include "traffic/trace_io.h"
+#include "traffic/trace_codec.h"
 
 namespace cellscope {
 namespace {
@@ -337,12 +337,15 @@ TEST_F(CrashSafetyTest, SubmitRejectFailpointFallsBackToInlineDrain) {
 
 TEST_F(CrashSafetyTest, TraceIoFailpointsInjectTypedIoErrors) {
   fp::arm("trace.write.fail", 1);
-  EXPECT_THROW(write_trace_csv(corrupt_path_, make_logs(1, 2, 5)), IoError);
+  EXPECT_THROW(
+      write_trace(corrupt_path_, make_logs(1, 2, 5), TraceCodec::kCsv),
+      IoError);
 
-  write_trace_csv(corrupt_path_, make_logs(1, 2, 5));  // charge consumed
+  // The charge is consumed.
+  write_trace(corrupt_path_, make_logs(1, 2, 5), TraceCodec::kCsv);
   fp::arm("trace.read.fail", 1);
-  EXPECT_THROW(read_trace_csv(corrupt_path_), IoError);
-  EXPECT_EQ(read_trace_csv(corrupt_path_).size(), 2u);
+  EXPECT_THROW(read_trace(corrupt_path_, TraceCodec::kCsv), IoError);
+  EXPECT_EQ(read_trace(corrupt_path_, TraceCodec::kCsv).size(), 2u);
 }
 
 }  // namespace

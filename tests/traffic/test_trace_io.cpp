@@ -1,4 +1,4 @@
-#include "traffic/trace_io.h"
+#include "traffic/trace_codec.h"
 
 #include <gtest/gtest.h>
 
@@ -34,8 +34,8 @@ std::vector<TrafficLog> sample_logs() {
 }
 
 TEST_F(TraceIoTest, RoundTripsLogs) {
-  write_trace_csv(path(), sample_logs());
-  const auto logs = read_trace_csv(path());
+  write_trace(path(), sample_logs(), TraceCodec::kCsv);
+  const auto logs = read_trace(path(), TraceCodec::kCsv);
   ASSERT_EQ(logs.size(), 3u);
   EXPECT_EQ(logs[0], sample_logs()[0]);
   EXPECT_EQ(logs[1], sample_logs()[1]);
@@ -43,7 +43,7 @@ TEST_F(TraceIoTest, RoundTripsLogs) {
 }
 
 TEST_F(TraceIoTest, WritesHeaderRow) {
-  write_trace_csv(path(), {});
+  write_trace(path(), {}, TraceCodec::kCsv);
   std::ifstream in(path());
   std::string header;
   std::getline(in, header);
@@ -59,7 +59,7 @@ TEST_F(TraceIoTest, SkipsStructurallyBrokenRows) {
     out << "x,2,3,4,5,addr\n";          // non-numeric user id
     out << "9,8,6,7,5,addr2\n";         // good
   }
-  const auto logs = read_trace_csv(path());
+  const auto logs = read_trace(path(), TraceCodec::kCsv);
   ASSERT_EQ(logs.size(), 2u);
   EXPECT_EQ(logs[0].user_id, 1u);
   EXPECT_EQ(logs[1].user_id, 9u);
@@ -76,13 +76,15 @@ TEST_F(TraceIoTest, SkipsOutOfRangeRowsAndCountsRejects) {
     out << "1,2,9,4,5,addr\n";                    // end < start
     out << "1,4294967296,3,4,5,addr\n";           // tower overflows u32
     out << "1,2,4294967296,4294967297,5,addr\n";  // minutes overflow u32
+    out << "18446744073709551616,2,3,4,5,addr\n";  // user overflows u64
+    out << "1,2,3,4,18446744073709551616,addr\n";  // bytes overflow u64
     out << "2,3,10,10,0,addr\n";                  // good (zero-length)
   }
-  const auto logs = read_trace_csv(path());
+  const auto logs = read_trace(path(), TraceCodec::kCsv);
   ASSERT_EQ(logs.size(), 2u);
   EXPECT_EQ(logs[1].duration_minutes(), 0u);
   EXPECT_EQ(registry.counter("cellscope.io.rejected_lines").value(),
-            rejected_before + 3);
+            rejected_before + 5);
 }
 
 TEST_F(TraceIoTest, HighRejectRatioRecordsFailingVerdict) {
@@ -94,7 +96,7 @@ TEST_F(TraceIoTest, HighRejectRatioRecordsFailingVerdict) {
     out << "1,2,3,4,5,addr\n";      // good
     out << "garbage\n";             // rejected: 50% > the 1% bound
   }
-  read_trace_csv(path());
+  read_trace(path(), TraceCodec::kCsv);
   const auto verdicts = board.verdicts();
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].check, "trace_reject_ratio");
@@ -107,8 +109,8 @@ TEST_F(TraceIoTest, HighRejectRatioRecordsFailingVerdict) {
 TEST_F(TraceIoTest, CleanFileRecordsPassingVerdict) {
   auto& board = obs::QualityBoard::instance();
   board.clear();
-  write_trace_csv(path(), sample_logs());
-  read_trace_csv(path());
+  write_trace(path(), sample_logs(), TraceCodec::kCsv);
+  read_trace(path(), TraceCodec::kCsv);
   const auto verdicts = board.verdicts();
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_TRUE(verdicts[0].passed);
@@ -138,16 +140,11 @@ TEST(TrafficLogSemantics, CrossMidnightConnectionHasPlainDifference) {
 
 TEST_F(TraceIoTest, EmptyFileYieldsNoLogs) {
   { std::ofstream out(path()); }
-  EXPECT_TRUE(read_trace_csv(path()).empty());
-}
-
-TEST(TraceIo, TotalBytesSums) {
-  EXPECT_EQ(total_bytes(sample_logs()), 123456u + 999u + 1u);
-  EXPECT_EQ(total_bytes({}), 0u);
+  EXPECT_TRUE(read_trace(path(), TraceCodec::kCsv).empty());
 }
 
 TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(read_trace_csv("/no/such/file.csv"), IoError);
+  EXPECT_THROW(read_trace("/no/such/file.csv", TraceCodec::kCsv), IoError);
 }
 
 }  // namespace
