@@ -21,11 +21,11 @@
 // Flags (all optional):
 //   --port=N          listen port on 127.0.0.1 (default 8080, 0 = ephemeral)
 //   --workers=N       serving worker threads (default 4)
-//   --max-pending=N   admission-queue capacity (default 64)
-//   --towers=N        synthetic city size (default 200)
+//   --max-pending=N   admission-queue capacity, >= 1 (default 64)
+//   --towers=N        synthetic city size, >= 20 (default 200)
 //   --records=N       records per ingest round (default 200000)
 //   --rounds=N        ingest rounds; 0 = run until a signal (default 0)
-//   --batch=N         offer_batch size (default 8192)
+//   --batch=N         offer_batch size, >= 1 (default 8192)
 //   --pause-ms=N      sleep between rounds (default 500)
 //   --trace=PATH      ingest this trace file once instead of synthesizing
 //   --checkpoint=PATH flush a final stream snapshot here on shutdown
@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
     if (auto v = examples::flag_u64(arg, "--port", 0, 65535))
       port = static_cast<std::uint16_t>(*v);
     else if (auto v = examples::flag_u64(arg, "--workers", 1)) workers = *v;
-    else if (auto v = examples::flag_u64(arg, "--max-pending"))
+    else if (auto v = examples::flag_u64(arg, "--max-pending", 1))
       max_pending = *v;
-    else if (auto v = examples::flag_u64(arg, "--towers")) n_towers = *v;
+    else if (auto v = examples::flag_u64(arg, "--towers", 20, UINT32_MAX))
+      n_towers = *v;
     else if (auto v = examples::flag_u64(arg, "--records")) n_records = *v;
     else if (auto v = examples::flag_u64(arg, "--rounds")) rounds = *v;
-    else if (auto v = examples::flag_u64(arg, "--batch")) batch = *v;
+    else if (auto v = examples::flag_u64(arg, "--batch", 1)) batch = *v;
     else if (auto v = examples::flag_u64(arg, "--pause-ms")) pause_ms = *v;
     else if (arg.starts_with("--trace="))
       trace_path = arg.substr(8);

@@ -11,10 +11,10 @@
 //   $ ./stream_replay --metrics-interval-ms=500 --metrics-jsonl=m.jsonl
 //
 // Flags (all optional):
-//   --towers=N              city size (default 400)
+//   --towers=N              city size, >= 20 (default 400)
 //   --records=N             records per round (default 1000000)
 //   --rounds=N              replay rounds (default 4)
-//   --batch=N               offer_batch size (default 8192)
+//   --batch=N               offer_batch size, >= 1 (default 8192)
 //   --skew=N                arrival-order reorder radius (default 64)
 //   --late=F                late-tail fraction in [0,1] (default 0.01)
 //   --classify-every=N      classify pass cadence in batches (default 16)
@@ -84,10 +84,11 @@ int main(int argc, char** argv) {
   options.classify_every_batches = 16;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (auto v = examples::flag_u64(arg, "--towers")) n_towers = *v;
+    if (auto v = examples::flag_u64(arg, "--towers", 20, UINT32_MAX))
+      n_towers = *v;
     else if (auto v = examples::flag_u64(arg, "--records")) n_records = *v;
     else if (auto v = examples::flag_u64(arg, "--rounds")) rounds = *v;
-    else if (auto v = examples::flag_u64(arg, "--batch"))
+    else if (auto v = examples::flag_u64(arg, "--batch", 1))
       options.batch_size = *v;
     else if (auto v = examples::flag_u64(arg, "--skew"))
       options.skew_window = *v;

@@ -27,12 +27,17 @@ void for_each_row(ThreadPool* pool, std::size_t n,
 }  // namespace
 
 FreqFeatures compute_freq_features(std::span<const double> zscored_series) {
-  CS_CHECK_MSG(zscored_series.size() == TimeGrid::kSlots,
-               "frequency features need a 4032-slot series");
-  const std::size_t bins[] = {kWeeklyComponent, kDailyComponent,
-                              kHalfDailyComponent};
-  const auto x = dft_bins(zscored_series, bins);
   const std::size_t n = zscored_series.size();
+  CS_CHECK_MSG(n == TimeGrid::kSlots || n == TimeGrid::kSlotsPerWeek,
+               "frequency features need a 4032-slot series or a 1008-slot "
+               "week");
+  // A week's bin k/4 is a quarter of its four-fold tiling's bin k, and
+  // the week is a quarter as long: same normalized amplitude and phase.
+  const std::size_t scale = TimeGrid::kSlots / n;
+  const std::size_t bins[] = {kWeeklyComponent / scale,
+                              kDailyComponent / scale,
+                              kHalfDailyComponent / scale};
+  const auto x = dft_bins(zscored_series, bins);
   FreqFeatures f;
   f.amp_week = normalized_amplitude(x[0], n);
   f.phase_week = std::arg(x[0]);

@@ -32,7 +32,9 @@ struct FreqFeatures {
   }
 };
 
-/// Extracts the features of one z-scored traffic series.
+/// Extracts the features of one z-scored traffic series: the 4032-slot
+/// grid, or one 1008-slot week, read as its own four-fold tiling (bins
+/// k·N/4032 — 1, 7 and 14 on a week). Any other length throws.
 FreqFeatures compute_freq_features(std::span<const double> zscored_series);
 
 /// Batch extraction for all rows. Rows are independent, so a pool

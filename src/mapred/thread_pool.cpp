@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "common/error.h"
-#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -24,13 +23,11 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since,
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t n_threads, std::size_t max_queue)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(std::size_t n_threads) {
   CS_CHECK_MSG(n_threads >= 1, "thread pool needs at least one worker");
   auto& registry = obs::MetricsRegistry::instance();
   metric_submitted_ = &registry.counter("cellscope.mapred.tasks_submitted");
   metric_completed_ = &registry.counter("cellscope.mapred.tasks_completed");
-  metric_rejected_ = &registry.counter("cellscope.mapred.tasks_rejected");
   metric_queue_depth_ = &registry.gauge("cellscope.mapred.queue_depth");
   busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) busy_ns_[i].store(0);
@@ -45,55 +42,19 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_.notify_all();
-  cv_space_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::enqueue_locked(QueuedTask queued) {
-  auto future = queued.done.get_future();
-  tasks_.push(std::move(queued));
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  metric_submitted_->add(1);
-  metric_queue_depth_->add(1);
-  return future;
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
-  std::future<void> future;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    CS_CHECK_MSG(!stopping_, "submit on a stopping pool");
-    if (max_queue_ > 0)
-      cv_space_.wait(lock, [this] {
-        return stopping_ || tasks_.size() < max_queue_;
-      });
-    CS_CHECK_MSG(!stopping_, "submit on a stopping pool");
-    future = enqueue_locked(std::move(queued));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-std::optional<std::future<void>> ThreadPool::try_submit(
-    std::function<void()> task) {
-  // Simulated admission rejection: exercises every caller's fallback
-  // (caller-runs draining, inline folds) without needing a genuinely
-  // saturated queue — the fault suite's handle on backpressure paths.
-  if (CS_FAILPOINT("mapred.submit.reject")) {
-    metric_rejected_->add(1);
-    return std::nullopt;
-  }
-  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
-  std::future<void> future;
+  auto future = queued.done.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    CS_CHECK_MSG(!stopping_, "try_submit on a stopping pool");
-    if (max_queue_ > 0 && tasks_.size() >= max_queue_) {
-      metric_rejected_->add(1);
-      return std::nullopt;
-    }
-    future = enqueue_locked(std::move(queued));
+    CS_CHECK_MSG(!stopping_, "submit on a stopping pool");
+    tasks_.push(std::move(queued));
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    metric_submitted_->add(1);
+    metric_queue_depth_->add(1);
   }
   cv_.notify_one();
   return future;
@@ -132,7 +93,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       queued = std::move(tasks_.front());
       tasks_.pop();
     }
-    if (max_queue_ > 0) cv_space_.notify_one();
     const auto started = std::chrono::steady_clock::now();
     queue_wait_ns_.fetch_add(elapsed_ns(queued.enqueued, started),
                              std::memory_order_relaxed);

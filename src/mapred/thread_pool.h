@@ -16,7 +16,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -44,12 +43,9 @@ struct ThreadPoolStats {
 class ThreadPool {
  public:
   /// Spawns `n_threads` workers; throws cellscope::Error when n_threads
-  /// is 0 (a zero-worker pool would hang every submit forever).
-  /// `max_queue` bounds the pending-task queue: 0 (default) grows the
-  /// queue without limit; a positive bound makes submit() block until a
-  /// worker frees a slot and try_submit() reject instead — backpressure
-  /// for producers like the stream ingestor (DESIGN.md §9).
-  explicit ThreadPool(std::size_t n_threads, std::size_t max_queue = 0);
+  /// is 0 (a zero-worker pool would hang every submit forever). The task
+  /// queue is unbounded.
+  explicit ThreadPool(std::size_t n_threads);
 
   /// Joins all workers; pending tasks are completed first.
   ~ThreadPool();
@@ -58,20 +54,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task; the future resolves when it completes (exceptions
-  /// propagate through the future). On a bounded pool this blocks while
-  /// the queue is full.
+  /// propagate through the future).
   std::future<void> submit(std::function<void()> task);
-
-  /// Non-blocking admission: enqueues like submit() when the queue has
-  /// room and returns the future; returns nullopt (and bumps
-  /// cellscope.mapred.tasks_rejected) when a bound is configured and the
-  /// queue is full. Callers handle rejection by running the task inline
-  /// or retrying later — explicit backpressure instead of unbounded
-  /// queue growth. Unbounded pools always accept.
-  std::optional<std::future<void>> try_submit(std::function<void()> task);
-
-  /// The configured queue bound (0 = unbounded).
-  std::size_t max_queue() const { return max_queue_; }
 
   /// Pending tasks not yet picked up by a worker.
   std::size_t queue_depth() const;
@@ -97,15 +81,10 @@ class ThreadPool {
 
   void worker_loop(std::size_t worker_index);
 
-  /// Enqueues under the lock; shared tail of submit()/try_submit().
-  std::future<void> enqueue_locked(QueuedTask queued);
-
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> tasks_;
-  std::size_t max_queue_ = 0;  // 0 = unbounded
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable cv_space_;  // signaled when a bounded queue drains
   bool stopping_ = false;
 
   // Pool-local stats (relaxed atomics; snapshotted by stats()).
@@ -117,7 +96,6 @@ class ThreadPool {
   // Process-global metrics (registered once, hot-path cached).
   obs::Counter* metric_submitted_;
   obs::Counter* metric_completed_;
-  obs::Counter* metric_rejected_;
   obs::Gauge* metric_queue_depth_;
 };
 

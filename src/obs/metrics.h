@@ -208,7 +208,8 @@ class MetricsRegistry {
   /// globally by exposed name. Dots in metric names become underscores;
   /// gauges additionally expose their high-watermark as `<name>_max`;
   /// histograms follow the cumulative `_bucket{le=...}` / `_sum` /
-  /// `_count` convention. Served by /metrics (obs/introspect.h).
+  /// `_count` convention. Served by the query daemon's /metrics
+  /// (server/query_service.h).
   std::string snapshot_prometheus() const;
 
   /// Zeroes every registered metric (tests and bench reports).

@@ -22,14 +22,15 @@
 #include <string>
 #include <string_view>
 
-#include "obs/introspect.h"
-
 namespace cellscope::server {
 
-/// Responses reuse the endpoint registry's shape so query-service
-/// handlers and obs handlers compose (the daemon falls back to the
-/// registry for /metrics, /healthz, /stream).
-using obs::HttpResponse;
+/// One HTTP response. Handlers fill status/content_type/body;
+/// serialize_response adds the status line and framing headers.
+struct HttpResponse {
+  int status = 200;
+  std::string content_type = "text/plain; charset=utf-8";
+  std::string body;
+};
 
 /// One parsed request. Header names are lowercased; values are trimmed.
 struct HttpRequest {

@@ -12,6 +12,7 @@
 #include "common/string_util.h"
 #include "common/time_grid.h"
 #include "obs/metrics.h"
+#include "obs/quality.h"
 
 namespace cellscope::server {
 
@@ -40,6 +41,21 @@ HttpResponse error_response(int status, std::string_view message) {
   // body stays valid JSON no matter what e.what() contains.
   return json_response(status,
                        "{\"error\":\"" + obs::json_escape(message) + "\"}");
+}
+
+/// The /healthz body: quality-sentinel tallies plus every verdict; 503
+/// once any check has failed, so the endpoint doubles as a readiness
+/// probe.
+HttpResponse healthz_response() {
+  const auto& board = obs::QualityBoard::instance();
+  const bool ok = board.ok();
+  return json_response(
+      ok ? 200 : 503,
+      std::string("{\"ok\":") + (ok ? "true" : "false") +
+          ",\"passed\":" + std::to_string(board.passed()) +
+          ",\"warned\":" + std::to_string(board.warned()) +
+          ",\"failed\":" + std::to_string(board.failed()) +
+          ",\"verdicts\":" + board.verdicts_json() + "}");
 }
 
 std::string classification_json(const Classification& c,
@@ -146,12 +162,20 @@ HttpResponse QueryService::dispatch(const HttpRequest& request,
       response = request.method == "GET"
                      ? handle_stats()
                      : error_response(405, "only GET is supported");
-    } else if (request.method == "GET") {
-      // The introspection endpoints (/metrics, /metrics.json, /healthz,
-      // /stream) plus the registry's 404 for the rest.
-      response = obs::EndpointRegistry::instance().handle(request.path);
-    } else {
+    } else if (request.method != "GET") {
       response = error_response(405, "only GET is supported");
+    } else if (request.path == "/metrics") {
+      response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+      response.body = obs::MetricsRegistry::instance().snapshot_prometheus();
+    } else if (request.path == "/metrics.json") {
+      response =
+          json_response(200, obs::MetricsRegistry::instance().snapshot_json());
+    } else if (request.path == "/healthz") {
+      response = healthz_response();
+    } else if (request.path == "/stream") {
+      response = json_response(200, ingestor_.status_json());
+    } else {
+      response = error_response(404, "no such endpoint: " + request.path);
     }
   } catch (const std::exception& e) {
     ServerMetrics::instance().errors_500->add(1);
@@ -322,15 +346,10 @@ HttpResponse QueryService::handle_classify(const HttpRequest& request) const {
   json += ",\"distance\":" + json_double(best);
 
   if (snapshot.has_primaries) {
-    // Convex weights over the four primary components (§5.3): the posted
-    // week is periodic by construction, so tiling it across the 4-week
-    // grid reconstructs the month-long signal whose DFT carries the
-    // (A28, P28, A56) feature the decomposition is defined on.
-    std::vector<double> tiled;
-    tiled.reserve(TimeGrid::kSlots);
-    for (int rep = 0; rep < TimeGrid::kDays / TimeGrid::kDaysPerWeek; ++rep)
-      tiled.insert(tiled.end(), folded.begin(), folded.end());
-    const auto feature = compute_freq_features(tiled).qp_feature();
+    // Convex weights over the four primary components (§5.3), on the
+    // (A28, P28, A56) feature of the posted week read as its own
+    // four-fold tiling.
+    const auto feature = compute_freq_features(folded).qp_feature();
     const auto decomposition =
         decompose_feature(feature, snapshot.primary_features);
     json += ",\"weights\":[";

@@ -14,9 +14,13 @@
 //   GET  /stats                    serving-plane view: per-endpoint
 //                                  request counts and latency quantiles,
 //                                  shed counters, model epoch, ingest
-//   GET  <anything else>           falls back to the obs endpoint
-//                                  registry (/metrics, /metrics.json,
-//                                  /healthz, /stream), then 404
+//   GET  /metrics                  Prometheus text of the MetricsRegistry
+//   GET  /metrics.json             the registry's JSON snapshot
+//   GET  /healthz                  QualityBoard verdicts; 200, or 503
+//                                  once any check has failed
+//   GET  /stream                   this service's ingestor: per-shard
+//                                  queue depth, drops, watermarks, lag
+//   GET  <anything else>           404
 //
 // Model publication is RCU-style: publish_model() swaps a
 // shared_ptr<const OnlineClassifier> under a lock held for just the
@@ -49,7 +53,7 @@ class ThreadPool;
 namespace cellscope::server {
 
 /// Endpoint families, for per-endpoint latency attribution. kOther
-/// covers the introspection fallback and 404s.
+/// covers /metrics, /metrics.json, /healthz, /stream and 404s.
 enum class Endpoint {
   kClass = 0,
   kWindow,

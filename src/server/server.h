@@ -1,12 +1,11 @@
 // The query daemon's socket layer (DESIGN.md §11) — the repo's one
 // HTTP listener: a multi-client HTTP/1.1 loop over a worker pool that
-// serves the query endpoints and the obs endpoint registry alike.
+// serves every QueryService endpoint, introspection ones included.
 //
 // Threading model: one acceptor thread plus `workers` worker threads.
 // The acceptor admits connections into a bounded FIFO (the admission
-// queue — the same bounded-queue backpressure idea as
-// mapred::ThreadPool); each worker pops one connection and owns it for
-// its whole keep-alive lifetime, so a request never migrates threads and
+// queue); each worker pops one connection and owns it for its whole
+// keep-alive lifetime, so a request never migrates threads and
 // per-connection state needs no locking. Pipelined requests on one
 // connection are answered in order from the same buffer.
 //

@@ -5,8 +5,6 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "obs/introspect.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace_sample.h"
@@ -118,21 +116,6 @@ StreamIngestor::StreamIngestor(StreamConfig config) : config_(config) {
                                           obs::pow2_minute_buckets());
   metric_apply_ms_ = &registry.histogram("cellscope.stream.record_apply_ms");
   metric_e2e_ms_ = &registry.histogram("cellscope.stream.record_e2e_ms");
-  // Live shard view; the destructor's remove_handler drains any in-flight
-  // request before `this` goes away.
-  obs::EndpointRegistry::instance().set_handler(
-      "/stream",
-      [this] {
-        obs::HttpResponse response;
-        response.content_type = "application/json";
-        response.body = status_json();
-        return response;
-      },
-      this);
-}
-
-StreamIngestor::~StreamIngestor() {
-  obs::EndpointRegistry::instance().remove_handler("/stream", this);
 }
 
 std::uint32_t StreamIngestor::Shard::find(std::uint32_t tower_id) const {
@@ -367,31 +350,19 @@ void StreamIngestor::drain_shard(Shard& shard) {
 
 void StreamIngestor::drain(ThreadPool& pool) {
   obs::ScopedTimer timer;
-  // One task per shard; a pool rejection (bounded queue full) degrades to
-  // draining that shard inline — caller-runs backpressure.
   std::vector<std::future<void>> futures;
   futures.reserve(shards_.size());
-  std::size_t inline_drains = 0;
   for (auto& shard : shards_) {
     {
       std::lock_guard<std::mutex> lock(shard->queue_mutex);
       if (shard->pending.empty()) continue;
     }
     Shard* target = shard.get();
-    auto future = pool.try_submit([this, target] { drain_shard(*target); });
-    if (future.has_value()) {
-      futures.push_back(std::move(*future));
-    } else {
-      drain_shard(*target);
-      ++inline_drains;
-    }
+    futures.push_back(pool.submit([this, target] { drain_shard(*target); }));
   }
   for (auto& f : futures) f.get();
   metric_drains_->add(1);
   metric_drain_ms_->observe(timer.elapsed_ms());
-  if (inline_drains > 0)
-    obs::log_debug("stream.drain_backpressure",
-                   {{"inline_shards", inline_drains}});
 }
 
 void StreamIngestor::note_classify_pass() const {

@@ -5,11 +5,9 @@
 // per-shard lock-striped pending queues by tower id (a tower's window
 // lives in exactly one shard, so window application never takes a
 // cross-shard lock). drain() moves pending records into the per-tower
-// TowerWindow accumulators on the shared mapred::ThreadPool, using
-// try_submit so a saturated pool degrades to inline draining (caller-runs
-// backpressure) instead of growing queues without bound. A full shard
-// queue drops the record and says so — explicit drop accounting, never
-// silent loss or unbounded memory.
+// TowerWindow accumulators on the shared mapred::ThreadPool, one task per
+// shard. A full shard queue drops the record and says so — explicit drop
+// accounting, never silent loss or unbounded memory.
 //
 // One ingest path: offer_batch (and offer, a one-record offer_batch) and
 // the fused bulk ingest_columns share one arrival pass (watermarks,
@@ -32,8 +30,8 @@
 // a record's start is), each drain a processing-latency histogram
 // (offer() to window application, stamped per offer batch), and each
 // classify pass an end-to-end latency observation (oldest applied-but-
-// unclassified offer to classification) — the live signals the /stream
-// introspection endpoint and the watermark sentinels read.
+// unclassified offer to classification) — the live signals status_json()
+// (the query daemon's /stream body) and the watermark sentinels read.
 //
 // Metrics: cellscope.stream.{records_offered, records_accepted,
 // records_dropped, records_late, records_stale, drain_batches} counters,
@@ -133,7 +131,6 @@ struct ShardStats {
 class StreamIngestor {
  public:
   explicit StreamIngestor(StreamConfig config = {});
-  ~StreamIngestor();
 
   /// Pre-creates an empty window per tower so silent towers still appear
   /// in folded_vectors()/classify_all() (as cold-start rows).
@@ -162,10 +159,8 @@ class StreamIngestor {
   std::size_t ingest_columns(const DecodedColumns& cols);
 
   /// Drains every shard's pending queue into its windows, one pool task
-  /// per shard via try_submit (rejected shards drain inline on the
-  /// caller — backpressure). Blocks until every queued record at entry
-  /// has been applied. Thread-safe; concurrent drains serialize per
-  /// shard.
+  /// per non-empty shard. Blocks until every queued record at entry has
+  /// been applied. Thread-safe; concurrent drains serialize per shard.
   void drain(ThreadPool& pool);
 
   /// Records queued but not yet applied, summed over shards.
@@ -176,7 +171,7 @@ class StreamIngestor {
   /// Per-shard live view, ascending by shard index.
   std::vector<ShardStats> shard_stats() const;
 
-  /// The /stream endpoint body: one JSON object with the global totals
+  /// The query daemon's /stream body: one JSON object with the global totals
   /// (stats() plus pending) and a "shards" array of shard_stats().
   std::string status_json() const;
 

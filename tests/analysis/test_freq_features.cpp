@@ -57,6 +57,26 @@ TEST(FreqFeatures, BatchMatchesSingle) {
               compute_freq_features(rows[1]).amp_half_day, 1e-12);
 }
 
+TEST(FreqFeatures, WeekReadsTheBinsOfItsFourFoldTiling) {
+  // Bins 4, 28 and 56 repeat every week, so the grid is its first week
+  // tiled four times, and the week's bins 1, 7 and 14 carry the same
+  // amplitudes and phases.
+  auto x = tone(4, 0.5, 0.3);
+  const auto day = tone(28, 1.5, -1.0);
+  const auto half = tone(56, 0.8, 2.0);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] += day[i] + half[i];
+  const std::vector<double> week(x.begin(),
+                                 x.begin() + TimeGrid::kSlotsPerWeek);
+  const auto month = compute_freq_features(x);
+  const auto f = compute_freq_features(week);
+  EXPECT_NEAR(f.amp_week, month.amp_week, 1e-12);
+  EXPECT_NEAR(f.phase_week, month.phase_week, 1e-12);
+  EXPECT_NEAR(f.amp_day, month.amp_day, 1e-12);
+  EXPECT_NEAR(f.phase_day, month.phase_day, 1e-12);
+  EXPECT_NEAR(f.amp_half_day, month.amp_half_day, 1e-12);
+  EXPECT_NEAR(f.phase_half_day, month.phase_half_day, 1e-12);
+}
+
 TEST(FreqFeatures, RequiresFullGrid) {
   EXPECT_THROW(compute_freq_features(std::vector<double>(100)), Error);
 }

@@ -131,66 +131,5 @@ TEST(ThreadPool, ConfiguredThreadCountReadsAndChecksTheEnv) {
   EXPECT_EQ(configured_thread_count(), default_thread_count());
 }
 
-TEST(ThreadPool, UnboundedTrySubmitAlwaysAccepts) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.max_queue(), 0u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    auto future = pool.try_submit([&counter] { ++counter; });
-    ASSERT_TRUE(future.has_value());
-    futures.push_back(std::move(*future));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, BoundedTrySubmitRejectsWhenFull) {
-  ThreadPool pool(1, /*max_queue=*/2);
-  EXPECT_EQ(pool.max_queue(), 2u);
-
-  // Block the single worker so queued tasks cannot drain.
-  std::promise<void> release;
-  auto gate = release.get_future().share();
-  auto blocker = pool.submit([gate] { gate.wait(); });
-
-  // Fill the queue, then overflow it.
-  std::vector<std::future<void>> queued;
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (auto future = pool.try_submit([] {})) {
-      queued.push_back(std::move(*future));
-      ++accepted;
-    } else {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  EXPECT_LE(pool.queue_depth(), 2u);
-
-  release.set_value();
-  blocker.get();
-  for (auto& f : queued) f.get();
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.tasks_submitted, accepted + 1);
-}
-
-TEST(ThreadPool, BoundedSubmitBlocksUntilSpaceThenCompletes) {
-  // submit() on a bounded pool applies backpressure rather than
-  // rejecting: every task below runs exactly once.
-  ThreadPool pool(2, /*max_queue=*/4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i)
-    futures.push_back(pool.submit([&counter] {
-      volatile int sink = 0;
-      for (int j = 0; j < 100; ++j) sink = sink + j;
-      ++counter;
-    }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
-
 }  // namespace
 }  // namespace cellscope

@@ -1,22 +1,29 @@
-// Socket-free endpoint layer of the query daemon: routing, the RCU model
-// swap, and response bodies pinned against the underlying stream/model
-// APIs — including bit-identical doubles (the server serializes with
-// %.17g, so a parsed response must equal the in-process computation
-// exactly).
+// Socket-free endpoint layer of the query daemon: routing (the
+// introspection endpoints included), the RCU model swap, and response
+// bodies pinned against the underlying stream/model APIs — including
+// bit-identical doubles (the server serializes with %.17g, so a parsed
+// response must equal the in-process computation exactly).
 #include "server/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <numbers>
 #include <string>
 #include <vector>
 
+#include "analysis/component_analysis.h"
+#include "analysis/freq_features.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/time_grid.h"
 #include "mapred/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/quality.h"
 #include "stream/ingestor.h"
 #include "stream/online_classifier.h"
 #include "stream/tower_window.h"
@@ -50,6 +57,18 @@ ModelSnapshot synthetic_model() {
   model.populations = {3, 10};
   model.has_primaries = false;
   return model;
+}
+
+/// A POST /classify body: the week as a JSON array of %.17g numbers.
+std::string week_body(const std::vector<double>& week) {
+  std::string body = "[";
+  for (std::size_t i = 0; i < week.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", week[i]);
+    if (i > 0) body += ',';
+    body += buf;
+  }
+  return body + "]";
 }
 
 HttpRequest get_request(std::string path, std::string query = "") {
@@ -224,15 +243,7 @@ TEST_F(QueryServiceTest, ForecastGuardsHorizonAndHistory) {
 TEST_F(QueryServiceTest, ClassifyPostScoresAFoldedWeek) {
   const auto classifier = make_classifier();
   service.publish_model(classifier);
-  const auto& centroid = classifier->model().centroids[1];
-  std::string body = "[";
-  for (std::size_t i = 0; i < centroid.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", centroid[i]);
-    if (i > 0) body += ',';
-    body += buf;
-  }
-  body += "]";
+  const std::string body = week_body(classifier->model().centroids[1]);
   const auto response = service.dispatch(post_request("/classify", body));
   ASSERT_EQ(response.status, 200) << response.body;
   const JsonValue doc = JsonValue::parse(response.body);
@@ -301,6 +312,78 @@ TEST_F(QueryServiceTest, RoutingEdges) {
   EXPECT_EQ(service.dispatch(post_request("/nope", "")).status, 405);
 }
 
+/// A z-scored-like week: one daily sinusoid at `phase` plus a half-day
+/// harmonic of amplitude `half_day`.
+std::vector<double> shaped_week(double phase, double half_day) {
+  std::vector<double> week(TimeGrid::kSlotsPerWeek);
+  for (std::size_t t = 0; t < week.size(); ++t) {
+    const double x =
+        2.0 * std::numbers::pi * static_cast<double>(t % kDay) / kDay;
+    week[t] = std::sin(x + phase) + half_day * std::cos(2.0 * x);
+  }
+  return week;
+}
+
+/// The week repeated across the 4-week grid.
+std::vector<double> tiled_month(const std::vector<double>& week) {
+  std::vector<double> month;
+  for (int rep = 0; rep < TimeGrid::kWeeks; ++rep)
+    month.insert(month.end(), week.begin(), week.end());
+  return month;
+}
+
+TEST_F(QueryServiceTest, ClassifyReadsThePostedWeeksOwnBins) {
+  // Oracle: the decomposition of the week tiled across the 4-week grid,
+  // whose bins 4, 28 and 56 carry the week's bins 1, 7 and 14.
+  ModelSnapshot model = synthetic_model();
+  std::vector<std::vector<double>> primaries;
+  for (int j = 0; j < 4; ++j) {
+    primaries.push_back(shaped_week(j * std::numbers::pi / 2, 0.2 * j));
+    model.primary_features[j] =
+        compute_freq_features(tiled_month(primaries.back())).qp_feature();
+  }
+  model.has_primaries = true;
+  const auto classifier = std::make_shared<const OnlineClassifier>(model);
+  service.publish_model(classifier);
+
+  Rng rng(17);
+  for (int trial = 0; trial < 8; ++trial) {
+    // A random convex mix of the primaries plus noise.
+    std::array<double, 4> mix{};
+    double total = 0.0;
+    for (auto& m : mix) total += m = rng.uniform();
+    std::vector<double> week(TimeGrid::kSlotsPerWeek, 0.0);
+    for (std::size_t t = 0; t < week.size(); ++t) {
+      for (int j = 0; j < 4; ++j) week[t] += mix[j] / total * primaries[j][t];
+      week[t] += rng.normal(0.0, 0.05);
+    }
+
+    const auto response =
+        service.dispatch(post_request("/classify", week_body(week)));
+    ASSERT_EQ(response.status, 200) << response.body;
+    const JsonValue doc = JsonValue::parse(response.body);
+    double distance = 0.0;
+    const std::size_t cluster = classifier->nearest_centroid(week, &distance);
+    EXPECT_EQ(doc.at("cluster").as_number(), static_cast<double>(cluster));
+    EXPECT_EQ(doc.at("region").as_string(),
+              region_name(model.regions[cluster]));
+    EXPECT_EQ(doc.at("distance").as_number(), distance);
+
+    const Decomposition oracle = decompose_feature(
+        compute_freq_features(tiled_month(week)).qp_feature(),
+        model.primary_features);
+    const auto& weights = doc.at("weights").as_array();
+    ASSERT_EQ(weights.size(), 4u);
+    // Convex weights sum to 1, so 1e-9 absolute is 1e-9 of their scale.
+    for (std::size_t w = 0; w < 4; ++w)
+      EXPECT_NEAR(weights[w].as_number(), oracle.coefficients[w], 1e-9)
+          << "trial " << trial << " weight " << w;
+    EXPECT_NEAR(doc.at("residual").as_number(), oracle.residual,
+                1e-9 * oracle.residual)
+        << "trial " << trial;
+  }
+}
+
 TEST_F(QueryServiceTest, UnknownGetsFallBackToIntrospectionPlane) {
   const auto metrics = service.dispatch(get_request("/metrics"));
   EXPECT_EQ(metrics.status, 200);
@@ -308,6 +391,74 @@ TEST_F(QueryServiceTest, UnknownGetsFallBackToIntrospectionPlane) {
   const auto health = service.dispatch(get_request("/healthz"));
   EXPECT_NE(health.body.find("\"verdicts\""), std::string::npos);
   EXPECT_EQ(service.dispatch(get_request("/no/such/endpoint")).status, 404);
+}
+
+TEST_F(QueryServiceTest, ServesBuiltInIntrospectionEndpoints) {
+  obs::MetricsRegistry::instance().counter("test.router.counter").add(1);
+  const auto metrics = service.dispatch(get_request("/metrics"));
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_EQ(metrics.content_type, "text/plain; version=0.0.4; charset=utf-8");
+  EXPECT_NE(metrics.body.find("# TYPE"), std::string::npos);
+  EXPECT_NE(metrics.body.find("test_router_counter"), std::string::npos);
+
+  const auto json = service.dispatch(get_request("/metrics.json"));
+  EXPECT_EQ(json.status, 200);
+  EXPECT_EQ(json.content_type, "application/json");
+  EXPECT_NE(json.body.find("\"counters\""), std::string::npos);
+
+  const auto health = service.dispatch(get_request("/healthz"));
+  EXPECT_EQ(health.content_type, "application/json");
+  EXPECT_NE(health.body.find("\"verdicts\""), std::string::npos);
+
+  // The wire parser splits the query string off; routing sees the path.
+  EXPECT_EQ(service.dispatch(get_request("/metrics", "x=1")).status, 200);
+  EXPECT_EQ(service.dispatch(get_request("/no/such/endpoint")).status, 404);
+}
+
+TEST_F(QueryServiceTest, HealthzAnswers503AfterAFailingVerdict) {
+  auto& board = obs::QualityBoard::instance();
+  board.clear();
+  const auto healthy = service.dispatch(get_request("/healthz"));
+  EXPECT_EQ(healthy.status, 200);
+  EXPECT_EQ(JsonValue::parse(healthy.body).at("ok").as_bool(), true);
+
+  board.record(obs::QualityVerdict{.check = "test_router_check",
+                                   .stage = "test.router",
+                                   .severity = obs::Severity::kFail,
+                                   .passed = false,
+                                   .value = 1.0,
+                                   .detail = "forced failure"});
+  const auto failing = service.dispatch(get_request("/healthz"));
+  EXPECT_EQ(failing.status, 503);
+  EXPECT_EQ(failing.content_type, "application/json");
+  const JsonValue doc = JsonValue::parse(failing.body);
+  EXPECT_EQ(doc.at("ok").as_bool(), false);
+  EXPECT_EQ(doc.at("failed").as_number(), 1.0);
+  EXPECT_NE(failing.body.find("test_router_check"), std::string::npos);
+  board.clear();
+}
+
+TEST_F(QueryServiceTest, StreamReportsItsOwnIngestorWhileAnotherLives) {
+  const auto served_watermark = [&] {
+    const auto response = service.dispatch(get_request("/stream"));
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(response.content_type, "application/json");
+    return JsonValue::parse(response.body).at("watermark_minute").as_number();
+  };
+  const auto own = static_cast<double>(ingestor.stats().watermark_minute);
+  ASSERT_GT(own, 0.0);
+  EXPECT_EQ(served_watermark(), own);
+  {
+    StreamIngestor other(StreamConfig{.n_shards = 2, .queue_capacity = 0});
+    TrafficLog log;
+    log.tower_id = 1;
+    log.start_minute = 100000;
+    log.end_minute = 100010;
+    log.bytes = 42;
+    other.offer(log);
+    EXPECT_EQ(served_watermark(), own);
+  }
+  EXPECT_EQ(served_watermark(), own);
 }
 
 TEST_F(QueryServiceTest, StatsReportsServingPlane) {

@@ -1,7 +1,6 @@
 // The introspection endpoints over real sockets: a QueryServer on an
-// ephemeral port serves the obs endpoint registry (/metrics,
-// /metrics.json, /healthz, and the ingestor's /stream) through the one
-// HTTP stack, answers malformed and half-closed requests with a typed
+// ephemeral port serves /metrics, /metrics.json, /healthz and its
+// ingestor's /stream through the one HTTP stack, answers malformed and half-closed requests with a typed
 // 400, and stays race-free while scrapes overlap live metric traffic —
 // the `-L server` TSan target scripts/check_server.sh runs.
 #include <arpa/inet.h>
@@ -62,7 +61,8 @@ bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
-/// A daemon with no published model: the registry endpoints need none.
+/// A daemon with no published model: the introspection endpoints need
+/// none.
 class QueryServerIntrospection : public ::testing::Test {
  protected:
   void SetUp() override { server_.start(); }
@@ -92,7 +92,7 @@ TEST_F(QueryServerIntrospection, ServesRealSocketsOnEphemeralPort) {
   // way the body carries the tallies.
   EXPECT_TRUE(contains(get(port, "/healthz"), "\"passed\":"));
 
-  // The ingestor behind the service mounts /stream for its lifetime.
+  // /stream reports the ingestor behind the service.
   TrafficLog log;
   log.tower_id = 3;
   log.start_minute = 200;

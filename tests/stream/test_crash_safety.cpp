@@ -317,24 +317,6 @@ TEST_F(CrashSafetyTest, RenameFailpointPreservesLastSnapshotViaSpec) {
   expect_fingerprint_eq(fingerprint(target), fingerprint(other));
 }
 
-TEST_F(CrashSafetyTest, SubmitRejectFailpointFallsBackToInlineDrain) {
-  const auto logs = make_logs(5, 10, /*salt=*/3);
-
-  StreamIngestor reference(StreamConfig{.n_shards = 4, .queue_capacity = 0});
-  reference.offer_batch(logs);
-  reference.drain(pool_);
-
-  fp::arm("mapred.submit.reject", -1);  // every admission rejected
-  StreamIngestor inline_drained(
-      StreamConfig{.n_shards = 4, .queue_capacity = 0});
-  inline_drained.offer_batch(logs);
-  inline_drained.drain(pool_);  // caller-runs path for every shard
-  fp::disarm("mapred.submit.reject");
-  EXPECT_GT(fp::fire_count("mapred.submit.reject"), 0u);
-
-  expect_fingerprint_eq(fingerprint(inline_drained), fingerprint(reference));
-}
-
 TEST_F(CrashSafetyTest, TraceIoFailpointsInjectTypedIoErrors) {
   fp::arm("trace.write.fail", 1);
   EXPECT_THROW(

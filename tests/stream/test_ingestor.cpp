@@ -307,22 +307,5 @@ TEST(StreamIngestor, ConcurrentProducersConserveBytes) {
   EXPECT_EQ(total, 3u * kThreads * kPerThread);
 }
 
-TEST(StreamIngestor, DrainOnSaturatedBoundedPoolFallsBackInline) {
-  // A bounded pool with a tiny queue forces the caller-runs path; the
-  // drain must still complete and apply everything.
-  StreamIngestor ingestor(StreamConfig{.n_shards = 8, .queue_capacity = 0});
-  ThreadPool pool(1, /*max_queue=*/1);
-  std::vector<TrafficLog> logs;
-  for (std::uint32_t i = 0; i < 2000; ++i)
-    logs.push_back(make_log(i % 64, (i * 7) % 40000, 1));
-  ingestor.offer_batch(logs);
-  ingestor.drain(pool);
-  EXPECT_EQ(ingestor.pending(), 0u);
-  std::uint64_t total = 0;
-  for (const auto id : ingestor.tower_ids())
-    total += ingestor.window_copy(id).total_bytes();
-  EXPECT_EQ(total, logs.size());
-}
-
 }  // namespace
 }  // namespace cellscope
