@@ -52,10 +52,10 @@ namespace detail {
       ::cellscope::detail::fail_check(#expr, __FILE__, __LINE__, (msg)); \
   } while (false)
 
-/// Debug-only invariant checks for hot-path accessors (the condensed
-/// distance-matrix indexers are read millions of times by the NN-chain
-/// inner loop). Active in debug builds; compiled out under NDEBUG, where
-/// the expression is only type-checked, never evaluated.
+/// Debug-only invariant checks for hot paths (the condensed distance-matrix
+/// indexers, the per-entry checks of the NN-chain triangle repack). Active
+/// in debug builds; compiled out under NDEBUG, where the expression is only
+/// type-checked, never evaluated.
 #ifndef NDEBUG
 #define CS_DCHECK(expr) CS_CHECK(expr)
 #define CS_DCHECK_MSG(expr, msg) CS_CHECK_MSG(expr, msg)

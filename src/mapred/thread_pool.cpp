@@ -80,7 +80,17 @@ void ThreadPool::parallel_for(std::size_t n,
       for (std::size_t i = begin; i < end; ++i) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();  // rethrows the first failure
+  // Every block must finish before fn goes out of scope, so wait for all of
+  // them before rethrowing the first failure.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {

@@ -13,11 +13,13 @@
 // bit-identical for any worker count and any SIMD ISA, including the
 // serial path (DESIGN.md §8, §12).
 //
-// Accessors are inline and, in release builds, unchecked (CS_DCHECK) —
-// the NN-chain inner loop reads and writes them millions of times.
+// Accessors are inline and, in release builds, unchecked (CS_DCHECK). The
+// NN-chain linkage does not use them: it takes the storage with release()
+// and walks the raw triangle itself.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -50,20 +52,15 @@ class DistanceMatrix {
     return condensed_[index_of(i, j)];
   }
 
-  /// Overwrites the (i, j) entry (used by linkage updates); i != j.
-  void set(std::size_t i, std::size_t j, double d) {
-    condensed_[index_of(i, j)] = static_cast<float>(d);
-  }
-
   std::size_t n() const { return n_; }
 
-  /// Raw condensed storage (n(n-1)/2 floats); entry (i, j) with i < j
-  /// lives at i*n - i*(i+1)/2 + (j - i - 1). The NN-chain inner loop
-  /// walks this directly.
-  const float* data() const { return condensed_.data(); }
-
-  /// The condensed triangle as a vector (for equivalence tests and I/O).
+  /// The condensed triangle as a vector (for equivalence tests and I/O);
+  /// entry (i, j) with i < j lives at i*n - i*(i+1)/2 + (j - i - 1).
   const std::vector<float>& condensed() const { return condensed_; }
+
+  /// Moves the condensed triangle out (the NN-chain linkage takes it as
+  /// its working storage); the matrix is left empty.
+  std::vector<float> release() && { return std::move(condensed_); }
 
  private:
   std::size_t index_of(std::size_t i, std::size_t j) const {

@@ -1,13 +1,15 @@
 // Agglomerative hierarchical clustering — the paper's pattern identifier
 // (§3.2): bottom-up merging of the nearest clusters under average-linkage
-// Euclidean distance, stopped by a distance threshold.
+// Euclidean distance, stopped by a distance threshold (the Davies-Bouldin
+// sweep in ml/validity.h reports the threshold of each cluster count).
 //
 // Implementation: the nearest-neighbor-chain algorithm with Lance-Williams
 // distance updates — O(n²) time and exact for the reducible linkages
 // offered here (single, complete, average), versus the naive O(n³) merge
-// loop. One dendrogram supports cutting at any threshold or cluster count,
-// so the Davies-Bouldin sweep of Fig. 6(a) clusters once and cuts many
-// times.
+// loop. The active clusters are dense slots of a condensed triangle that is
+// repacked in place as clusters merge, so scans and updates shrink with the
+// active count. One dendrogram supports cutting at any cluster count, so
+// the Davies-Bouldin sweep of Fig. 6(a) clusters once and cuts many times.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +39,9 @@ struct Merge {
 /// The full dendrogram of an agglomerative clustering run.
 class Dendrogram {
  public:
-  /// Clusters the items of a distance matrix (consumed by copy — the
-  /// algorithm updates distances in place).
+  /// Clusters the items of a distance matrix. The matrix is consumed: its
+  /// storage becomes the linkage's working triangle, which the algorithm
+  /// updates and repacks in place (pass it by move to avoid a copy).
   static Dendrogram run(DistanceMatrix distances, Linkage linkage);
 
   /// The n-1 merges, sorted by non-decreasing distance.
@@ -51,22 +54,11 @@ class Dendrogram {
   /// dense 0..k-1, ordered by each cluster's smallest member index.
   std::vector<int> cut_k(std::size_t k) const;
 
-  /// Flat clustering merging every pair closer than `threshold` (the
-  /// paper's stop condition). Labels are dense, ordered as in cut_k.
-  std::vector<int> cut_threshold(double threshold) const;
-
-  /// Number of clusters a threshold cut would produce.
-  std::size_t cluster_count_at(double threshold) const;
-
  private:
   Dendrogram(std::size_t n, std::vector<Merge> merges);
 
   /// Labels after applying the first `m` merges (in sorted order).
   std::vector<int> labels_after(std::size_t m) const;
-
-  /// Number of merges with distance <= threshold (binary search over the
-  /// sorted merge list).
-  std::size_t merges_within(double threshold) const;
 
   std::size_t n_;
   std::vector<Merge> merges_;

@@ -111,17 +111,17 @@ TEST(Invariants, AggregateSpectrumIsSumOfSpectra) {
 }
 
 TEST(Invariants, DendrogramClusterCountIsMonotoneInThreshold) {
+  // Cutting at a threshold applies every merge at or below it, so the
+  // cluster count falls monotonically with the threshold exactly when the
+  // n - 1 merge distances are non-decreasing.
   const auto f = make_fixture(80);
   const auto folded = fold_to_week(zscore_rows(f.matrix));
   const auto dendrogram =
       Dendrogram::run(DistanceMatrix::compute(folded), Linkage::kAverage);
-  std::size_t previous = dendrogram.cluster_count_at(0.0);
-  for (double threshold = 1.0; threshold < 60.0; threshold += 1.7) {
-    const std::size_t count = dendrogram.cluster_count_at(threshold);
-    EXPECT_LE(count, previous);
-    previous = count;
-  }
-  EXPECT_EQ(dendrogram.cluster_count_at(1e18), 1u);
+  const auto& merges = dendrogram.merges();
+  ASSERT_EQ(merges.size(), folded.size() - 1);
+  for (std::size_t i = 1; i < merges.size(); ++i)
+    EXPECT_LE(merges[i - 1].distance, merges[i].distance);
 }
 
 TEST(Invariants, CutsAreNestedRefinements) {

@@ -37,13 +37,6 @@ TEST(DistanceMatrix, IsSymmetricWithZeroDiagonal) {
   }
 }
 
-TEST(DistanceMatrix, SetUpdatesBothOrientations) {
-  auto matrix = DistanceMatrix::compute(random_points(5, 2, 3));
-  matrix.set(1, 3, 42.0);
-  EXPECT_FLOAT_EQ(static_cast<float>(matrix(1, 3)), 42.0f);
-  EXPECT_FLOAT_EQ(static_cast<float>(matrix(3, 1)), 42.0f);
-}
-
 TEST(DistanceMatrix, CondensedConstructorValidatesSize) {
   EXPECT_THROW(DistanceMatrix(4, std::vector<float>(5)), Error);
   EXPECT_NO_THROW(DistanceMatrix(4, std::vector<float>(6)));

@@ -420,26 +420,6 @@ TEST(ParallelEquivalence, RepresentativeIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEquivalence, ThresholdCutsMatchLinearScan) {
-  const auto points = blob_points(15, 8, 9);
-  const auto dendrogram =
-      Dendrogram::run(DistanceMatrix::compute(points), Linkage::kAverage);
-  const auto& merges = dendrogram.merges();
-  // Probe below, at, between, and above every merge distance.
-  std::vector<double> thresholds = {-1.0, 0.0, 1e18};
-  for (const auto& m : merges) {
-    thresholds.push_back(m.distance);
-    thresholds.push_back(std::nextafter(m.distance, 0.0));
-    thresholds.push_back(std::nextafter(m.distance, 1e300));
-  }
-  for (const double t : thresholds) {
-    std::size_t m = 0;
-    while (m < merges.size() && merges[m].distance <= t) ++m;
-    EXPECT_EQ(dendrogram.cluster_count_at(t), dendrogram.n() - m);
-    EXPECT_EQ(num_clusters(dendrogram.cut_threshold(t)), dendrogram.n() - m);
-  }
-}
-
 /// Restores automatic dispatch when a test scope ends, pass or fail.
 struct ForcedIsa {
   explicit ForcedIsa(simd::Isa isa) { simd::force_isa(isa); }
