@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/time_grid.h"
 #include "ml/distance.h"
-#include "pipeline/traffic_matrix.h"
 #include "simd/simd.h"
 
 namespace {
@@ -89,29 +87,6 @@ void BM_SimdDot4x8(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SimdDot4x8)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-void BM_SimdZscoreFold(benchmark::State& state) {
-  static const TrafficMatrix& matrix = [] {
-    static TrafficMatrix m;
-    Rng rng(bench::bench_seed());
-    for (std::size_t i = 0; i < bench::bench_towers(); ++i) {
-      m.tower_ids.push_back(static_cast<std::uint32_t>(i));
-      std::vector<double> row(TimeGrid::kSlots);
-      for (auto& v : row) v = 100.0 + 50.0 * rng.normal();
-      m.rows.push_back(std::move(row));
-    }
-    return m;
-  }();
-  IsaScope scope(state);
-  for (auto _ : state) {
-    auto folded = fold_to_week(zscore_rows(matrix));
-    benchmark::DoNotOptimize(folded);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(matrix.n() * TimeGrid::kSlots) *
-      state.iterations());
-}
-BENCHMARK(BM_SimdZscoreFold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

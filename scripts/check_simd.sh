@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # SIMD bit-identity check: build the kernel-oracle and equivalence
 # suites, then run `ctest -L 'simd|par'` twice — once with dispatch
-# forced to the scalar reference kernels (CELLSCOPE_SIMD=scalar) and
+# forced to the scalar reference kernel (CELLSCOPE_SIMD=scalar) and
 # once on the widest ISA the CPU reports (CELLSCOPE_SIMD=auto, the
-# default). The suites assert bit-for-bit equality between the paths
-# (DESIGN.md §12), so any reassociated reduction, fused multiply-add,
-# or remainder-lane bug in a vector kernel fails the run. A third pass
-# runs `ctest -L par` in a ThreadSanitizer build (build-tsan/, as
+# default). Both passes pin `dot_4x8` against its sequential-dot oracle
+# and the distance matrix bit for bit across ISAs, NaN/±inf and ragged
+# tile edges included (DESIGN.md §12), so a reassociated reduction or a
+# fused multiply-add in a vector kernel fails the run; they also run the
+# serial = pool suite under each dispatch mode. A third pass runs
+# `ctest -L par` in a ThreadSanitizer build (build-tsan/, as
 # scripts/check_stream.sh configures it): the pooled stages — vectorize,
-# distance tiles, DBI sweep, spectra, POI counts, representative search —
-# must be race-free as well as order-independent (DESIGN.md §8).
+# z-score/fold, distance tiles, DBI sweep, spectra, POI counts,
+# representative search — must be race-free as well as
+# order-independent (DESIGN.md §8).
 #
 # Usage:
 #   scripts/check_simd.sh              # build (incremental), run all passes
@@ -25,7 +28,7 @@ tsan_dir="${CELLSCOPE_TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
 cmake -B "${build_dir}" -S "${repo_root}"
 cmake --build "${build_dir}" -j --target test_simd --target test_parallel
 
-echo "check_simd: pass 1/3 — dispatch forced scalar (reference kernels)"
+echo "check_simd: pass 1/3 — dispatch forced scalar (reference kernel)"
 CELLSCOPE_SIMD=scalar \
   ctest --test-dir "${build_dir}" -L 'simd|par' --output-on-failure
 

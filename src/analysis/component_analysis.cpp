@@ -53,11 +53,7 @@ std::size_t find_representative(
       min_d = std::min(min_d, feature_distance(features[i], features[j]));
     separation[m] = min_d;
   };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    pool->parallel_for(members.size(), measure);
-  } else {
-    for (std::size_t m = 0; m < members.size(); ++m) measure(m);
-  }
+  for_each_index(pool, members.size(), measure);
 
   // The argmax runs serially in ascending member order with a strict >,
   // so ties go to the lowest index whatever the worker count.

@@ -1,7 +1,6 @@
 #include "analysis/freq_features.h"
 
 #include <cmath>
-#include <functional>
 #include <numeric>
 
 #include "common/error.h"
@@ -10,21 +9,6 @@
 #include "mapred/thread_pool.h"
 
 namespace cellscope {
-
-namespace {
-
-/// fn(i) for every row — pooled when available, serial otherwise. Rows
-/// are independent, so both paths produce identical output.
-void for_each_row(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 FreqFeatures compute_freq_features(std::span<const double> zscored_series) {
   const std::size_t n = zscored_series.size();
@@ -51,7 +35,7 @@ FreqFeatures compute_freq_features(std::span<const double> zscored_series) {
 std::vector<FreqFeatures> compute_freq_features(
     const std::vector<std::vector<double>>& zscored_rows, ThreadPool* pool) {
   std::vector<FreqFeatures> out(zscored_rows.size());
-  for_each_row(pool, zscored_rows.size(), [&](std::size_t i) {
+  for_each_index(pool, zscored_rows.size(), [&](std::size_t i) {
     out[i] = compute_freq_features(zscored_rows[i]);
   });
   return out;
@@ -68,14 +52,14 @@ std::vector<double> amplitude_variance_spectrum(
   std::vector<std::size_t> bins(max_k + 1);
   std::iota(bins.begin(), bins.end(), std::size_t{0});
   // Each worker owns column i across every frequency row — disjoint slots.
-  for_each_row(pool, n, [&](std::size_t i) {
+  for_each_index(pool, n, [&](std::size_t i) {
     const auto x = dft_bins(zscored_rows[i], bins);
     for (std::size_t k = 0; k <= max_k; ++k)
       amp_by_k[k][i] = normalized_amplitude(x[k], zscored_rows[i].size());
   });
   std::vector<double> var(max_k + 1, 0.0);
-  for_each_row(pool, max_k + 1,
-               [&](std::size_t k) { var[k] = variance(amp_by_k[k]); });
+  for_each_index(pool, max_k + 1,
+                 [&](std::size_t k) { var[k] = variance(amp_by_k[k]); });
   return var;
 }
 

@@ -12,14 +12,9 @@ std::vector<std::array<std::size_t, kNumPoiTypes>> poi_counts_for_towers(
     const PoiDatabase& pois, const std::vector<Tower>& towers,
     double radius_m, ThreadPool* pool) {
   std::vector<std::array<std::size_t, kNumPoiTypes>> out(towers.size());
-  const auto count_tower = [&](std::size_t i) {
+  for_each_index(pool, towers.size(), [&](std::size_t i) {
     out[i] = pois.counts_near(towers[i].position, radius_m);
-  };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    pool->parallel_for(towers.size(), count_tower);
-  } else {
-    for (std::size_t i = 0; i < towers.size(); ++i) count_tower(i);
-  }
+  });
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "simd/simd.h"
 
 namespace cellscope {
 
@@ -90,7 +89,7 @@ std::vector<double> zscore(std::span<const double> v) {
   const double sd = stddev(v);
   std::vector<double> out(v.size());
   if (sd == 0.0) return out;  // constant vector -> all zeros
-  simd::normalize(v.data(), v.size(), m, sd, out.data());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - m) / sd;
   return out;
 }
 

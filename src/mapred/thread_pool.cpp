@@ -153,6 +153,15 @@ ThreadPoolStats ThreadPool::stats() const {
   return s;
 }
 
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 std::size_t default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max<std::size_t>(2, hw);

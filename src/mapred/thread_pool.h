@@ -99,6 +99,14 @@ class ThreadPool {
   obs::Gauge* metric_queue_depth_;
 };
 
+/// fn(i) for i in [0, n): pool->parallel_for when the pool has more than
+/// one worker and n > 1, a plain ascending loop otherwise (no pool, a
+/// one-worker pool, or a single index). Every pooled stage goes through
+/// here; callers write each index's result to its own slot, so both paths
+/// produce identical output (DESIGN.md §8).
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn);
+
 /// A sensible default worker count for this machine (at least 2 so the
 /// pooled paths are genuinely concurrent even on single-core CI).
 std::size_t default_thread_count();

@@ -110,11 +110,7 @@ DistanceMatrix DistanceMatrix::compute(
   };
 
   const std::size_t n_tiles = (n + kTileRows - 1) / kTileRows;
-  if (pool != nullptr && pool->thread_count() > 1 && n_tiles > 1) {
-    pool->parallel_for(n_tiles, process_tile);
-  } else {
-    for (std::size_t t = 0; t < n_tiles; ++t) process_tile(t);
-  }
+  for_each_index(pool, n_tiles, process_tile);
 
   registry.counter("cellscope.ml.distance_pairs").add(condensed.size());
   return DistanceMatrix(n, std::move(condensed));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <iterator>
 
 #include "common/error.h"
@@ -13,22 +12,6 @@
 #include "obs/timer.h"
 
 namespace cellscope {
-
-namespace {
-
-/// fn(i) for i in [0, n) — on the pool when one is available, inline
-/// otherwise. Callers keep per-index work independent, so both paths
-/// produce identical results.
-void run_indexed(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 std::vector<std::vector<double>> cluster_centroids(
     const std::vector<std::vector<double>>& points,
@@ -151,7 +134,7 @@ std::vector<DbiSweepPoint> dbi_sweep(
     // their cached sums and scatter bit-for-bit.
     std::vector<std::vector<double>> centroids(k);
     std::vector<double> scatter(k, 0.0);
-    run_indexed(pool, k, [&](std::size_t c) {
+    for_each_index(pool, k, [&](std::size_t c) {
       Cluster& cl = cluster[reps[c]];
       const auto count = static_cast<double>(cl.members.size());
       if (cl.dirty) {
@@ -173,7 +156,7 @@ std::vector<DbiSweepPoint> dbi_sweep(
 
     // Pairwise-centroid step: rows in parallel, final sum in fixed order.
     std::vector<double> worst(k, 0.0);
-    run_indexed(pool, k, [&](std::size_t i) {
+    for_each_index(pool, k, [&](std::size_t i) {
       double w = 0.0;
       for (std::size_t j = 0; j < k; ++j) {
         if (i == j) continue;

@@ -1,29 +1,12 @@
 #include "pipeline/traffic_matrix.h"
 
-#include <functional>
 #include <unordered_set>
 
 #include "common/error.h"
 #include "common/stats.h"
 #include "mapred/thread_pool.h"
-#include "simd/simd.h"
 
 namespace cellscope {
-
-namespace {
-
-/// fn(i) for every row — pooled when available, serial otherwise. Rows
-/// are independent, so both paths produce identical output.
-void for_each_row(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->thread_count() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 std::size_t TrafficMatrix::row_of(std::uint32_t tower_id) const {
   for (std::size_t i = 0; i < tower_ids.size(); ++i)
@@ -46,25 +29,30 @@ void TrafficMatrix::check() const {
 std::vector<std::vector<double>> zscore_rows(const TrafficMatrix& matrix,
                                              ThreadPool* pool) {
   std::vector<std::vector<double>> out(matrix.n());
-  for_each_row(pool, matrix.n(),
-               [&](std::size_t i) { out[i] = zscore(matrix.rows[i]); });
+  for_each_index(pool, matrix.n(),
+                 [&](std::size_t i) { out[i] = zscore(matrix.rows[i]); });
   return out;
+}
+
+std::vector<double> fold_week(std::span<const double> row) {
+  CS_CHECK_MSG(row.size() == TimeGrid::kSlots,
+               "fold_week expects 4032-slot rows");
+  constexpr std::size_t kPeriod = TimeGrid::kSlotsPerWeek;
+  constexpr std::size_t kWeeks = TimeGrid::kWeeks;
+  std::vector<double> week(kPeriod);
+  for (std::size_t j = 0; j < kPeriod; ++j) {
+    double acc = 0.0;
+    for (std::size_t w = 0; w < kWeeks; ++w) acc += row[w * kPeriod + j];
+    week[j] = acc / static_cast<double>(kWeeks);
+  }
+  return week;
 }
 
 std::vector<std::vector<double>> fold_to_week(
     const std::vector<std::vector<double>>& rows, ThreadPool* pool) {
   std::vector<std::vector<double>> out(rows.size());
-  for_each_row(pool, rows.size(), [&](std::size_t i) {
-    const auto& row = rows[i];
-    CS_CHECK_MSG(row.size() == TimeGrid::kSlots,
-                 "fold_to_week expects 4032-slot rows");
-    std::vector<double> week(TimeGrid::kSlotsPerWeek);
-    // Per output slot this accumulates week 0, 1, 2 in the same order the
-    // old `week[s % P] += row[s]` sweep did, so the fold is bit-identical.
-    simd::fold_mean(row.data(), TimeGrid::kSlotsPerWeek, TimeGrid::kWeeks,
-                    week.data());
-    out[i] = std::move(week);
-  });
+  for_each_index(pool, rows.size(),
+                 [&](std::size_t i) { out[i] = fold_week(rows[i]); });
   return out;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/time_grid.h"
@@ -31,9 +32,15 @@ struct TrafficMatrix {
 std::vector<std::vector<double>> zscore_rows(const TrafficMatrix& matrix,
                                              ThreadPool* pool = nullptr);
 
-/// Folds each 4032-slot row to its mean week (1008 slots) — the optional
-/// dimensionality reduction for clustering (DESIGN.md §5.2). Rows are
-/// independent, so a pool parallelizes them with bit-identical output.
+/// Folds one 4032-slot row to its mean week (1008 slots) — the optional
+/// dimensionality reduction for clustering (DESIGN.md §5.2). Slot j is
+/// weeks 0..3 of slot j summed from 0.0 in ascending week order, then
+/// divided by 4: bit-identical to the `week[s % 1008] += row[s]` sweep.
+/// Throws unless the row has 4032 slots.
+std::vector<double> fold_week(std::span<const double> row);
+
+/// fold_week over every row. Rows are independent, so a pool
+/// parallelizes them with bit-identical output.
 std::vector<std::vector<double>> fold_to_week(
     const std::vector<std::vector<double>>& rows, ThreadPool* pool = nullptr);
 

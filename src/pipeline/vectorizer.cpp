@@ -92,14 +92,9 @@ TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
     matrix.tower_ids.push_back(towers[i].id);
     matrix.rows[i].reserve(TimeGrid::kSlots);
   }
-  const auto sample_row = [&](std::size_t i) {
+  for_each_index(pool, towers.size(), [&](std::size_t i) {
     intensity.sample_series(towers[i].id, tower_rngs[i], matrix.rows[i]);
-  };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    pool->parallel_for(towers.size(), sample_row);
-  } else {
-    for (std::size_t i = 0; i < towers.size(); ++i) sample_row(i);
-  }
+  });
   matrix.check();
   obs::MetricsRegistry::instance()
       .counter("cellscope.pipeline.vectorizer_rows")

@@ -1,9 +1,9 @@
-// Internal per-ISA kernel entry points behind simd.h's dispatchers.
+// Internal per-ISA entry points behind simd.h's dispatcher.
 //
-// Every ISA implements the same three kernels with identical IEEE
-// semantics (see simd.h's bit-compatibility contract). The scalar TU is
-// the canonical reference; vector TUs are compiled with their ISA flags
-// plus -ffp-contract=off in their own translation units so no other code
+// Every ISA implements dot_4x8 with identical IEEE semantics (see
+// simd.h's bit-compatibility contract). The scalar TU is the canonical
+// reference; vector TUs are compiled with their ISA flags plus
+// -ffp-contract=off in their own translation units so no other code
 // needs non-baseline codegen.
 #pragma once
 
@@ -19,28 +19,16 @@ namespace cellscope::simd::detail {
 
 void dot_4x8_scalar(const double* const rows[4], const double* packed,
                     std::size_t dim, double* out);
-void normalize_scalar(const double* v, std::size_t n, double mean, double sd,
-                      double* out);
-void fold_mean_scalar(const double* row, std::size_t period, std::size_t folds,
-                      double* out);
 
 #ifdef CELLSCOPE_SIMD_ENABLE_AVX2
 bool cpu_has_avx2();
 void dot_4x8_avx2(const double* const rows[4], const double* packed,
                   std::size_t dim, double* out);
-void normalize_avx2(const double* v, std::size_t n, double mean, double sd,
-                    double* out);
-void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
-                    double* out);
 #endif
 
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
 void dot_4x8_neon(const double* const rows[4], const double* packed,
                   std::size_t dim, double* out);
-void normalize_neon(const double* v, std::size_t n, double mean, double sd,
-                    double* out);
-void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,
-                    double* out);
 #endif
 
 }  // namespace cellscope::simd::detail

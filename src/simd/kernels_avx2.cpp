@@ -1,9 +1,9 @@
-// AVX2 kernels (x86-64 only; this TU is compiled with -mavx2 and
+// AVX2 kernel (x86-64 only; this TU is compiled with -mavx2 and
 // -ffp-contract=off — see src/simd/CMakeLists.txt).
 //
 // Bit-compatibility with kernels_scalar.cpp is by construction: every
 // vector op below is the same IEEE operation the scalar reference runs,
-// with the same operand order, and reductions vectorize across
+// with the same operand order, and the reduction vectorizes across
 // independent outputs instead of reassociating — dot_4x8 keeps one
 // accumulator chain per output lane, exactly the scalar per-column order.
 // No FMA intrinsics anywhere (mul then add, two roundings, like scalar).
@@ -54,35 +54,6 @@ void dot_4x8_avx2(const double* const rows[4], const double* packed,
   _mm256_storeu_pd(out + 20, c2h);
   _mm256_storeu_pd(out + 24, c3l);
   _mm256_storeu_pd(out + 28, c3h);
-}
-
-void normalize_avx2(const double* v, std::size_t n, double mean, double sd,
-                    double* out) {
-  const __m256d vm = _mm256_set1_pd(mean);
-  const __m256d vs = _mm256_set1_pd(sd);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(v + i);
-    _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_sub_pd(x, vm), vs));
-  }
-  for (; i < n; ++i) out[i] = (v[i] - mean) / sd;
-}
-
-void fold_mean_avx2(const double* row, std::size_t period, std::size_t folds,
-                    double* out) {
-  const __m256d denom = _mm256_set1_pd(static_cast<double>(folds));
-  std::size_t j = 0;
-  for (; j + 4 <= period; j += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t f = 0; f < folds; ++f)
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(row + f * period + j));
-    _mm256_storeu_pd(out + j, _mm256_div_pd(acc, denom));
-  }
-  for (; j < period; ++j) {
-    double acc = 0.0;
-    for (std::size_t f = 0; f < folds; ++f) acc += row[f * period + j];
-    out[j] = acc / static_cast<double>(folds);
-  }
 }
 
 }  // namespace cellscope::simd::detail

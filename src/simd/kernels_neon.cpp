@@ -1,9 +1,9 @@
-// NEON kernels (aarch64; this TU is compiled with -ffp-contract=off).
+// NEON kernel (aarch64; this TU is compiled with -ffp-contract=off).
 //
 // Same bit-compatibility construction as the AVX2 TU, two doubles per
-// vector: reductions vectorize across independent outputs (dot_4x8
-// keeps one accumulator chain per lane), elementwise kernels map op for op,
-// and no fused multiply-add intrinsics are used.
+// vector: the reduction vectorizes across independent outputs (dot_4x8
+// keeps one accumulator chain per lane), and no fused multiply-add
+// intrinsics are used.
 #include "simd/kernels.h"
 
 #ifdef CELLSCOPE_SIMD_ENABLE_NEON
@@ -32,33 +32,6 @@ void dot_4x8_neon(const double* const rows[4], const double* packed,
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t q = 0; q < 4; ++q)
       vst1q_f64(out + 8 * r + 2 * q, acc[r][q]);
-}
-
-void normalize_neon(const double* v, std::size_t n, double mean, double sd,
-                    double* out) {
-  const float64x2_t vm = vdupq_n_f64(mean);
-  const float64x2_t vs = vdupq_n_f64(sd);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(out + i, vdivq_f64(vsubq_f64(vld1q_f64(v + i), vm), vs));
-  for (; i < n; ++i) out[i] = (v[i] - mean) / sd;
-}
-
-void fold_mean_neon(const double* row, std::size_t period, std::size_t folds,
-                    double* out) {
-  const float64x2_t denom = vdupq_n_f64(static_cast<double>(folds));
-  std::size_t j = 0;
-  for (; j + 2 <= period; j += 2) {
-    float64x2_t acc = vdupq_n_f64(0.0);
-    for (std::size_t f = 0; f < folds; ++f)
-      acc = vaddq_f64(acc, vld1q_f64(row + f * period + j));
-    vst1q_f64(out + j, vdivq_f64(acc, denom));
-  }
-  for (; j < period; ++j) {
-    double acc = 0.0;
-    for (std::size_t f = 0; f < folds; ++f) acc += row[f * period + j];
-    out[j] = acc / static_cast<double>(folds);
-  }
 }
 
 }  // namespace cellscope::simd::detail

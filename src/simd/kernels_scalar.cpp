@@ -1,4 +1,4 @@
-// Canonical scalar kernels — the reference every vector ISA must match
+// Canonical scalar kernel — the reference every vector ISA must match
 // bit for bit. This TU is compiled with -ffp-contract=off so the compiler
 // cannot fuse the mul/add pairs into FMAs on any target; the accumulation
 // orders written here ARE the contract.
@@ -18,21 +18,6 @@ void dot_4x8_scalar(const double* const rows[4], const double* packed,
   }
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t c = 0; c < 8; ++c) out[8 * r + c] = acc[r][c];
-}
-
-void normalize_scalar(const double* v, std::size_t n, double mean, double sd,
-                      double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (v[i] - mean) / sd;
-}
-
-void fold_mean_scalar(const double* row, std::size_t period, std::size_t folds,
-                      double* out) {
-  const double denom = static_cast<double>(folds);
-  for (std::size_t j = 0; j < period; ++j) {
-    double acc = 0.0;  // start from +0.0 like the classic += fold loop
-    for (std::size_t f = 0; f < folds; ++f) acc += row[f * period + j];
-    out[j] = acc / denom;
-  }
 }
 
 }  // namespace cellscope::simd::detail

@@ -116,36 +116,4 @@ void dot_4x8(const double* const rows[kDotBlockRows], const double* packed,
   }
 }
 
-void normalize(const double* v, std::size_t n, double mean, double sd,
-               double* out) {
-  switch (active_isa()) {
-#ifdef CELLSCOPE_SIMD_ENABLE_AVX2
-    case Isa::kAvx2:
-      return detail::normalize_avx2(v, n, mean, sd, out);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::normalize_neon(v, n, mean, sd, out);
-#endif
-    default:
-      return detail::normalize_scalar(v, n, mean, sd, out);
-  }
-}
-
-void fold_mean(const double* row, std::size_t period, std::size_t folds,
-               double* out) {
-  switch (active_isa()) {
-#ifdef CELLSCOPE_SIMD_ENABLE_AVX2
-    case Isa::kAvx2:
-      return detail::fold_mean_avx2(row, period, folds, out);
-#endif
-#ifdef CELLSCOPE_SIMD_ENABLE_NEON
-    case Isa::kNeon:
-      return detail::fold_mean_neon(row, period, folds, out);
-#endif
-    default:
-      return detail::fold_mean_scalar(row, period, folds, out);
-  }
-}
-
 }  // namespace cellscope::simd

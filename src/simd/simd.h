@@ -1,21 +1,17 @@
-// Runtime-dispatched SIMD kernels for the analytics hot loops.
+// Runtime-dispatched SIMD kernel for the pairwise-distance tile.
 //
-// The three scalar cores the profiler keeps pointing at — the blocked
-// pairwise-distance tile, per-row z-score normalization and the
-// mean-week fold — all dispatch through this layer (DESIGN.md §12). The
-// widest instruction set the CPU supports is picked once at startup via
-// cpuid (AVX2 on x86-64, NEON on aarch64), overridable with
+// One kernel lives here: dot_4x8, the register-blocked micro-kernel of
+// the distance tile, the one hot loop where vector code pays (DESIGN.md
+// §12). The widest instruction set the CPU supports is picked once at
+// startup via cpuid (AVX2 on x86-64, NEON on aarch64), overridable with
 // CELLSCOPE_SIMD=scalar|avx2|neon|auto or force_isa() from tests.
 //
-// The bit-compatibility contract: every kernel is vectorized WITHOUT
-// reassociating any floating-point reduction. Reductions keep their
-// sequential accumulation order by vectorizing across independent outputs
-// (dot_4x8 runs 32 dot products side by side, each one summing in
-// ascending-element order), and elementwise kernels map IEEE op for IEEE
-// op onto vector lanes. No FMA contraction is permitted in any kernel TU
-// (-ffp-contract=off, no FMA intrinsics), so for finite inputs every ISA
-// produces bit-identical results, pinned by the `-L par` and `-L simd`
-// suites.
+// The bit-compatibility contract: the kernel is vectorized WITHOUT
+// reassociating its floating-point reductions. It runs 32 dot products
+// side by side, each one summing in ascending-element order, and no FMA
+// contraction is permitted in any kernel TU (-ffp-contract=off, no FMA
+// intrinsics), so every ISA produces bit-identical results, pinned by
+// the `-L par` and `-L simd` suites.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +50,8 @@ std::string_view isa_name(Isa isa);
 std::optional<Isa> parse_isa(std::string_view name);
 
 // ---------------------------------------------------------------------
-// Kernels. All dispatch on active_isa() per call (one predictable branch
-// against work of O(dim) or more).
+// The kernel. It dispatches on active_isa() per call (one predictable
+// branch against work of O(dim)).
 
 /// Rows and columns of one dot_4x8 register block.
 inline constexpr std::size_t kDotBlockRows = 4;
@@ -71,17 +67,5 @@ inline constexpr std::size_t kDotBlockCols = 8;
 /// group); the four rows are read in place and may alias each other.
 void dot_4x8(const double* const rows[kDotBlockRows], const double* packed,
              std::size_t dim, double out[kDotBlockRows * kDotBlockCols]);
-
-/// out[i] = (v[i] - mean) / sd for i in [0, n). Elementwise (sub then
-/// div), bit-identical across ISAs. `out` may alias `v`.
-void normalize(const double* v, std::size_t n, double mean, double sd,
-               double* out);
-
-/// Folds `folds` consecutive periods of `row` (length folds·period) into
-/// their mean: out[j] = (Σ_f row[f·period + j]) / folds, the inner sum
-/// accumulated from 0.0 in ascending-f order — bit-identical to the
-/// classic `week[s % period] += row[s]` loop. `out` must not alias `row`.
-void fold_mean(const double* row, std::size_t period, std::size_t folds,
-               double* out);
 
 }  // namespace cellscope::simd

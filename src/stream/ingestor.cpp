@@ -529,14 +529,9 @@ StreamIngestor::folded_vectors(ThreadPool* pool) const {
 
   std::vector<std::pair<std::uint32_t, std::vector<double>>> out(
       snapshot.size());
-  const auto fold_one = [&](std::size_t i) {
+  for_each_index(pool, snapshot.size(), [&](std::size_t i) {
     out[i] = {snapshot[i].first, snapshot[i].second.folded_week()};
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && snapshot.size() > 1) {
-    pool->parallel_for(snapshot.size(), fold_one);
-  } else {
-    for (std::size_t i = 0; i < snapshot.size(); ++i) fold_one(i);
-  }
+  });
   return out;
 }
 

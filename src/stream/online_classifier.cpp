@@ -102,7 +102,7 @@ Classification OnlineClassifier::classify(const TowerWindow& window) const {
   }
 
   const auto zscored = window.zscored();
-  const auto folded = fold_to_week({zscored}).front();
+  const auto folded = fold_week(zscored);
   double best = 0.0;
   const std::size_t best_cluster = nearest_centroid(folded, &best);
   out.cluster = best_cluster;
@@ -125,14 +125,9 @@ OnlineClassifier::classify_all(const StreamIngestor& ingestor,
   obs::StageSpan span("stream.classify", "stream", obs::LogLevel::kDebug);
   const auto ids = ingestor.tower_ids();
   std::vector<std::pair<std::uint32_t, Classification>> out(ids.size());
-  const auto classify_one = [&](std::size_t i) {
+  for_each_index(pool, ids.size(), [&](std::size_t i) {
     out[i] = {ids[i], classify(ingestor.window_copy(ids[i]))};
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && ids.size() > 1) {
-    pool->parallel_for(ids.size(), classify_one);
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) classify_one(i);
-  }
+  });
   std::size_t cold = 0;
   for (const auto& [id, c] : out)
     if (c.cold_start) ++cold;

@@ -64,9 +64,9 @@ std::vector<double> TowerWindow::raw_vector() const {
 std::vector<double> TowerWindow::zscored() const { return zscore(raw_vector()); }
 
 std::vector<double> TowerWindow::folded_week() const {
-  // Route through the batch fold itself so the streaming representation
-  // is the batch representation, bit for bit.
-  return fold_to_week({zscored()}).front();
+  // The batch fold's own single-row routine, so the streaming
+  // representation is the batch representation, bit for bit.
+  return fold_week(zscored());
 }
 
 std::vector<double> TowerWindow::observed_history() const {

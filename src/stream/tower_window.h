@@ -91,7 +91,7 @@ class TowerWindow {
   /// uses — bit-identical to zscore_rows on the equivalent matrix row.
   std::vector<double> zscored() const;
 
-  /// The mean-week fold of zscored(), computed by pipeline::fold_to_week
+  /// The mean-week fold of zscored(), computed by the batch fold_week
   /// itself — bit-identical to the batch clustering representation.
   std::vector<double> folded_week() const;
 

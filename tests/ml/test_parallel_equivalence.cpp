@@ -9,11 +9,11 @@
 // (no tolerances), and check the incremental DBI sweep against a
 // brute-force per-k oracle. Built as its own binary (label: par) so the
 // CELLSCOPE_SANITIZE=thread build can run it in isolation.
-// The same contract extends across SIMD dispatch: the vector kernels in
-// src/simd/ accumulate every output in the scalar order (DESIGN.md §12),
-// so forcing scalar vs the widest detected ISA must also be
-// bit-identical — including remainder lanes, odd dimensions, and
-// non-finite inputs (compared bitwise, since NaN != NaN).
+// The same contract extends across SIMD dispatch: the distance tile's
+// dot_4x8 kernel in src/simd/ accumulates every output in the scalar
+// order (DESIGN.md §12), so forcing scalar vs the widest detected ISA
+// must also be bit-identical — including ragged tile edges, odd
+// dimensions, and non-finite inputs (compared bitwise, since NaN != NaN).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,7 +21,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "analysis/component_analysis.h"
@@ -32,7 +31,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
-#include "dsp/spectrum.h"
 #include "geo/spatial_index.h"
 #include "mapred/thread_pool.h"
 #include "ml/distance.h"
@@ -475,60 +473,6 @@ TEST(SimdDispatchEquivalence, DistanceMatrixNonFiniteBitIdentical) {
   }
   for (std::size_t r = 1; r < results.size(); ++r)
     EXPECT_TRUE(bit_equal(results[0], results[r]));
-}
-
-TEST(SimdDispatchEquivalence, FftBitIdenticalAcrossIsas) {
-  // The spectral routine: every DFT bin and reconstruction is the same
-  // bits under every forced ISA (a power of two, the folded week, a
-  // prime).
-  Rng rng(13);
-  for (const std::size_t n : {std::size_t{1024}, std::size_t{1008},
-                              std::size_t{251}}) {
-    std::vector<double> input(n);
-    for (auto& v : input) v = rng.normal();
-    std::vector<std::size_t> bins(n);
-    std::iota(bins.begin(), bins.end(), std::size_t{0});
-    const std::size_t keep[] = {4, 28, 56, n / 2};
-    std::vector<std::vector<Complex>> forward;
-    std::vector<std::vector<double>> reconstructed;
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      forward.push_back(dft_bins(input, bins));
-      reconstructed.push_back(reconstruct(input, keep));
-    }
-    for (std::size_t r = 1; r < forward.size(); ++r) {
-      EXPECT_TRUE(bit_equal(forward[0], forward[r])) << "n=" << n;
-      EXPECT_TRUE(bit_equal(reconstructed[0], reconstructed[r])) << "n=" << n;
-    }
-  }
-}
-
-TEST(SimdDispatchEquivalence, ZscoreAndFoldBitIdenticalAcrossIsas) {
-  Rng rng(14);
-  // Odd lengths force normalize's remainder lanes; the full-grid row
-  // goes through the same fold_to_week the pipeline runs.
-  for (const std::size_t n :
-       {std::size_t{5}, std::size_t{37}, std::size_t{1009}}) {
-    std::vector<double> series(n);
-    for (auto& v : series) v = 100.0 + 50.0 * rng.normal();
-    std::vector<std::vector<double>> results;
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      results.push_back(zscore(series));
-    }
-    for (std::size_t r = 1; r < results.size(); ++r)
-      EXPECT_TRUE(bit_equal(results[0], results[r])) << "n=" << n;
-  }
-  std::vector<double> row(TimeGrid::kSlots);
-  for (auto& v : row) v = rng.normal();
-  row[17] = std::numeric_limits<double>::quiet_NaN();  // non-finite too
-  std::vector<std::vector<double>> folds;
-  for (const simd::Isa isa : sweep_isas()) {
-    ForcedIsa forced(isa);
-    folds.push_back(fold_to_week({row}).front());
-  }
-  for (std::size_t r = 1; r < folds.size(); ++r)
-    EXPECT_TRUE(bit_equal(folds[0], folds[r]));
 }
 
 }  // namespace

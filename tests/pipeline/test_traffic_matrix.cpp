@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -84,6 +86,48 @@ TEST(FoldToWeek, PreservesWeeklyPeriodicSignalsExactly) {
   const auto folded = fold_to_week(rows);
   for (int s = 0; s < TimeGrid::kSlotsPerWeek; ++s)
     EXPECT_NEAR(folded[0][s], rows[0][s], 1e-12);
+}
+
+TEST(FoldWeek, MatchesModuloAccumulationOracle) {
+  // The oracle is the loop the fold replaced: week[s % 1008] += row[s]
+  // from 0.0, then one division — ascending s visits weeks 0, 1, 2, 3 of
+  // each slot in order. Slots holding 1e16, 1 and -1e16 in different
+  // weeks round differently when the weeks are summed in another order
+  // (reversed, say), and NaN/±inf slots must come out with the same bits.
+  // Compared bitwise: NaN != NaN.
+  constexpr std::size_t kPeriod = TimeGrid::kSlotsPerWeek;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kOrderProbes[][TimeGrid::kWeeks] = {
+      {1e16, 1.0, -1e16, 1.0},  {1.0, 1e16, 1.0, -1e16},
+      {1e16, -1e16, 1.0, 1.0},  {-1e16, 1.0, 1e16, 1.0},
+      {1.0, 1.0, 1e16, -1e16},  {1e16, 1.0, 1.0, -1e16},
+  };
+  Rng rng(24);
+  std::vector<double> row(TimeGrid::kSlots);
+  for (auto& v : row) v = rng.normal();
+  for (std::size_t j = 0; j < kPeriod; j += 7) {
+    const auto& probe = kOrderProbes[(j / 7) % std::size(kOrderProbes)];
+    for (std::size_t w = 0; w < TimeGrid::kWeeks; ++w)
+      row[w * kPeriod + j] = probe[w];
+  }
+  row[3] = kNan;
+  row[kPeriod + 5] = kInf;
+  row[2 * kPeriod + 5] = -kInf;  // inf + -inf in one slot: NaN
+  row[3 * kPeriod + 11] = -kInf;
+
+  std::vector<double> want(kPeriod, 0.0);
+  for (std::size_t s = 0; s < row.size(); ++s) want[s % kPeriod] += row[s];
+  for (auto& v : want) v /= static_cast<double>(TimeGrid::kWeeks);
+  // The probes must actually tell week orders apart.
+  ASSERT_EQ(want[0], 0.25);
+
+  const auto bits_equal = [&](const std::vector<double>& got) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(), kPeriod * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(bits_equal(fold_week(row)));
+  EXPECT_TRUE(bits_equal(fold_to_week({row, row}).back()));
 }
 
 TEST(FoldToWeek, RejectsWrongLength) {

@@ -1,18 +1,17 @@
 // Oracle tests for the SIMD kernel layer (DESIGN.md §12).
 //
-// Two claims are pinned per kernel, for every ISA the CPU supports:
-//   1. Correctness against a plainly-written oracle — the loop each
-//      kernel replaced, spelled out here independently of src/simd/.
-//      These comparisons are EXACT (EXPECT_EQ, no tolerance): the
-//      kernels' contract is bit-compatibility with the scalar order,
-//      not approximate agreement.
-//   2. Cross-ISA bit-identity on hostile inputs (NaN, ±inf, remainder
-//      lanes), compared bitwise since NaN != NaN.
+// Two claims are pinned for dot_4x8, for every ISA the CPU supports:
+//   1. Correctness against a plainly-written oracle — the sequential dot
+//      product, spelled out here independently of src/simd/. These
+//      comparisons are EXACT (EXPECT_EQ, no tolerance): the kernel's
+//      contract is bit-compatibility with the scalar order, not
+//      approximate agreement.
+//   2. Cross-ISA bit-identity on hostile inputs (NaN, ±inf), compared
+//      bitwise since NaN != NaN.
 // Dispatch plumbing (detect/force/parse/clamp) is covered at the end.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -85,43 +84,6 @@ TEST(SimdKernels, Dot4x8MatchesSequentialDotOracle) {
   }
 }
 
-TEST(SimdKernels, NormalizeMatchesElementwiseOracle) {
-  // Every remainder class of the 4-wide (AVX2) and 2-wide (NEON) loops.
-  for (std::size_t n = 1; n <= 9; ++n) {
-    const auto v = random_doubles(n, 23);
-    const double mean = 0.375;
-    const double sd = 1.625;
-    std::vector<double> want(n);
-    for (std::size_t i = 0; i < n; ++i) want[i] = (v[i] - mean) / sd;
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      std::vector<double> got(n);
-      simd::normalize(v.data(), n, mean, sd, got.data());
-      EXPECT_EQ(want, got) << "n=" << n << " isa=" << simd::isa_name(isa);
-    }
-  }
-}
-
-TEST(SimdKernels, FoldMeanMatchesModuloAccumulationOracle) {
-  // The loop fold_to_week replaced: week[s % period] += row[s], then a
-  // single division — ascending s visits fold 0, 1, 2 per slot in order.
-  for (const std::size_t period :
-       {std::size_t{3}, std::size_t{5}, std::size_t{8}, std::size_t{1008}}) {
-    const std::size_t folds = 3;
-    const auto row = random_doubles(period * folds, 24);
-    std::vector<double> want(period, 0.0);
-    for (std::size_t s = 0; s < row.size(); ++s) want[s % period] += row[s];
-    for (auto& v : want) v /= static_cast<double>(folds);
-    for (const simd::Isa isa : sweep_isas()) {
-      ForcedIsa forced(isa);
-      std::vector<double> got(period);
-      simd::fold_mean(row.data(), period, folds, got.data());
-      EXPECT_EQ(want, got)
-          << "period=" << period << " isa=" << simd::isa_name(isa);
-    }
-  }
-}
-
 TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -134,7 +96,6 @@ TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
   packed[21] = -kInf;
   packed[60] = kInf;
 
-  std::vector<std::vector<double>> norm_runs, fold_runs;
   std::vector<std::array<double, 32>> dot_runs;
   for (const simd::Isa isa : sweep_isas()) {
     ForcedIsa forced(isa);
@@ -142,20 +103,9 @@ TEST(SimdKernels, NonFiniteInputsBitIdenticalAcrossIsas) {
     std::array<double, 32> dots{};
     simd::dot_4x8(rows, packed.data(), v.size(), dots.data());
     dot_runs.push_back(dots);
-    std::vector<double> norm(v.size());
-    simd::normalize(v.data(), v.size(), 0.5, 2.0, norm.data());
-    norm_runs.push_back(std::move(norm));
-    std::vector<double> fold(11);
-    simd::fold_mean(packed.data(), 11, 4, fold.data());
-    fold_runs.push_back(std::move(fold));
   }
-  for (std::size_t r = 1; r < dot_runs.size(); ++r) {
+  for (std::size_t r = 1; r < dot_runs.size(); ++r)
     EXPECT_TRUE(bits_equal(dot_runs[0].data(), dot_runs[r].data(), 32));
-    EXPECT_TRUE(bits_equal(norm_runs[0].data(), norm_runs[r].data(),
-                           norm_runs[0].size()));
-    EXPECT_TRUE(bits_equal(fold_runs[0].data(), fold_runs[r].data(),
-                           fold_runs[0].size()));
-  }
 }
 
 TEST(SimdDispatch, NamesRoundTripAndUnknownsRejected) {
