@@ -58,7 +58,8 @@ int main() {
       const std::span<const double> one_day(series.data(),
                                             TimeGrid::kSlotsPerDay);
       auto pattern = pattern_forecaster.forecast(
-          one_day, train + test - TimeGrid::kSlotsPerDay);
+          one_day, train + test - TimeGrid::kSlotsPerDay,
+          pattern_forecaster.match(one_day));
       const std::vector<double> pattern_week(pattern.end() - static_cast<long>(test),
                                              pattern.end());
 

@@ -26,7 +26,7 @@ int main() {
     return max_normalize(features.weekday.mean_day);
   };
 
-  for (const auto [region, label] :
+  for (const auto& [region, label] :
        {std::pair{FunctionalRegion::kResident, "Residential towers"},
         std::pair{FunctionalRegion::kOffice, "Business-district towers"}}) {
     const auto rows = pick_towers(region);

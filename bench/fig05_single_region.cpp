@@ -14,7 +14,7 @@ int main() {
          "regular patterns");
   const auto& e = experiment();
 
-  for (const auto [region, label] :
+  for (const auto& [region, label] :
        {std::pair{FunctionalRegion::kResident, "(a) residential towers"},
         std::pair{FunctionalRegion::kOffice, "(b) business-district towers"}}) {
     std::vector<std::size_t> rows;

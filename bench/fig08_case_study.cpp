@@ -32,7 +32,7 @@ int main() {
   double total_match = 0.0;
   std::size_t total_towers = 0;
 
-  for (const auto [center, label] :
+  for (const auto& [center, label] :
        {std::pair{office_center, "Area A (business district)"},
         std::pair{resident_center, "Area B (residential neighborhood)"}}) {
     ++areas_checked;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "common/error.h"
 
@@ -10,7 +12,7 @@ namespace cellscope {
 namespace {
 
 /// e^{−2πij/N} for j < N.
-std::vector<Complex> roots_of_unity(std::size_t n) {
+std::vector<Complex> build_roots(std::size_t n) {
   std::vector<Complex> roots(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double angle =
@@ -18,6 +20,19 @@ std::vector<Complex> roots_of_unity(std::size_t n) {
     roots[j] = Complex(std::cos(angle), std::sin(angle));
   }
   return roots;
+}
+
+/// The table for length N, built on first use and kept for the life of
+/// the process. Map nodes never move and entries are never erased or
+/// modified once inserted, so the returned reference stays valid and
+/// readable without the lock.
+const std::vector<Complex>& roots_of_unity(std::size_t n) {
+  static std::mutex mutex;
+  static std::map<std::size_t, std::vector<Complex>> tables;
+  const std::lock_guard lock(mutex);
+  auto it = tables.find(n);
+  if (it == tables.end()) it = tables.emplace(n, build_roots(n)).first;
+  return it->second;
 }
 
 /// Steps a bin's table index from (k·t) mod N to (k·(t+1)) mod N.
@@ -68,7 +83,7 @@ std::vector<double> reconstruct(std::span<const double> series,
   std::sort(bins.begin(), bins.end());
   bins.erase(std::unique(bins.begin(), bins.end()), bins.end());
 
-  const auto roots = roots_of_unity(n);
+  const auto& roots = roots_of_unity(n);
   const auto coefficients = evaluate(series, bins, roots);
   // x[t] = Re Σ_k X[k]·e^{+2πikt/N} / N, with e^{+2πikt/N} = conj(root).
   std::vector<double> out(n);

@@ -29,10 +29,12 @@ inline constexpr std::size_t kHalfDailyComponent = 56; ///< period = 1/2 day
 
 /// DFT coefficients X[k] of a real series, one per entry of `bins`, in
 /// `bins` order; every k must be < N = series.size() (N >= 1). One pass
-/// over the series against one table of the N roots of unity, the table
+/// over the series against the table of the N roots of unity, the table
 /// index (k·t) mod N stepped as an exact integer. Each bin sums in
 /// ascending t, so the result is the same on every ISA and pool size.
-/// O(N · bins.size()).
+/// O(N · bins.size()). The table is built on the first call for each N
+/// and shared by every later call and thread (16 B × N, kept until exit);
+/// reconstruct() reads the same tables.
 std::vector<Complex> dft_bins(std::span<const double> series,
                               std::span<const std::size_t> bins);
 

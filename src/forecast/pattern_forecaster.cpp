@@ -49,8 +49,11 @@ std::size_t PatternForecaster::match(std::span<const double> history) const {
 }
 
 std::vector<double> PatternForecaster::forecast(
-    std::span<const double> history, std::size_t horizon) const {
-  const std::size_t chosen = match(history);
+    std::span<const double> history, std::size_t horizon,
+    std::size_t chosen) const {
+  CS_CHECK_MSG(history.size() >= kMinMatchSlots,
+               "forecasting needs at least half a day of history");
+  CS_CHECK_MSG(chosen < templates_.size(), "template index out of range");
   const auto& pattern = templates_[chosen];
 
   // De-normalization: match the history's mean and dispersion to the

@@ -42,11 +42,12 @@ class PatternForecaster {
   std::size_t match_or_prior(std::span<const double> history,
                              std::size_t prior) const;
 
-  /// Forecasts `horizon` slots following `history`: the matched template
-  /// de-normalized with the history's mean and standard deviation.
-  /// Requires at least half a day (72 slots) of history.
+  /// Forecasts `horizon` slots following `history`: template `chosen`
+  /// (typically match(history)) de-normalized with the history's mean and
+  /// standard deviation. Requires at least half a day (72 slots) of
+  /// history and chosen < template_count().
   std::vector<double> forecast(std::span<const double> history,
-                               std::size_t horizon) const;
+                               std::size_t horizon, std::size_t chosen) const;
 
   std::size_t template_count() const { return templates_.size(); }
 

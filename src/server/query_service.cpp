@@ -281,7 +281,7 @@ HttpResponse QueryService::handle_forecast(std::uint32_t tower_id,
 
   const auto& forecaster = classifier->forecaster();
   const std::size_t matched = forecaster.match(history);
-  const auto values = forecaster.forecast(history, horizon);
+  const auto values = forecaster.forecast(history, horizon, matched);
   std::string json = "{\"tower\":" + std::to_string(tower_id);
   json += ",\"horizon\":" + std::to_string(horizon);
   json += ",\"template\":" + std::to_string(matched);

@@ -80,7 +80,8 @@ bool open_frame(const unsigned char* frame, std::size_t frame_len,
   payload_len = read_u32(frame + 8);
   if (frame_len != kChunkHeaderBytes + payload_len + kChunkCrcBytes)
     return false;
-  const std::uint32_t stored = read_u32(frame + kChunkHeaderBytes + payload_len);
+  payload = frame + kChunkHeaderBytes;
+  const std::uint32_t stored = read_u32(payload + payload_len);
   if (CS_FAILPOINT("trace.chunk.corrupt")) return false;
   return crc32(frame + 4, 8 + payload_len) == stored;
 }
@@ -156,7 +157,6 @@ bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
   std::size_t payload_len = 0;
   if (!open_frame(frame, frame_len, n_records, payload, payload_len))
     return false;
-  payload = frame + kChunkHeaderBytes;
   ColumnSpans cols;
   if (!split_columns(payload, payload_len, cols)) return false;
 
@@ -212,7 +212,6 @@ bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
   std::size_t payload_len = 0;
   if (!open_frame(frame, frame_len, n_records, payload, payload_len))
     return false;
-  payload = frame + kChunkHeaderBytes;
   ColumnSpans cols;
   if (!split_columns(payload, payload_len, cols)) return false;
 

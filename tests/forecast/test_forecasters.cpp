@@ -137,7 +137,8 @@ TEST(PatternForecaster, ForecastRecoversScaleAndShape) {
   std::vector<double> history;
   for (int s = 0; s < TimeGrid::kSlotsPerDay; ++s)
     history.push_back(50.0 + 10.0 * templates[0][static_cast<std::size_t>(s)]);
-  const auto forecast = forecaster.forecast(history, TimeGrid::kSlotsPerDay);
+  const auto forecast = forecaster.forecast(history, TimeGrid::kSlotsPerDay,
+                                            forecaster.match(history));
   // Next day continues the same scaled sinusoid.
   for (int s = 0; s < TimeGrid::kSlotsPerDay; s += 13) {
     const double want =
@@ -164,7 +165,8 @@ TEST(PatternForecaster, ColdStartBeatsMeanPredictorOnRealTowers) {
   std::vector<double> one_day(s.train.begin(),
                               s.train.begin() + TimeGrid::kSlotsPerDay);
   const auto forecast =
-      forecaster.forecast(one_day, TimeGrid::kSlotsPerWeek);
+      forecaster.forecast(one_day, TimeGrid::kSlotsPerWeek,
+                          forecaster.match(one_day));
   std::vector<double> actual(
       s.train.begin() + TimeGrid::kSlotsPerDay,
       s.train.begin() + TimeGrid::kSlotsPerDay + TimeGrid::kSlotsPerWeek);
@@ -217,7 +219,8 @@ TEST(PatternForecaster, ConstantHistoryMatchesWithoutNaN) {
   const auto matched = forecaster.match_or_prior(flat, 0);
   EXPECT_LT(matched, forecaster.template_count());
 
-  const auto forecast = forecaster.forecast(flat, TimeGrid::kSlotsPerDay);
+  const auto forecast =
+      forecaster.forecast(flat, TimeGrid::kSlotsPerDay, matched);
   for (const double v : forecast) EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -228,6 +231,13 @@ TEST(PatternForecaster, ValidatesInput) {
       std::vector<double>(TimeGrid::kSlotsPerWeek, 1.0)};
   const PatternForecaster forecaster(templates);
   EXPECT_THROW(forecaster.match(std::vector<double>(10)), Error);
+  // forecast() takes match()'s history floor, and like match_or_prior's
+  // prior, its template index must name a real template.
+  const std::vector<double> day(TimeGrid::kSlotsPerDay, 3.0);
+  EXPECT_EQ(forecaster.forecast(day, 10, 0).size(), 10u);
+  EXPECT_THROW(forecaster.forecast(day, 10, forecaster.template_count()),
+               Error);
+  EXPECT_THROW(forecaster.forecast(std::vector<double>(10), 10, 0), Error);
 }
 
 }  // namespace

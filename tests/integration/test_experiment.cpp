@@ -37,7 +37,9 @@ TEST(Experiment, DbiSweepHasItsMinimumAtTheChosenCut) {
   const auto& sweep = shared_experiment().dbi_sweep_result();
   const auto& chosen = shared_experiment().chosen_cut();
   for (const auto& point : sweep) {
-    if (point.valid) EXPECT_GE(point.dbi, chosen.dbi);
+    if (point.valid) {
+      EXPECT_GE(point.dbi, chosen.dbi);
+    }
   }
 }
 

@@ -17,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "analysis/component_analysis.h"
@@ -31,6 +33,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time_grid.h"
+#include "dsp/spectrum.h"
 #include "geo/spatial_index.h"
 #include "mapred/thread_pool.h"
 #include "ml/distance.h"
@@ -216,6 +219,56 @@ TEST(ParallelEquivalence, FreqFeaturesBitIdenticalAcrossThreadCounts) {
   const auto serial_var = amplitude_variance_spectrum(rows, 100);
   const auto par_var = amplitude_variance_spectrum(rows, 100, &pool8);
   EXPECT_EQ(serial_var, par_var);
+}
+
+TEST(ParallelEquivalence, SharedRootsTableRaceIsBitIdenticalToSerial) {
+  // Eight threads race the first use of each length's roots-of-unity
+  // table (each thread starts at a different length); every thread's
+  // bins and reconstruction must equal a later serial call bit for bit.
+  struct Case {
+    std::vector<double> series;
+    std::vector<std::size_t> bins;
+  };
+  Rng rng(29);
+  std::vector<Case> cases;
+  for (const std::size_t n : {std::size_t{4032}, std::size_t{1008},
+                              std::size_t{251}}) {
+    Case c;
+    c.series.resize(n);
+    for (auto& v : c.series) v = rng.normal();
+    c.bins = {1, n / 72, n / 36, n / 2};
+    cases.push_back(std::move(c));
+  }
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<std::vector<Complex>>> bins(
+      kThreads, std::vector<std::vector<Complex>>(cases.size()));
+  std::vector<std::vector<std::vector<double>>> series(
+      kThreads, std::vector<std::vector<double>>(cases.size()));
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (std::size_t j = 0; j < cases.size(); ++j) {
+        const std::size_t c = (t + j) % cases.size();
+        bins[t][c] = dft_bins(cases[c].series, cases[c].bins);
+        series[t][c] = reconstruct(cases[c].series, cases[c].bins);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto want_bins = dft_bins(cases[c].series, cases[c].bins);
+    const auto want_series = reconstruct(cases[c].series, cases[c].bins);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(bins[t][c], want_bins) << "N = " << cases[c].series.size();
+      EXPECT_EQ(series[t][c], want_series)
+          << "N = " << cases[c].series.size();
+    }
+  }
 }
 
 /// A small city: towers, their intensity model and POIs.

@@ -118,7 +118,9 @@ TEST(DbiSweep, MinClusterSizeMarksTinyClustersInvalid) {
     // k=2 (blobs merged vs pair) and k=3 (blob, blob, pair) are valid;
     // k=4 splits a blob or the pair into a singleton only if the next
     // merge is within a blob — check just the guaranteed cuts.
-    if (point.k <= 3) EXPECT_TRUE(point.valid) << "k = " << point.k;
+    if (point.k <= 3) {
+      EXPECT_TRUE(point.valid) << "k = " << point.k;
+    }
   }
   EXPECT_TRUE(best_cut(lenient).valid);
 }

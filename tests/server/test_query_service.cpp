@@ -200,13 +200,15 @@ TEST_F(QueryServiceTest, ForecastEndpointMatchesForecaster) {
   EXPECT_EQ(doc.at("horizon").as_number(), 288.0);
 
   const auto history = ingestor.window_copy(4).observed_history();
-  const auto expected = classifier->forecaster().forecast(history, 288);
+  const auto& forecaster = classifier->forecaster();
+  const auto expected =
+      forecaster.forecast(history, 288, forecaster.match(history));
   const auto& values = doc.at("values").as_array();
   ASSERT_EQ(values.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(values[i].as_number(), expected[i]) << "slot " << i;
   EXPECT_EQ(static_cast<std::size_t>(doc.at("template").as_number()),
-            classifier->forecaster().match(history));
+            forecaster.match(history));
 
   // Default horizon is one day of slots.
   const auto default_response =

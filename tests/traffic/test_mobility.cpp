@@ -77,10 +77,12 @@ TEST(MobilityModel, WeekdayScheduleFollowsTheCommute) {
   for (const std::size_t slot :
        {TimeGrid::slot_at(0, 5, 0), TimeGrid::slot_at(0, 12, 0)}) {
     const auto tower = model.tower_at(user, slot);
-    if (model.place_at(user, slot) == UserPlace::kHome)
+    if (model.place_at(user, slot) == UserPlace::kHome) {
       EXPECT_EQ(tower, user.home_tower);
-    if (model.place_at(user, slot) == UserPlace::kWork)
+    }
+    if (model.place_at(user, slot) == UserPlace::kWork) {
       EXPECT_EQ(tower, user.work_tower);
+    }
   }
 }
 

@@ -181,8 +181,11 @@ TEST(TrafficProfile, PureProfilesAreInRegionOrder) {
     const auto day = p.weekday_day();
     return min_value(day) / max_value(day);
   };
-  for (int i = 0; i < 4; ++i)
-    if (i != 1) EXPECT_LT(relative_min(pure[1]), relative_min(pure[i]));
+  for (int i = 0; i < 4; ++i) {
+    if (i != 1) {
+      EXPECT_LT(relative_min(pure[1]), relative_min(pure[i]));
+    }
+  }
 }
 
 }  // namespace
