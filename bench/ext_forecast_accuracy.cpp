@@ -24,8 +24,7 @@ int main() {
   const auto& e = experiment();
 
   // Pattern templates: labeled cluster centroids (z-scored weeks).
-  const auto folded = fold_to_week(e.zscored());
-  const auto centroids = cluster_centroids(folded, e.labels());
+  const auto centroids = cluster_centroids(e.folded(), e.labels());
   PatternForecaster pattern_forecaster(centroids);
 
   const std::size_t train = 3 * TimeGrid::kSlotsPerWeek;

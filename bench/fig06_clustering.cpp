@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "pipeline/traffic_matrix.h"
 
 int main() {
   using namespace cellscope;
@@ -30,7 +29,7 @@ int main() {
                "their 4032-dim scale)\n\n";
 
   // (b) CDF of distance to centroid, per cluster, in the clustering space.
-  const auto folded = fold_to_week(e.zscored());
+  const auto& folded = e.folded();
   const auto centroids = cluster_centroids(folded, e.labels());
   std::vector<std::vector<double>> cdf_series;
   std::vector<std::string> cdf_names;

@@ -15,7 +15,7 @@ int main() {
          "Variance of per-tower DFT amplitude at each frequency");
   const auto& e = experiment();
   const auto variance_spectrum =
-      amplitude_variance_spectrum(e.zscored(), 100);
+      amplitude_variance_spectrum(zscore_rows(e.matrix()), 100);
 
   std::vector<double> plot(variance_spectrum.begin() + 1,
                            variance_spectrum.end());

@@ -20,7 +20,7 @@ int main() {
   std::array<std::vector<double>, 4> primary_series;
   for (int r = 0; r < 4; ++r) {
     primaries[r] = features[reps[r]].qp_feature();
-    primary_series[r] = e.zscored()[reps[r]];
+    primary_series[r] = zscore(e.matrix().rows[reps[r]]);
   }
 
   // Pick the 5th comprehensive tower (the paper decomposes P5).
@@ -57,7 +57,7 @@ int main() {
   // Fig 19: the time-domain view (first week).
   const auto combined =
       combine_series(decomposition.coefficients, primary_series);
-  const auto& target_series = e.zscored()[target_row];
+  const auto target_series = zscore(e.matrix().rows[target_row]);
   std::vector<double> target_week(
       target_series.begin(), target_series.begin() + TimeGrid::kSlotsPerWeek);
   std::vector<double> combined_week(

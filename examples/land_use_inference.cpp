@@ -26,8 +26,8 @@ struct Templates {
 };
 
 Templates learn_templates(const Experiment& experiment) {
-  const auto folded = fold_to_week(experiment.zscored());
-  const auto centroids = cluster_centroids(folded, experiment.labels());
+  const auto centroids =
+      cluster_centroids(experiment.folded(), experiment.labels());
   Templates templates;
   templates.centroid.resize(kNumRegions);
   for (std::size_t c = 0; c < centroids.size(); ++c) {
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   config_b.n_towers = n_towers;
   config_b.seed = seed_b;
   const auto city_b = Experiment::run(config_b);
-  const auto folded_b = fold_to_week(city_b.zscored());
+  const auto& folded_b = city_b.folded();
 
   std::array<std::array<std::size_t, kNumRegions>, kNumRegions> confusion{};
   std::size_t correct = 0;

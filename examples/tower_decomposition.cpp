@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
   // The tower's week, against its convex reconstruction.
   std::array<std::vector<double>, 4> primary_series;
   for (int r = 0; r < 4; ++r)
-    primary_series[r] = experiment.zscored()[reps[r]];
+    primary_series[r] = zscore(experiment.matrix().rows[reps[r]]);
   const auto combined =
       combine_series(decomposition.coefficients, primary_series);
-  const auto& own = experiment.zscored()[row];
+  const auto own = zscore(experiment.matrix().rows[row]);
   std::vector<double> own_week(own.begin(),
                                own.begin() + TimeGrid::kSlotsPerWeek);
   std::vector<double> combined_week(

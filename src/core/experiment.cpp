@@ -46,7 +46,6 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   obs::log_info("experiment.start",
                 {{"towers", config.n_towers},
                  {"seed", config.seed},
-                 {"fold_weekly", config.fold_weekly},
                  {"threads", pool.thread_count()}});
   // With CELLSCOPE_RUN_REPORT set, a provenance report (config, stage
   // spans, metrics, quality verdicts) is written at process exit; arming
@@ -55,7 +54,6 @@ Experiment Experiment::run(const ExperimentConfig& config) {
       "experiment",
       {{"towers", std::to_string(config.n_towers)},
        {"seed", std::to_string(config.seed)},
-       {"fold_weekly", config.fold_weekly ? "true" : "false"},
        {"k_min", std::to_string(config.k_min)},
        {"k_max", std::to_string(config.k_max)},
        {"min_cluster_fraction", std::to_string(config.min_cluster_fraction)},
@@ -106,33 +104,33 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     span.annotate({"rows", e.matrix_.n()});
   }
 
-  // 4. Normalization.
+  // 4. Normalization. The z-scored rows are read once, here, for the fold
+  // (DESIGN.md §5.2), the frequency features and the §5.1 energy check,
+  // and released before the O(n²) distance matrix is allocated.
+  double principal_energy = 0.0;
   {
+    std::vector<std::vector<double>> zscored;
     obs::StageSpan span("pipeline.zscore");
-    e.zscored_ = zscore_rows(e.matrix_, &pool);
+    zscored = zscore_rows(e.matrix_, &pool);
     obs::QualityBoard::instance().add_check(
         "pipeline.zscore", "zscore_normalized", obs::Severity::kFail,
-        [&rows = e.zscored_] { return obs::check_zscore_rows(rows); });
-    span.annotate({"rows", e.zscored_.size()});
+        [&rows = zscored] { return obs::check_zscore_rows(rows); });
+    e.folded_ = fold_to_week(zscored, &pool);
+    e.freq_features_ = compute_freq_features(zscored, &pool);
+    principal_energy = principal_energy_fraction(zscored);
+    span.annotate({"rows", zscored.size()});
   }
 
-  // 5. Clustering + metric tuner. Distances are computed on the mean-week
-  // fold when configured (DESIGN.md §5.2); the DBI sweep uses the same
-  // representation the dendrogram was built on.
+  // 5. Clustering + metric tuner, on the fold; the DBI sweep uses the
+  // same representation the dendrogram was built on.
   {
     obs::StageSpan span("pipeline.cluster_tune");
-    std::vector<std::vector<double>> folded_storage;
-    const std::vector<std::vector<double>>* cluster_input = &e.zscored_;
-    if (config.fold_weekly) {
-      folded_storage = fold_to_week(e.zscored_, &pool);
-      cluster_input = &folded_storage;
-    }
     e.dendrogram_ = std::make_unique<Dendrogram>(Dendrogram::run(
-        DistanceMatrix::compute(*cluster_input, &pool), Linkage::kAverage));
+        DistanceMatrix::compute(e.folded_, &pool), Linkage::kAverage));
     const auto min_cluster_size = static_cast<std::size_t>(
         std::max(2.0, config.min_cluster_fraction *
                           static_cast<double>(config.n_towers)));
-    e.sweep_ = dbi_sweep(*e.dendrogram_, *cluster_input, config.k_min,
+    e.sweep_ = dbi_sweep(*e.dendrogram_, e.folded_, config.k_min,
                          std::min(config.k_max, config.n_towers - 1),
                          min_cluster_size, &pool);
     e.chosen_ = best_cut(e.sweep_);
@@ -148,9 +146,8 @@ Experiment Experiment::run(const ExperimentConfig& config) {
                     obs::Severity::kFail,
                     [dbi = e.chosen_.dbi] { return obs::check_dbi(dbi); });
     board.add_check("pipeline.cluster_tune", "dft_energy_principal",
-                    obs::Severity::kWarn, [&zscored = e.zscored_] {
-                      return obs::check_energy_fraction(
-                          principal_energy_fraction(zscored));
+                    obs::Severity::kWarn, [principal_energy] {
+                      return obs::check_energy_fraction(principal_energy);
                     });
     span.annotate({"towers", e.towers_.size()});
     span.annotate({"k", e.chosen_.k});
@@ -227,20 +224,11 @@ std::vector<double> Experiment::total_aggregate() const {
   return aggregate_series(matrix_);
 }
 
-const std::vector<FreqFeatures>& Experiment::freq_features() const {
-  if (!freq_features_) {
-    ThreadPool pool(configured_thread_count());
-    freq_features_ = compute_freq_features(zscored_, &pool);
-  }
-  return *freq_features_;
-}
-
 const std::array<std::size_t, 4>& Experiment::representatives() const {
   if (!representatives_) {
-    const auto& features = freq_features();
     std::vector<std::array<double, 3>> qp_features;
-    qp_features.reserve(features.size());
-    for (const auto& f : features) qp_features.push_back(f.qp_feature());
+    qp_features.reserve(freq_features_.size());
+    for (const auto& f : freq_features_) qp_features.push_back(f.qp_feature());
 
     ThreadPool pool(configured_thread_count());
 

@@ -4,11 +4,12 @@
 //   1. synthetic city construction and tower deployment (data substitute),
 //   2. latent per-tower intensity models and POI generation,
 //   3. traffic matrix construction (10-minute vectors, §3.2 vectorizer),
-//   4. z-score normalization,
-//   5. average-linkage hierarchical clustering with a Davies-Bouldin sweep
-//      (§3.2 pattern identifier + metric tuner),
+//   4. z-score normalization, read once for the mean-week fold, the
+//      frequency features and the §5.1 energy check, then released,
+//   5. average-linkage hierarchical clustering of the fold with a
+//      Davies-Bouldin sweep (§3.2 pattern identifier + metric tuner),
 //   6. POI-based cluster labeling and ground-truth validation (§3.3),
-// and exposes every intermediate product to the analysis/bench layers.
+// and exposes the products the analysis/bench layers read.
 // Deterministic in ExperimentConfig::seed.
 #pragma once
 
@@ -37,10 +38,6 @@ struct ExperimentConfig {
   /// Number of towers (the paper: 9,600; default sized for single-core
   /// runs — see DESIGN.md §5.2).
   std::size_t n_towers = 1200;
-  /// Cluster on mean-week (1008-dim) folds of the z-scored vectors
-  /// instead of the full 4032 dims (4× cheaper, information-preserving
-  /// for weekly-periodic traffic).
-  bool fold_weekly = true;
   /// Davies-Bouldin sweep bounds for the metric tuner.
   std::size_t k_min = 2;
   std::size_t k_max = 10;
@@ -69,10 +66,13 @@ class Experiment {
   /// Raw traffic matrix (row i corresponds to towers()[i]).
   const TrafficMatrix& matrix() const { return matrix_; }
 
-  /// Z-scored rows (the paper's Xj vectors).
-  const std::vector<std::vector<double>>& zscored() const { return zscored_; }
+  /// Mean-week (1008-slot) folds of the z-scored rows — the
+  /// representation the dendrogram and the DBI sweep clustered
+  /// (DESIGN.md §5.2). The z-scored rows themselves are not kept:
+  /// zscore_rows(matrix()) rebuilds them bit for bit.
+  const std::vector<std::vector<double>>& folded() const { return folded_; }
 
-  /// The clustering dendrogram (over the configured representation).
+  /// The clustering dendrogram (over folded()).
   const Dendrogram& dendrogram() const { return *dendrogram_; }
 
   /// The metric tuner's DBI sweep (Fig. 6a data).
@@ -115,8 +115,10 @@ class Experiment {
   /// City-wide aggregate traffic.
   std::vector<double> total_aggregate() const;
 
-  /// Frequency features of every row (computed on first use).
-  const std::vector<FreqFeatures>& freq_features() const;
+  /// Frequency features of every z-scored row (row-aligned).
+  const std::vector<FreqFeatures>& freq_features() const {
+    return freq_features_;
+  }
 
   /// Row index of the most representative tower per pure region, in pure-
   /// region order (resident, transport, office, entertainment). Computed
@@ -136,7 +138,8 @@ class Experiment {
   std::unique_ptr<IntensityModel> intensity_;
   std::unique_ptr<PoiDatabase> pois_;
   TrafficMatrix matrix_;
-  std::vector<std::vector<double>> zscored_;
+  std::vector<std::vector<double>> folded_;
+  std::vector<FreqFeatures> freq_features_;
   std::unique_ptr<Dendrogram> dendrogram_;
   std::vector<DbiSweepPoint> sweep_;
   DbiSweepPoint chosen_;
@@ -145,8 +148,7 @@ class Experiment {
   ClusterLabeling labeling_;
   LabelValidation validation_;
 
-  // Lazy caches.
-  mutable std::optional<std::vector<FreqFeatures>> freq_features_;
+  // Lazy cache.
   mutable std::optional<std::array<std::size_t, 4>> representatives_;
 };
 

@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/stats.h"
 #include "core/experiment.h"
+#include "ml/validity.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "pipeline/traffic_matrix.h"
@@ -15,28 +16,14 @@ namespace cellscope {
 
 ModelSnapshot snapshot_model(const Experiment& experiment) {
   ModelSnapshot model;
-  const auto& labels = experiment.labels();
-  const std::size_t k = experiment.n_clusters();
-
-  // Centroids: per-cluster means of the folded z-scored rows — the same
-  // representation the dendrogram clustered when fold_weekly is on.
-  const auto folded = fold_to_week(experiment.zscored());
-  model.centroids.assign(
-      k, std::vector<double>(TimeGrid::kSlotsPerWeek, 0.0));
-  model.populations.assign(k, 0);
-  for (std::size_t i = 0; i < folded.size(); ++i) {
-    const auto c = static_cast<std::size_t>(labels[i]);
-    ++model.populations[c];
-    for (std::size_t s = 0; s < folded[i].size(); ++s)
-      model.centroids[c][s] += folded[i][s];
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    CS_CHECK_MSG(model.populations[c] > 0, "empty cluster in experiment");
-    for (auto& v : model.centroids[c])
-      v /= static_cast<double>(model.populations[c]);
-  }
+  // Centroids: per-cluster means of the folded z-scored rows — the
+  // representation the dendrogram clustered.
+  model.centroids = cluster_centroids(experiment.folded(), experiment.labels());
+  model.populations.assign(model.centroids.size(), 0);
+  for (const int label : experiment.labels())
+    ++model.populations[static_cast<std::size_t>(label)];
   model.regions = experiment.labeling().region_of_cluster;
-  CS_CHECK_MSG(model.regions.size() == k,
+  CS_CHECK_MSG(model.regions.size() == model.centroids.size(),
                "labeling does not cover every cluster");
 
   // Primary components need all four pure regions; smaller experiments

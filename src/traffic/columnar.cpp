@@ -150,118 +150,104 @@ void encode_chunk(std::span<const TrafficLog> logs, std::string& out,
   append_u32(crc, out);
 }
 
-bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
-                          std::vector<TrafficLog>& out) {
-  std::uint32_t n_records = 0;
-  const unsigned char* payload = nullptr;
-  std::size_t payload_len = 0;
-  if (!open_frame(frame, frame_len, n_records, payload, payload_len))
-    return false;
-  ColumnSpans cols;
-  if (!split_columns(payload, payload_len, cols)) return false;
+namespace {
 
-  const std::size_t base = out.size();
-  out.resize(base + n_records);
-  const unsigned char* user = cols.begin[0];
-  const unsigned char* tower = cols.begin[1];
-  const unsigned char* start = cols.begin[2];
-  const unsigned char* end = cols.begin[3];
-  const unsigned char* bytes = cols.begin[4];
-  const unsigned char* addr = cols.begin[5];
-  std::uint32_t prev_start = 0;
-  for (std::uint32_t i = 0; i < n_records; ++i) {
-    TrafficLog& log = out[base + i];
-    std::uint64_t v = 0;
-    if (!varint_decode(&user, cols.end[0], v)) break;
-    log.user_id = v;
-    if (!varint_decode(&tower, cols.end[1], v) ||
-        v > std::numeric_limits<std::uint32_t>::max())
-      break;
-    log.tower_id = static_cast<std::uint32_t>(v);
-    if (!varint_decode(&start, cols.end[2], v)) break;
-    const std::int64_t s = prev_start + zigzag_decode(v);
-    if (s < 0 || s > std::numeric_limits<std::uint32_t>::max()) break;
-    log.start_minute = static_cast<std::uint32_t>(s);
-    prev_start = log.start_minute;
-    if (!varint_decode(&end, cols.end[3], v)) break;
-    const std::int64_t e = s + zigzag_decode(v);
-    if (e < 0 || e > std::numeric_limits<std::uint32_t>::max()) break;
-    log.end_minute = static_cast<std::uint32_t>(e);
-    if (!varint_decode(&bytes, cols.end[4], v)) break;
-    log.bytes = v;
-    if (!varint_decode(&addr, cols.end[5], v) ||
-        v > static_cast<std::uint64_t>(cols.end[5] - addr))
-      break;
-    log.address.assign(reinterpret_cast<const char*>(addr),
-                       static_cast<std::size_t>(v));
-    addr += v;
-    if (i + 1 == n_records) {
-      out.resize(base + n_records);
-      return true;
-    }
-  }
-  out.resize(base);  // leave the output untouched on corruption
-  return n_records == 0;
-}
-
-bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
-                          DecodedColumns& out) {
+/// The one frame decoder: validates the frame (open_frame) and its
+/// column blocks, then fills `out` (cleared first) with the tower, start,
+/// end and byte columns and leaves the user-id and address blocks in
+/// `cols` for decode_chunk_records. The claimed record count is bounded
+/// before anything is allocated — every record takes at least one byte
+/// in each of the six blocks — and each decoded block must be consumed
+/// exactly.
+bool decode_frame(const unsigned char* frame, std::size_t frame_len,
+                  DecodedColumns& out, ColumnSpans& cols) {
   out.clear();
   std::uint32_t n_records = 0;
   const unsigned char* payload = nullptr;
   std::size_t payload_len = 0;
-  if (!open_frame(frame, frame_len, n_records, payload, payload_len))
+  if (!open_frame(frame, frame_len, n_records, payload, payload_len) ||
+      !split_columns(payload, payload_len, cols))
     return false;
-  ColumnSpans cols;
-  if (!split_columns(payload, payload_len, cols)) return false;
+  for (int c = 0; c < 6; ++c)
+    if (static_cast<std::size_t>(cols.end[c] - cols.begin[c]) < n_records)
+      return false;
 
   out.tower.resize(n_records);
   out.start.resize(n_records);
   out.end.resize(n_records);
   out.bytes.resize(n_records);
-  // User ids and addresses are skipped wholesale — split_columns already
-  // jumped over their blocks; this is the columnar layout paying off.
   const unsigned char* tower = cols.begin[1];
   const unsigned char* start = cols.begin[2];
   const unsigned char* end = cols.begin[3];
   const unsigned char* bytes = cols.begin[4];
   std::uint32_t prev_start = 0;
+  const auto corrupt = [&out] {
+    out.clear();
+    return false;
+  };
   for (std::uint32_t i = 0; i < n_records; ++i) {
     std::uint64_t v = 0;
     if (!varint_decode(&tower, cols.end[1], v) ||
-        v > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
+        v > std::numeric_limits<std::uint32_t>::max())
+      return corrupt();
     out.tower[i] = static_cast<std::uint32_t>(v);
-    if (!varint_decode(&start, cols.end[2], v)) {
-      out.clear();
-      return false;
-    }
+    if (!varint_decode(&start, cols.end[2], v)) return corrupt();
     const std::int64_t s = prev_start + zigzag_decode(v);
-    if (s < 0 || s > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
+    if (s < 0 || s > std::numeric_limits<std::uint32_t>::max())
+      return corrupt();
     out.start[i] = static_cast<std::uint32_t>(s);
     prev_start = out.start[i];
-    if (!varint_decode(&end, cols.end[3], v)) {
-      out.clear();
-      return false;
-    }
+    if (!varint_decode(&end, cols.end[3], v)) return corrupt();
     const std::int64_t e = s + zigzag_decode(v);
-    if (e < 0 || e > std::numeric_limits<std::uint32_t>::max()) {
-      out.clear();
-      return false;
-    }
+    if (e < 0 || e > std::numeric_limits<std::uint32_t>::max())
+      return corrupt();
     out.end[i] = static_cast<std::uint32_t>(e);
-    if (!varint_decode(&bytes, cols.end[4], v)) {
-      out.clear();
-      return false;
-    }
-    out.bytes[i] = v;
+    if (!varint_decode(&bytes, cols.end[4], out.bytes[i])) return corrupt();
   }
+  if (tower != cols.end[1] || start != cols.end[2] || end != cols.end[3] ||
+      bytes != cols.end[4])
+    return corrupt();
   return true;
+}
+
+}  // namespace
+
+bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
+                          std::vector<TrafficLog>& out) {
+  DecodedColumns columns;
+  ColumnSpans cols;
+  if (!decode_frame(frame, frame_len, columns, cols)) return false;
+
+  const std::size_t base = out.size();
+  out.resize(base + columns.size());
+  const unsigned char* user = cols.begin[0];
+  const unsigned char* addr = cols.begin[5];
+  std::size_t i = 0;
+  for (; i < columns.size(); ++i) {
+    TrafficLog& log = out[base + i];
+    std::uint64_t addr_len = 0;
+    if (!varint_decode(&user, cols.end[0], log.user_id) ||
+        !varint_decode(&addr, cols.end[5], addr_len) ||
+        addr_len > static_cast<std::uint64_t>(cols.end[5] - addr))
+      break;
+    log.tower_id = columns.tower[i];
+    log.start_minute = columns.start[i];
+    log.end_minute = columns.end[i];
+    log.bytes = columns.bytes[i];
+    log.address.assign(reinterpret_cast<const char*>(addr),
+                       static_cast<std::size_t>(addr_len));
+    addr += addr_len;
+  }
+  if (i == columns.size() && user == cols.end[0] && addr == cols.end[5])
+    return true;
+  out.resize(base);  // leave the output untouched on corruption
+  return false;
+}
+
+bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
+                          DecodedColumns& out) {
+  ColumnSpans cols;
+  return decode_frame(frame, frame_len, out, cols);
 }
 
 std::string encode_header() {

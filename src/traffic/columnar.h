@@ -98,18 +98,22 @@ struct ChunkIndexEntry {
 void encode_chunk(std::span<const TrafficLog> logs, std::string& out,
                   ChunkIndexEntry& entry);
 
-/// Decodes a full chunk frame into TrafficLog records appended to `out`.
-/// Validates the frame magic, lengths, and CRC and bounds-checks every
-/// varint; returns false (leaving `out` untouched) on any corruption.
-bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
-                          std::vector<TrafficLog>& out);
-
 /// Column-selective decode: fills `out` (cleared first; capacity reused)
 /// with the tower/start/end/bytes columns only, skipping the user-id and
-/// address blocks wholesale. Same validation contract as
-/// decode_chunk_records.
+/// address blocks wholesale. Validates the frame magic, lengths, and CRC;
+/// rejects a claimed record count larger than any column block (each
+/// record takes at least one byte in every block) before allocating;
+/// bounds-checks every varint and requires each decoded block to be
+/// consumed exactly. Returns false (with `out` empty) on any corruption.
 bool decode_chunk_columns(const unsigned char* frame, std::size_t frame_len,
                           DecodedColumns& out);
+
+/// decode_chunk_columns plus the user-id and address blocks, appended to
+/// `out` as TrafficLog records. Same validation contract, the two extra
+/// blocks included; returns false (leaving `out` untouched) on any
+/// corruption.
+bool decode_chunk_records(const unsigned char* frame, std::size_t frame_len,
+                          std::vector<TrafficLog>& out);
 
 /// The 8-byte file header.
 std::string encode_header();

@@ -71,7 +71,9 @@ bool MmapTraceReader::read_chunk(std::size_t i,
   out.clear();
   const auto frame = chunk_frame(i);
   obs::ScopedTimer timer(io_metrics().decode_ms);
-  if (!columnar::decode_chunk_records(frame.data(), frame.size(), out)) {
+  // The CRC covers a frame, not its pairing with the footer entry.
+  if (!columnar::decode_chunk_records(frame.data(), frame.size(), out) ||
+      out.size() != index_[i].n_records) {
     io_metrics().chunks_corrupt->add(1);
     obs::log_warn("io.chunk_corrupt",
                   {{"path", path_}, {"chunk", i}, {"mode", "records"}});
@@ -86,7 +88,9 @@ bool MmapTraceReader::read_chunk_columns(std::size_t i,
                                          DecodedColumns& out) const {
   const auto frame = chunk_frame(i);
   obs::ScopedTimer timer(io_metrics().decode_ms);
-  if (!columnar::decode_chunk_columns(frame.data(), frame.size(), out)) {
+  if (!columnar::decode_chunk_columns(frame.data(), frame.size(), out) ||
+      out.size() != index_[i].n_records) {
+    out.clear();
     io_metrics().chunks_corrupt->add(1);
     obs::log_warn("io.chunk_corrupt",
                   {{"path", path_}, {"chunk", i}, {"mode", "columns"}});

@@ -70,7 +70,9 @@ class MmapTraceReader {
 
   /// Decodes chunk i into TrafficLog records (`out` is cleared first;
   /// capacity is reused across calls). Returns false — with `out` empty
-  /// and cellscope.io.chunks_corrupt bumped — when the chunk is corrupt.
+  /// and cellscope.io.chunks_corrupt bumped — when the chunk is corrupt,
+  /// including a frame whose record count disagrees with its footer
+  /// entry.
   bool read_chunk(std::size_t i, std::vector<TrafficLog>& out) const;
 
   /// Column-selective decode of chunk i (tower/start/end/bytes only) for

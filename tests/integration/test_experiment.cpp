@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -12,6 +13,7 @@
 #include "analysis/time_features.h"
 #include "common/stats.h"
 #include "dsp/spectrum.h"
+#include "ml/distance.h"
 
 namespace cellscope {
 namespace {
@@ -242,16 +244,31 @@ TEST(Experiment, IsDeterministic) {
 
 TEST(Experiment, FullLengthClusteringAlsoFindsFivePatterns) {
   // The weekly fold is an optimization, not a crutch: clustering the full
-  // 4032-dim vectors gives the same answer. The fold averages per-slot
-  // noise over 4 weeks (a 2x SNR gain); match that gain here so the two
-  // representations are compared at equal signal-to-noise.
+  // 4032-dim z-scored vectors through the same stages gives the same
+  // answer. The fold averages per-slot noise over 4 weeks (a 2x SNR
+  // gain); match that gain here so the two representations are compared
+  // at equal signal-to-noise.
   ExperimentConfig config;
   config.n_towers = 250;
-  config.fold_weekly = false;
   config.intensity.noise_cv = 0.06;
   const auto e = Experiment::run(config);
-  EXPECT_EQ(e.n_clusters(), 5u);
-  EXPECT_GT(e.validation().accuracy, 0.95);
+  const auto zscored = zscore_rows(e.matrix());
+  const auto dendrogram = Dendrogram::run(DistanceMatrix::compute(zscored),
+                                          Linkage::kAverage);
+  const auto min_cluster_size = static_cast<std::size_t>(
+      std::max(2.0, config.min_cluster_fraction *
+                        static_cast<double>(config.n_towers)));
+  const auto sweep = dbi_sweep(dendrogram, zscored, config.k_min,
+                               config.k_max, min_cluster_size);
+  const auto labels = dendrogram.cut_k(best_cut(sweep).k);
+  EXPECT_EQ(num_clusters(labels), 5u);
+
+  const auto labeling = label_clusters_by_poi(
+      normalized_poi_by_cluster(e.poi_counts(), labels));
+  std::vector<std::size_t> row_tower(e.matrix().n());
+  for (std::size_t i = 0; i < row_tower.size(); ++i) row_tower[i] = i;
+  EXPECT_GT(validate_labels(labels, labeling, row_tower, e.towers()).accuracy,
+            0.95);
 }
 
 TEST(Experiment, ValidatesConfig) {

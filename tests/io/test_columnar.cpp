@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
 
@@ -196,6 +201,78 @@ TEST_F(ColumnarTest, MergeConcatenatesVerbatim) {
   // Chunk count is the sum — frames were copied, not re-chunked.
   MmapTraceReader ra(path("a.ctb")), rb(path("b.ctb")), rm(path("m.ctb"));
   EXPECT_EQ(rm.chunk_count(), ra.chunk_count() + rb.chunk_count());
+}
+
+/// Overwrites the u32 at `at` in `bytes` with `value`, then recomputes
+/// the CRC32 of bytes [crc_begin, crc_end) stored at crc_end, so only
+/// the value is wrong.
+void patch_u32(std::string& bytes, std::size_t at, std::uint32_t value,
+               std::size_t crc_begin, std::size_t crc_end) {
+  std::memcpy(&bytes[at], &value, sizeof(value));
+  const std::uint32_t crc = crc32(&bytes[crc_begin], crc_end - crc_begin);
+  std::memcpy(&bytes[crc_end], &crc, sizeof(crc));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(ColumnarTest, MisclaimedRecordCountIsACountedCorruptChunk) {
+  // One 50-record chunk with CRC-valid counts patched in. A frame that
+  // claims one record fewer or one more than its blocks hold, or 2^32 - 1
+  // records (sized before any check, that claim would ask for >= 16 GiB
+  // per column), fails both decoders without throwing. An intact frame
+  // whose footer entry claims 49 decodes, but does not pair with its
+  // index. Every case is one counted corrupt chunk per reader call.
+  struct Claim {
+    std::uint32_t frame;
+    std::uint32_t footer;
+  };
+  const auto logs = varied_logs(50);
+  for (const auto [frame_claim, footer_claim] :
+       {Claim{49, 50}, Claim{51, 50}, Claim{0xffffffffu, 50},
+        Claim{50, 49}}) {
+    SCOPED_TRACE(testing::Message() << frame_claim << "/" << footer_claim);
+    write_trace_bin(path("t.ctb"), logs);
+    std::string file = read_file(path("t.ctb"));
+    const std::size_t frame = columnar::kHeaderBytes;
+    std::uint32_t payload_len = 0;
+    std::memcpy(&payload_len, &file[frame + 8], sizeof(payload_len));
+    const std::size_t crc_at = frame + columnar::kChunkHeaderBytes + payload_len;
+    const std::size_t footer = crc_at + columnar::kChunkCrcBytes;
+    patch_u32(file, frame + 4, frame_claim, frame + 4, crc_at);
+    patch_u32(file, footer + columnar::kFooterHeaderBytes + 12, footer_claim,
+              footer,
+              footer + columnar::kFooterHeaderBytes + columnar::kIndexEntryBytes);
+    write_file(path("t.ctb"), file);
+
+    const auto* data = reinterpret_cast<const unsigned char*>(&file[frame]);
+    const bool frame_intact = frame_claim == logs.size();
+    std::vector<TrafficLog> records;
+    DecodedColumns cols;
+    EXPECT_EQ(columnar::decode_chunk_records(data, footer - frame, records),
+              frame_intact);
+    EXPECT_EQ(records.size(), frame_intact ? logs.size() : 0u);
+    EXPECT_EQ(columnar::decode_chunk_columns(data, footer - frame, cols),
+              frame_intact);
+    EXPECT_EQ(cols.size(), frame_intact ? logs.size() : 0u);
+
+    MmapTraceReader reader(path("t.ctb"));
+    const auto corrupt_before =
+        columnar::io_metrics().chunks_corrupt->value();
+    EXPECT_FALSE(reader.read_chunk(0, records));
+    EXPECT_TRUE(records.empty());
+    EXPECT_FALSE(reader.read_chunk_columns(0, cols));
+    EXPECT_EQ(cols.size(), 0u);
+    EXPECT_EQ(columnar::io_metrics().chunks_corrupt->value(),
+              corrupt_before + 2);
+  }
 }
 
 TEST_F(ColumnarTest, MissingFileThrowsIoError) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "common/error.h"
@@ -12,6 +13,7 @@
 #include "common/time_grid.h"
 #include "core/experiment.h"
 #include "mapred/thread_pool.h"
+#include "ml/validity.h"
 #include "stream/ingestor.h"
 #include "stream/tower_window.h"
 
@@ -20,6 +22,23 @@ namespace {
 
 constexpr std::size_t kWeek = TimeGrid::kSlotsPerWeek;
 constexpr std::size_t kDay = TimeGrid::kSlotsPerDay;
+
+/// Bitwise equality of two equally shaped sequences of trivially
+/// copyable values (== would also equate 0.0 with -0.0).
+template <typename T>
+bool bit_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool rows_bit_equal(const std::vector<std::vector<double>>& a,
+                    const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!bit_equal(a[i], b[i])) return false;
+  return true;
+}
 
 /// Daytime-peaked daily byte profile (office-like shape).
 std::uint64_t office_bytes(std::size_t slot) {
@@ -184,6 +203,20 @@ TEST(OnlineClassifier, SnapshotOfTrainedExperimentIsSelfConsistent) {
     population += model.populations[c];
   }
   EXPECT_EQ(population, experiment.towers().size());
+
+  // The products Experiment keeps are the ones its z-scored rows give,
+  // and the snapshot is their per-cluster mean, bit for bit.
+  const auto zscored = zscore_rows(experiment.matrix());
+  EXPECT_TRUE(rows_bit_equal(experiment.folded(), fold_to_week(zscored)));
+  EXPECT_TRUE(
+      bit_equal(experiment.freq_features(), compute_freq_features(zscored)));
+  EXPECT_TRUE(rows_bit_equal(
+      model.centroids,
+      cluster_centroids(experiment.folded(), experiment.labels())));
+  std::vector<std::size_t> label_counts(experiment.n_clusters(), 0);
+  for (const int label : experiment.labels())
+    ++label_counts[static_cast<std::size_t>(label)];
+  EXPECT_EQ(model.populations, label_counts);
 
   // The classifier built from it assigns training-like profiles sanely:
   // replay each training tower's raw row through a window and check the
