@@ -2,6 +2,8 @@
 
 #include "analysis/poi_features.h"
 #include "common/error.h"
+#include "common/stats.h"
+#include "common/time_grid.h"
 #include "dsp/spectrum.h"
 #include "mapred/thread_pool.h"
 #include "ml/distance.h"
@@ -13,18 +15,20 @@
 
 namespace {
 
+/// Rows z-scored per step of stage 4: 256 rows of 4032 slots hold 8 MB,
+/// whatever the city size.
+constexpr std::size_t kZscoreBlockRows = 256;
+
+/// Slots per task of the column-sum step; 63 ranges cover the 4032 slots.
+constexpr std::size_t kColumnSumSlots = 64;
+static_assert(cellscope::TimeGrid::kSlots % kColumnSumSlots == 0);
+
 /// Fraction of signal energy the paper's three principal components
 /// retain on the mean z-scored series (the aggregate weekly pattern) —
 /// the quantity behind the §5.1 "<6 % loss" claim.
-double principal_energy_fraction(
-    const std::vector<std::vector<double>>& zscored) {
-  if (zscored.empty() || zscored.front().empty()) return 0.0;
-  std::vector<double> mean(zscored.front().size(), 0.0);
-  for (const auto& row : zscored)
-    for (std::size_t s = 0; s < row.size(); ++s) mean[s] += row[s];
-  for (auto& v : mean) v /= static_cast<double>(zscored.size());
-  return 1.0 -
-         cellscope::energy_loss(mean, cellscope::reconstruct_principal(mean));
+double principal_energy_fraction(const std::vector<double>& column_mean) {
+  return 1.0 - cellscope::energy_loss(
+                   column_mean, cellscope::reconstruct_principal(column_mean));
 }
 
 }  // namespace
@@ -104,21 +108,49 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     span.annotate({"rows", e.matrix_.n()});
   }
 
-  // 4. Normalization. The z-scored rows are read once, here, for the fold
-  // (DESIGN.md §5.2), the frequency features and the §5.1 energy check,
-  // and released before the O(n²) distance matrix is allocated.
+  // 4. Normalization, one block of rows at a time. Each row is z-scored
+  // once into its slot of the block and read there for its fold
+  // (DESIGN.md §5.2), its frequency features and its zscore_normalized
+  // deviation; the block then joins the column sum behind the §5.1
+  // energy check. The z-scored city is never held, so the O(n²) distance
+  // matrix does not land on top of it.
   double principal_energy = 0.0;
   {
-    std::vector<std::vector<double>> zscored;
     obs::StageSpan span("pipeline.zscore");
-    zscored = zscore_rows(e.matrix_, &pool);
+    const std::size_t n = e.matrix_.n();
+    e.folded_.resize(n);
+    e.freq_features_.resize(n);
+    std::vector<double> deviations(n);
+    std::vector<double> column_mean(TimeGrid::kSlots, 0.0);
+    std::vector<std::vector<double>> block(std::min(n, kZscoreBlockRows));
+    for (std::size_t first = 0; first < n; first += kZscoreBlockRows) {
+      const std::size_t rows = std::min(kZscoreBlockRows, n - first);
+      for_each_index(&pool, rows, [&](std::size_t j) {
+        const std::size_t i = first + j;
+        block[j] = zscore(e.matrix_.rows[i]);
+        e.folded_[i] = fold_week(block[j]);
+        e.freq_features_[i] = compute_freq_features(block[j]);
+        deviations[i] = obs::zscore_row_deviation(block[j]);
+      });
+      // Every slot adds the rows in ascending order, block after block:
+      // the bits of one `mean[s] += row[s]` sweep over the whole city.
+      for_each_index(&pool, TimeGrid::kSlots / kColumnSumSlots,
+                     [&](std::size_t range) {
+                       const std::size_t lo = range * kColumnSumSlots;
+                       for (std::size_t j = 0; j < rows; ++j)
+                         for (std::size_t s = lo; s < lo + kColumnSumSlots;
+                              ++s)
+                           column_mean[s] += block[j][s];
+                     });
+    }
+    for (auto& v : column_mean) v /= static_cast<double>(n);
+    principal_energy = principal_energy_fraction(column_mean);
     obs::QualityBoard::instance().add_check(
         "pipeline.zscore", "zscore_normalized", obs::Severity::kFail,
-        [&rows = zscored] { return obs::check_zscore_rows(rows); });
-    e.folded_ = fold_to_week(zscored, &pool);
-    e.freq_features_ = compute_freq_features(zscored, &pool);
-    principal_energy = principal_energy_fraction(zscored);
-    span.annotate({"rows", zscored.size()});
+        [worst = obs::worst_deviation(deviations)] {
+          return obs::check_zscore_worst(worst);
+        });
+    span.annotate({"rows", n});
   }
 
   // 5. Clustering + metric tuner, on the fold; the DBI sweep uses the

@@ -4,8 +4,10 @@
 //   1. synthetic city construction and tower deployment (data substitute),
 //   2. latent per-tower intensity models and POI generation,
 //   3. traffic matrix construction (10-minute vectors, §3.2 vectorizer),
-//   4. z-score normalization, read once for the mean-week fold, the
-//      frequency features and the §5.1 energy check, then released,
+//   4. z-score normalization, one pooled pass over fixed blocks of rows:
+//      each row is z-scored once and read for its mean-week fold, its
+//      frequency features, its normalization check and the column mean
+//      behind the §5.1 energy check; the z-scored city is never held,
 //   5. average-linkage hierarchical clustering of the fold with a
 //      Davies-Bouldin sweep (§3.2 pattern identifier + metric tuner),
 //   6. POI-based cluster labeling and ground-truth validation (§3.3),
@@ -68,8 +70,8 @@ class Experiment {
 
   /// Mean-week (1008-slot) folds of the z-scored rows — the
   /// representation the dendrogram and the DBI sweep clustered
-  /// (DESIGN.md §5.2). The z-scored rows themselves are not kept:
-  /// zscore_rows(matrix()) rebuilds them bit for bit.
+  /// (DESIGN.md §5.2). The z-scored rows themselves are never held:
+  /// zscore_rows over matrix() rebuilds them bit for bit.
   const std::vector<std::vector<double>>& folded() const { return folded_; }
 
   /// The clustering dendrogram (over folded()).

@@ -27,10 +27,14 @@ class PatternForecaster {
   /// `templates` must be non-empty, each of 1008 slots.
   explicit PatternForecaster(std::vector<std::vector<double>> templates);
 
-  /// Index of the template best matching a (partial) history. The match
-  /// compares z-scored shapes over the slots the history covers, so a
-  /// single day is enough to pick a template. Requires at least
-  /// kMinMatchSlots of history.
+  /// Index of the template best matching a (partial) history: the least
+  /// squared distance between the z-scored history and the z-scored
+  /// template over the slots the history covers (first index on ties; a
+  /// z-score with sd 0 is all zero), so a single day is enough to pick a
+  /// template. Allocates nothing: the covered template moments come
+  /// from per-template prefix sums, and the cross term from one pass
+  /// over the history per template. Requires at least kMinMatchSlots of
+  /// history.
   std::size_t match(std::span<const double> history) const;
 
   /// Cold-start-safe matching: match(history) when the history reaches
@@ -53,6 +57,13 @@ class PatternForecaster {
 
  private:
   std::vector<std::vector<double>> templates_;
+  /// Per template: its week mean, and prefix sums over the slots of the
+  /// week of the template less that mean and of its square (entry j sums
+  /// slots [0, j), so 1009 entries each). Centring keeps the covered
+  /// variance E[x²] − E[x]² clear of cancellation.
+  std::vector<double> week_mean_;
+  std::vector<std::vector<double>> prefix_sum_;
+  std::vector<std::vector<double>> prefix_sq_;
 };
 
 }  // namespace cellscope

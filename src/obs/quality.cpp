@@ -208,33 +208,47 @@ CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows) {
 
 CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,
                               double tolerance) {
-  double worst = 0.0;
-  std::size_t worst_row = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const auto& row = rows[r];
-    if (row.empty()) continue;
-    double sum = 0.0;
-    for (const double v : row) sum += v;
-    const double mean = sum / static_cast<double>(row.size());
-    double var = 0.0;
-    for (const double v : row) var += (v - mean) * (v - mean);
-    const double sd = std::sqrt(var / static_cast<double>(row.size()));
-    double deviation = std::abs(mean);
-    // A constant raw row z-scores to all zeros (sd 0); only non-degenerate
-    // rows must sit at unit variance.
-    if (sd != 0.0) deviation = std::max(deviation, std::abs(sd - 1.0));
-    if (!std::isfinite(deviation))
-      deviation = std::numeric_limits<double>::infinity();
-    if (deviation > worst) {
-      worst = deviation;
-      worst_row = r;
+  std::vector<double> deviations(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    deviations[r] = zscore_row_deviation(rows[r]);
+  return check_zscore_worst(worst_deviation(deviations), tolerance);
+}
+
+double zscore_row_deviation(std::span<const double> row) {
+  if (row.empty()) return 0.0;
+  double sum = 0.0;
+  for (const double v : row) sum += v;
+  const double mean = sum / static_cast<double>(row.size());
+  double var = 0.0;
+  for (const double v : row) var += (v - mean) * (v - mean);
+  const double sd = std::sqrt(var / static_cast<double>(row.size()));
+  double deviation = std::abs(mean);
+  // A constant raw row z-scores to all zeros (sd 0); only non-degenerate
+  // rows must sit at unit variance.
+  if (sd != 0.0) deviation = std::max(deviation, std::abs(sd - 1.0));
+  if (!std::isfinite(deviation))
+    deviation = std::numeric_limits<double>::infinity();
+  return deviation;
+}
+
+WorstDeviation worst_deviation(std::span<const double> deviations) {
+  WorstDeviation worst;
+  for (std::size_t r = 0; r < deviations.size(); ++r) {
+    if (deviations[r] > worst.value) {
+      worst.value = deviations[r];
+      worst.row = r;
     }
   }
+  return worst;
+}
+
+CheckResult check_zscore_worst(WorstDeviation worst, double tolerance) {
   CheckResult result;
-  result.passed = worst <= tolerance;
-  result.value = worst;
-  result.detail = "worst |mean| / |sd-1| deviation " + format_value(worst) +
-                  " (row " + std::to_string(worst_row) + "), tolerance " +
+  result.passed = worst.value <= tolerance;
+  result.value = worst.value;
+  result.detail = "worst |mean| / |sd-1| deviation " +
+                  format_value(worst.value) + " (row " +
+                  std::to_string(worst.row) + "), tolerance " +
                   format_value(tolerance);
   return result;
 }

@@ -124,8 +124,28 @@ CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows);
 /// Every row is z-score normalized: |mean| <= tolerance and
 /// |stddev - 1| <= tolerance (constant rows, which z-score to all-zero,
 /// are exempt from the stddev bound). value = worst deviation seen.
+/// Equivalent to check_zscore_worst(worst_deviation(d), tolerance) over
+/// d[r] = zscore_row_deviation(rows[r]).
 CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,
                               double tolerance = 1e-6);
+
+/// One row's distance from z-score normalization: max(|mean|, |sd - 1|),
+/// or |mean| alone for a constant row (sd 0); 0 for an empty row and
+/// +inf when either moment is not finite.
+double zscore_row_deviation(std::span<const double> row);
+
+/// The largest of per-row deviations and its row index. Strict `>`
+/// against a running worst that starts at 0, so the first row wins ties
+/// and all-zero deviations report row 0.
+struct WorstDeviation {
+  double value = 0.0;
+  std::size_t row = 0;
+};
+WorstDeviation worst_deviation(std::span<const double> deviations);
+
+/// The zscore_normalized verdict for an already-reduced worst deviation:
+/// passed when value <= tolerance; the detail names the row.
+CheckResult check_zscore_worst(WorstDeviation worst, double tolerance = 1e-6);
 
 /// The smallest cluster in `labels` has at least `min_size` members.
 /// value = smallest population.

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "common/time_grid.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 #include "stream/ingestor.h"
 
 namespace cellscope {
@@ -155,11 +157,23 @@ StagedSnapshot decode_payload(std::string_view payload) {
   return staged;
 }
 
+/// Closes `span` and opens the next step of write_snapshot as a
+/// debug-level child span, stream.snapshot.<name>, so a trace splits
+/// stream.snapshot_write_ms into export, encode, checksum, frame, write
+/// and fsync.
+void next_step(std::optional<obs::StageSpan>& span, std::string_view name) {
+  span.reset();
+  span.emplace("stream.snapshot." + std::string(name), "stream",
+               obs::LogLevel::kDebug);
+}
+
 /// Writes the whole frame to <path>.tmp with an fsync before the atomic
 /// rename — the classic ordered-durability dance, so a crash at any
 /// point leaves either the old or the new complete file at `path`.
 void write_frame_durably(const std::string& path, const std::string& frame) {
   const std::string tmp = path + ".tmp";
+  std::optional<obs::StageSpan> span;
+  next_step(span, "write");
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0)
     throw IoError("cannot open snapshot for writing: " + tmp + " (" +
@@ -190,6 +204,7 @@ void write_frame_durably(const std::string& path, const std::string& frame) {
                   std::to_string(frame.size()) + " bytes)");
   }
 
+  next_step(span, "fsync");
   if (::fsync(fd) != 0) {
     const std::string detail = std::strerror(errno);
     ::close(fd);
@@ -237,13 +252,18 @@ SnapshotInfo write_snapshot(const std::string& path,
   CS_CHECK_MSG(ingestor.pending() == 0,
                "drain the ingestor before snapshotting — pending records "
                "would be lost");
+  std::optional<obs::StageSpan> span;
+  next_step(span, "export");
   const auto windows = ingestor.export_windows();
   const auto stats = ingestor.stats();
 
   SnapshotInfo info;
+  next_step(span, "encode");
   const std::string payload = serialize_payload(stats, windows, info);
+  next_step(span, "checksum");
   info.crc32 = crc32(payload);
 
+  next_step(span, "frame");
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
   put<std::uint32_t>(frame, kSnapshotMagic);
@@ -251,6 +271,7 @@ SnapshotInfo write_snapshot(const std::string& path,
   put<std::uint64_t>(frame, static_cast<std::uint64_t>(payload.size()));
   frame += payload;
   put<std::uint32_t>(frame, info.crc32);
+  span.reset();
 
   try {
     write_frame_durably(path, frame);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "city/deployment.h"
 #include "common/error.h"
 #include "common/stats.h"
+#include "common/rng.h"
+#include "traffic/profiles.h"
 #include "forecast/metrics.h"
 #include "forecast/pattern_forecaster.h"
 #include "forecast/seasonal_naive.h"
@@ -222,6 +226,89 @@ TEST(PatternForecaster, ConstantHistoryMatchesWithoutNaN) {
   const auto forecast =
       forecaster.forecast(flat, TimeGrid::kSlotsPerDay, matched);
   for (const double v : forecast) EXPECT_TRUE(std::isfinite(v));
+}
+
+/// match() as a brute force: z-score a history-length copy of every
+/// template and take the least squared distance, first index on ties.
+std::size_t reference_match(const std::vector<std::vector<double>>& templates,
+                             std::span<const double> history) {
+  const auto z_history = zscore(history);
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t best_template = 0;
+  for (std::size_t t = 0; t < templates.size(); ++t) {
+    std::vector<double> segment;
+    for (std::size_t s = 0; s < history.size(); ++s)
+      segment.push_back(templates[t][s % TimeGrid::kSlotsPerWeek]);
+    const double d = squared_distance(z_history, zscore(segment));
+    if (d < best) {
+      best = d;
+      best_template = t;
+    }
+  }
+  return best_template;
+}
+
+TEST(PatternForecaster, MatchAgreesWithTheBruteForceOnTowerHistories) {
+  // Templates: the canonical profiles' z-scored weeks, plus two shapes
+  // close to the resident one so that near-ties are exercised.
+  std::vector<std::vector<double>> templates;
+  for (const auto r : all_regions()) {
+    const auto z = zscore(TrafficProfile::canonical(r).series());
+    templates.emplace_back(z.begin(), z.begin() + TimeGrid::kSlotsPerWeek);
+  }
+  for (const double eps : {1e-3, 1e-9}) {
+    auto near = templates.front();
+    for (std::size_t s = 0; s < near.size(); ++s)
+      near[s] += eps * std::sin(static_cast<double>(s));
+    templates.push_back(std::move(near));
+  }
+  const PatternForecaster forecaster(templates);
+
+  const auto city = CityModel::create_default();
+  DeploymentOptions deployment;
+  deployment.n_towers = 40;
+  const auto towers = deploy_towers(city, deployment);
+  const auto intensity = IntensityModel::create(towers, IntensityOptions{});
+  Rng rng(11);
+  std::size_t compared = 0;
+  for (std::size_t tower = 0; tower < towers.size(); ++tower) {
+    const auto series = intensity.sample_series(tower, rng);
+    for (const std::size_t length :
+         {std::size_t{72}, std::size_t{73}, std::size_t{100},
+          std::size_t{TimeGrid::kSlotsPerDay}, std::size_t{500},
+          std::size_t{1007}, std::size_t{1008}, std::size_t{1009},
+          std::size_t{2000}, std::size_t{3025}, series.size()}) {
+      const std::span<const double> history(series.data(), length);
+      ASSERT_EQ(forecaster.match(history), reference_match(templates, history))
+          << "tower " << tower << ", " << length << " slots";
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, towers.size() * 11);
+}
+
+TEST(PatternForecaster, MatchKeepsTheZeroVarianceCases) {
+  // Constant templates and constant histories z-score to zeros: a flat
+  // history is equally far from every varying template (first wins), and
+  // a template flat over the covered slots is nearest to a flat history.
+  std::vector<std::vector<double>> templates(3);
+  for (int s = 0; s < TimeGrid::kSlotsPerWeek; ++s) {
+    const double day_phase =
+        2.0 * M_PI * (s % TimeGrid::kSlotsPerDay) / TimeGrid::kSlotsPerDay;
+    templates[0].push_back(std::cos(day_phase));
+    templates[1].push_back(s < 200 ? 0.3 : std::sin(day_phase));
+    templates[2].push_back(std::cos(day_phase - M_PI));
+  }
+  const PatternForecaster forecaster(templates);
+  const std::vector<double> flat(150, 7.0);
+  EXPECT_EQ(forecaster.match(flat), 1u);
+  EXPECT_EQ(forecaster.match(std::vector<double>(300, 7.0)), 0u);
+  // A varying history is far from the flat stretch and near its shape.
+  std::vector<double> midday;
+  for (int s = 0; s < 150; ++s)
+    midday.push_back(5.0 + templates[2][static_cast<std::size_t>(s)]);
+  EXPECT_EQ(forecaster.match(midday), 2u);
+  EXPECT_EQ(reference_match(templates, midday), 2u);
 }
 
 TEST(PatternForecaster, ValidatesInput) {

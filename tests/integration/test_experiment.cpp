@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "analysis/poi_features.h"
@@ -14,6 +15,7 @@
 #include "common/stats.h"
 #include "dsp/spectrum.h"
 #include "ml/distance.h"
+#include "obs/quality.h"
 
 namespace cellscope {
 namespace {
@@ -269,6 +271,57 @@ TEST(Experiment, FullLengthClusteringAlsoFindsFivePatterns) {
   for (std::size_t i = 0; i < row_tower.size(); ++i) row_tower[i] = i;
   EXPECT_GT(validate_labels(labels, labeling, row_tower, e.towers()).accuracy,
             0.95);
+}
+
+/// The stored verdict of one stage-4/5 quality check.
+obs::QualityVerdict verdict_named(const std::string& check) {
+  for (const auto& v : obs::QualityBoard::instance().verdicts())
+    if (v.check == check) return v;
+  ADD_FAILURE() << "no verdict " << check;
+  return {};
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Experiment, BlockedZscorePassMatchesTheWholeCity) {
+  // Stage 4 z-scores the city a block of rows at a time and never holds
+  // it. 333 towers is one full block plus a partial one; every product
+  // must equal what the whole z-scored city gives, bit for bit.
+  obs::QualityBoard::instance().clear();
+  ExperimentConfig config;
+  config.n_towers = 333;
+  const auto e = Experiment::run(config);
+  const auto zscored = zscore_rows(e.matrix());
+
+  const auto folded = fold_to_week(zscored);
+  ASSERT_EQ(e.folded().size(), folded.size());
+  for (std::size_t i = 0; i < folded.size(); ++i)
+    ASSERT_EQ(std::memcmp(e.folded()[i].data(), folded[i].data(),
+                          folded[i].size() * sizeof(double)),
+              0)
+        << "row " << i;
+  const auto features = compute_freq_features(zscored);
+  ASSERT_EQ(e.freq_features().size(), features.size());
+  EXPECT_EQ(std::memcmp(e.freq_features().data(), features.data(),
+                        features.size() * sizeof(FreqFeatures)),
+            0);
+
+  const auto want = obs::check_zscore_rows(zscored);
+  const auto got = verdict_named("zscore_normalized");
+  EXPECT_TRUE(same_bits(got.value, want.value));
+  EXPECT_EQ(got.passed, want.passed);
+  EXPECT_EQ(got.detail, want.detail);
+
+  // The §5.1 check's column mean, summed row by row over the whole city.
+  std::vector<double> mean(zscored.front().size(), 0.0);
+  for (const auto& row : zscored)
+    for (std::size_t s = 0; s < row.size(); ++s) mean[s] += row[s];
+  for (auto& v : mean) v /= static_cast<double>(zscored.size());
+  const double energy = 1.0 - energy_loss(mean, reconstruct_principal(mean));
+  EXPECT_TRUE(same_bits(verdict_named("dft_energy_principal").value, energy));
+  obs::QualityBoard::instance().clear();
 }
 
 TEST(Experiment, ValidatesConfig) {

@@ -49,6 +49,36 @@ TEST(QualityChecks, ZscoreRowsPassAndFail) {
   EXPECT_TRUE(check_zscore_rows(constant).passed);
 }
 
+TEST(QualityChecks, ZscoreRowDeviationsReduceToTheRowsCheck) {
+  // The per-row deviation plus its reduction is check_zscore_rows.
+  const auto split = [](const std::vector<std::vector<double>>& rows) {
+    std::vector<double> deviations;
+    for (const auto& row : rows)
+      deviations.push_back(zscore_row_deviation(row));
+    return check_zscore_worst(worst_deviation(deviations));
+  };
+  const std::vector<std::vector<std::vector<double>>> cases = {
+      {{-1.0, 1.0, -1.0, 1.0}},
+      {{9.0, 11.0, 9.0, 11.0}},
+      {{0.0, 0.0, 0.0}},
+      // Tied worst rows: the first one is reported.
+      {{-1.0, 1.0}, {0.0, 4.0}, {0.0, 4.0}, {}, {0.0, 0.0}},
+      {{1.0, std::numeric_limits<double>::quiet_NaN()}, {3.0, 5.0}},
+      {}};
+  for (const auto& rows : cases) {
+    const auto want = check_zscore_rows(rows);
+    const auto got = split(rows);
+    EXPECT_EQ(got.passed, want.passed);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.detail, want.detail);
+  }
+  EXPECT_EQ(worst_deviation(std::vector<double>{0.5, 2.0, 2.0}).row, 1u);
+  EXPECT_EQ(zscore_row_deviation(std::vector<double>{0.0, 0.0}), 0.0);
+  EXPECT_EQ(zscore_row_deviation(std::vector<double>{9.0, 11.0}), 10.0);
+  EXPECT_NE(split({{0.0, 4.0}, {0.0, 4.0}}).detail.find("(row 0)"),
+            std::string::npos);
+}
+
 TEST(QualityChecks, MinPopulationPassAndFail) {
   const std::vector<int> labels = {0, 0, 0, 1, 1, 1};
   EXPECT_TRUE(check_min_population(labels, 3).passed);
