@@ -3,7 +3,7 @@
 # in build-tsan/, build the stream, fault, io and obs test suites, and
 # run `ctest -L 'stream|fault|io|obs'` under it. The sharded ingestor's
 # lock striping, the classify-all pass, the snapshot write/restore paths
-# with injected faults, the HTTP parser/dispatch fuzz driver, the
+# with injected faults, the HTTP, CSV-trace and JSON fuzz drivers, the
 # columnar trace codecs feeding the bulk ingest path, and the metrics
 # registry and trace sampler every layer shares are the intended targets
 # (DESIGN.md §7, §9, and §10); any data race or crash-safety violation
@@ -23,7 +23,7 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCELLSCOPE_SANITIZE=thread
 
 cmake --build "${build_dir}" -j --target test_stream --target test_obs \
   --target test_fault --target snapshot_fuzz --target http_fuzz \
-  --target test_io
+  --target csv_trace_fuzz --target json_fuzz --target test_io
 
 echo "check_stream: running ctest -L 'stream|fault|io|obs' under ThreadSanitizer"
 ctest --test-dir "${build_dir}" -L 'stream|fault|io|obs' --output-on-failure

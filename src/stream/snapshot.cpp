@@ -1,13 +1,12 @@
 #include "stream/snapshot.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -77,31 +76,46 @@ struct StagedSnapshot {
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 4;
 
-std::string serialize_payload(const IngestStats& stats,
-                              const std::vector<std::pair<
-                                  std::uint32_t, TowerWindow::State>>& windows,
-                              SnapshotInfo& info) {
-  std::string payload;
-  put<std::uint64_t>(payload, stats.watermark_minute);
-  put<std::uint64_t>(payload, stats.offered);
-  put<std::uint64_t>(payload, stats.accepted);
-  put<std::uint64_t>(payload, stats.dropped);
-  put<std::uint64_t>(payload, stats.late);
-  put<std::uint64_t>(payload, stats.stale);
-  put<std::uint64_t>(payload, windows.size());
+// Payload geometry: seven u64 header fields, then per window a u32 id,
+// u64 bin count and f64 sumsq, then per bin u32 slot, u32 cycle, u64
+// bytes.
+constexpr std::size_t kPayloadHeaderBytes = 7 * 8;
+constexpr std::size_t kWindowHeaderBytes = 4 + 8 + 8;
+constexpr std::size_t kBinBytes = 4 + 4 + 8;
+
+/// Exact serialized payload length, so the frame is sized once.
+std::size_t payload_length(const std::vector<std::pair<
+                               std::uint32_t, TowerWindow::State>>& windows) {
+  std::size_t len = kPayloadHeaderBytes;
+  for (const auto& window : windows)
+    len += kWindowHeaderBytes + kBinBytes * window.second.bins.size();
+  return len;
+}
+
+/// Appends the payload to `out`.
+void serialize_payload(std::string& out, const IngestStats& stats,
+                       const std::vector<std::pair<
+                           std::uint32_t, TowerWindow::State>>& windows,
+                       SnapshotInfo& info) {
+  put<std::uint64_t>(out, stats.watermark_minute);
+  put<std::uint64_t>(out, stats.offered);
+  put<std::uint64_t>(out, stats.accepted);
+  put<std::uint64_t>(out, stats.dropped);
+  put<std::uint64_t>(out, stats.late);
+  put<std::uint64_t>(out, stats.stale);
+  put<std::uint64_t>(out, windows.size());
   info.towers = windows.size();
   for (const auto& [id, state] : windows) {
-    put<std::uint32_t>(payload, id);
-    put<std::uint64_t>(payload, state.bins.size());
-    put<double>(payload, state.sumsq);
+    put<std::uint32_t>(out, id);
+    put<std::uint64_t>(out, state.bins.size());
+    put<double>(out, state.sumsq);
     for (const auto& bin : state.bins) {
-      put<std::uint32_t>(payload, bin.slot);
-      put<std::uint32_t>(payload, bin.cycle);
-      put<std::uint64_t>(payload, bin.bytes);
+      put<std::uint32_t>(out, bin.slot);
+      put<std::uint32_t>(out, bin.cycle);
+      put<std::uint64_t>(out, bin.bytes);
     }
     info.bins += state.bins.size();
   }
-  return payload;
 }
 
 StagedSnapshot decode_payload(std::string_view payload) {
@@ -117,7 +131,6 @@ StagedSnapshot decode_payload(std::string_view payload) {
 
   // Each window needs at least its 20-byte header; a count beyond that
   // bound is corruption — reject before reserving memory for it.
-  constexpr std::uint64_t kWindowHeaderBytes = 4 + 8 + 8;
   if (n_windows > cursor.remaining() / kWindowHeaderBytes)
     throw IoError("snapshot window count exceeds payload size: " +
                   std::to_string(n_windows));
@@ -159,8 +172,8 @@ StagedSnapshot decode_payload(std::string_view payload) {
 
 /// Closes `span` and opens the next step of write_snapshot as a
 /// debug-level child span, stream.snapshot.<name>, so a trace splits
-/// stream.snapshot_write_ms into export, encode, checksum, frame, write
-/// and fsync.
+/// stream.snapshot_write_ms into export, encode, checksum, write and
+/// fsync.
 void next_step(std::optional<obs::StageSpan>& span, std::string_view name) {
   span.reset();
   span.emplace("stream.snapshot." + std::string(name), "stream",
@@ -257,19 +270,20 @@ SnapshotInfo write_snapshot(const std::string& path,
   const auto windows = ingestor.export_windows();
   const auto stats = ingestor.stats();
 
+  // One buffer holds the whole frame: header, payload serialized in
+  // place, then the CRC of the payload span as the trailer.
   SnapshotInfo info;
   next_step(span, "encode");
-  const std::string payload = serialize_payload(stats, windows, info);
-  next_step(span, "checksum");
-  info.crc32 = crc32(payload);
-
-  next_step(span, "frame");
+  const std::size_t payload_len = payload_length(windows);
   std::string frame;
-  frame.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
+  frame.reserve(kHeaderBytes + payload_len + kTrailerBytes);
   put<std::uint32_t>(frame, kSnapshotMagic);
   put<std::uint32_t>(frame, kSnapshotVersion);
-  put<std::uint64_t>(frame, static_cast<std::uint64_t>(payload.size()));
-  frame += payload;
+  put<std::uint64_t>(frame, static_cast<std::uint64_t>(payload_len));
+  serialize_payload(frame, stats, windows, info);
+  CS_CHECK(frame.size() == kHeaderBytes + payload_len);
+  next_step(span, "checksum");
+  info.crc32 = crc32(frame.data() + kHeaderBytes, payload_len);
   put<std::uint32_t>(frame, info.crc32);
   span.reset();
 
@@ -307,15 +321,40 @@ SnapshotInfo write_snapshot(const std::string& path,
 
 namespace {
 
+/// Reads the whole file at `path` into one buffer sized from the opened
+/// file's length. Throws IoError if it cannot be opened or read in full.
+std::string read_frame(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw IoError("cannot open snapshot: " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const std::string detail = std::strerror(errno);
+    ::close(fd);
+    throw IoError("failed reading snapshot: " + path + " (" + detail + ")");
+  }
+  std::string frame(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < frame.size()) {
+    const ssize_t n = ::read(fd, frame.data() + got, frame.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const std::string detail =
+          n < 0 ? std::strerror(errno)
+                : "short read: " + std::to_string(got) + " of " +
+                      std::to_string(frame.size()) + " bytes";
+      ::close(fd);
+      throw IoError("failed reading snapshot: " + path + " (" + detail + ")");
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  return frame;
+}
+
 /// Loads and fully validates the frame at `path`, returning the staged
 /// contents. Touches no ingestor state; throws IoError on any defect.
 StagedSnapshot load_and_validate(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open snapshot: " + path);
-  std::string frame((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof())
-    throw IoError("failed reading snapshot: " + path);
+  const std::string frame = read_frame(path);
 
   if (frame.size() < kHeaderBytes + kTrailerBytes)
     throw IoError("snapshot smaller than its frame header: " + path + " (" +

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "city/deployment.h"
+#include "common/checksum.h"
 #include "common/error.h"
 #include "mapred/thread_pool.h"
 #include "stream/ingestor.h"
@@ -155,6 +158,45 @@ TEST_F(StreamSnapshotTest, ReplayHarnessResumeMatchesUninterruptedReplay) {
     EXPECT_EQ(got[i].first, want[i].first);
     EXPECT_EQ(got[i].second, want[i].second);
   }
+}
+
+TEST_F(StreamSnapshotTest, FrameBytesArePinned) {
+  // The v2 layout byte for byte: a seeded 30-tower ingestor must keep
+  // writing exactly this file.
+  const auto city = CityModel::create_default();
+  DeploymentOptions deployment;
+  deployment.n_towers = 30;
+  const auto towers = deploy_towers(city, deployment);
+  const auto intensity = IntensityModel::create(towers, IntensityOptions{});
+  TraceOptions options;
+  options.day_begin = 0;
+  options.day_end = 3;
+  options.mean_session_bytes = 2.0e7;  // ~25 k records keep the test fast
+  const auto logs = generate_trace(towers, intensity, options).logs;
+
+  ThreadPool pool(2);
+  StreamIngestor ingestor(StreamConfig{.n_shards = 3, .queue_capacity = 0});
+  ingestor.register_towers(towers);
+  ingestor.offer_batch(logs);
+  ingestor.drain(pool);
+  const auto info = write_snapshot(path_, ingestor);
+
+  std::ifstream in(path_, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  constexpr std::size_t kHeader = 16;
+  constexpr std::size_t kTrailer = 4;
+  ASSERT_GE(file.size(), kHeader + kTrailer);
+  std::uint64_t payload_len = 0;
+  std::memcpy(&payload_len, file.data() + 8, sizeof(payload_len));
+  EXPECT_EQ(file.size(), kHeader + payload_len + kTrailer);
+  std::uint32_t trailer = 0;
+  std::memcpy(&trailer, file.data() + file.size() - kTrailer, sizeof(trailer));
+  EXPECT_EQ(trailer, info.crc32);
+  EXPECT_EQ(trailer, crc32(file.data() + kHeader, payload_len));
+
+  EXPECT_EQ(file.size(), 125924u);
+  EXPECT_EQ(crc32(file), 0x2D3DB13Du);
 }
 
 }  // namespace
