@@ -1,14 +1,20 @@
 // cellscoped — the CellScope query daemon (DESIGN.md §11, README
-// "Querying a live city").
+// "Querying a live city" and "Watching a live run").
 //
-// Trains a model on a synthetic city (or the city implied by a replayed
-// trace), then runs two planes concurrently until SIGINT/SIGTERM:
+// Trains a model on a synthetic city, then runs two planes concurrently
+// until SIGINT/SIGTERM:
 //
-//   * ingest plane: feeds the StreamIngestor round after round (synthetic
-//     feed) or one out-of-core pass (--trace), advancing event time;
+//   * ingest plane: replays the city's calibrated trace (generate_trace:
+//     the intensity model's daily shape with its default 2 % duplicate and
+//     1 % conflicting records, put in arrival order once with a bounded
+//     skew and a late tail) round after round, each round one 4-week grid
+//     later in event time so the watermark keeps advancing — or one
+//     out-of-core pass over a trace file (--trace). Every tower is
+//     classified after each round or pass.
 //   * serving plane: a QueryServer answering /towers/:id/class, /window,
 //     /forecast, POST /classify, and /stats over the live windows, plus
-//     the introspection endpoints (/metrics, /healthz, /stream).
+//     the introspection endpoints (/metrics, /metrics.json, /healthz,
+//     /stream).
 //
 // The model is republished after every ingest round — an epoch bump
 // clients observe in every response's model_epoch — so the RCU swap path
@@ -23,17 +29,25 @@
 //   --workers=N       serving worker threads (default 4)
 //   --max-pending=N   admission-queue capacity, >= 1 (default 64)
 //   --towers=N        synthetic city size, >= 20 (default 200)
-//   --records=N       records per ingest round (default 200000)
-//   --rounds=N        ingest rounds; 0 = run until a signal (default 0)
+//   --records=N       expected records per ingest round, >= 1
+//                     (default 200000)
+//   --rounds=N        ingest rounds, at most 106522 (the last whose minutes
+//                     fit in 32 bits); 0 = until a signal or that round
+//                     (default 0)
 //   --batch=N         offer_batch size, >= 1 (default 8192)
 //   --pause-ms=N      sleep between rounds (default 500)
-//   --trace=PATH      ingest this trace file once instead of synthesizing
+//   --trace=PATH      ingest this trace file (.csv or .ctb/.bin) once
+//                     instead of synthesizing (README "Full-scale ingest")
 //   --checkpoint=PATH flush a final stream snapshot here on shutdown
 //
 // SIGINT/SIGTERM stop at the next round boundary, stop the server, drain
 // the ingestor, flush the checkpoint, and let the run report write —
-// never a torn snapshot.
+// never a torn snapshot. Progress lines are flushed as they are written,
+// so a tail of a redirected log sees each round as it lands.
+#include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -48,13 +62,58 @@
 #include "obs/report.h"
 #include "server/query_service.h"
 #include "server/server.h"
-#include "signal_util.h"
 #include "stream/ingestor.h"
 #include "stream/online_classifier.h"
 #include "stream/replay.h"
 #include "stream/snapshot.h"
+#include "traffic/trace_generator.h"
 
 using namespace cellscope;
+
+namespace {
+
+constexpr auto kGridMinutes =
+    static_cast<std::uint32_t>(TimeGrid::kSlots * TimeGrid::kSlotMinutes);
+/// Round r replays the trace (r - 1) grids later, and the trace's end
+/// minutes reach kGridMinutes, so round r ends at r * kGridMinutes: this
+/// is the last round whose minutes fit in a uint32 without wrapping.
+constexpr std::uint64_t kMaxRounds = UINT32_MAX / kGridMinutes;
+
+/// A signal handler may only touch lock-free state, so SIGINT/SIGTERM
+/// only set this flag; the main loop polls it at round granularity and
+/// runs the orderly exit path itself.
+std::atomic<bool> g_stop{false};
+
+bool stop_requested() { return g_stop.load(std::memory_order_acquire); }
+
+/// The city's calibrated trace, sized so a round carries `n_records`
+/// records in expectation (sessions plus their duplicate and conflicting
+/// copies), in arrival order: serve_live's skew and late tail.
+std::vector<TrafficLog> calibrated_feed(const Experiment& experiment,
+                                        std::size_t n_records) {
+  TraceOptions trace;
+  trace.seed = experiment.config().seed ^ 0x5E7EULL;
+  double expected_bytes = 0.0;
+  for (const auto& tower : experiment.towers())
+    for (const double bytes : experiment.intensity().expected_series(tower.id))
+      expected_bytes += bytes;
+  const double copies = 1.0 + trace.duplicate_prob + trace.conflict_prob;
+  trace.mean_session_bytes =
+      expected_bytes * copies / static_cast<double>(n_records);
+  const TraceResult result =
+      generate_trace(experiment.towers(), experiment.intensity(), trace);
+  std::cout << "feed: " << result.logs.size() << " records per round ("
+            << n_records << " expected), " << result.duplicates_injected
+            << " duplicates, " << result.conflicts_injected
+            << " conflicts" << std::endl;
+  ReplayOptions arrival;
+  arrival.seed = experiment.config().seed ^ 0xA441FULL;
+  arrival.skew_window = 32;
+  arrival.late_fraction = 0.002;
+  return perturb_arrival_order(result.logs, arrival);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::uint16_t port = 8080;
@@ -76,8 +135,9 @@ int main(int argc, char** argv) {
       max_pending = *v;
     else if (auto v = examples::flag_u64(arg, "--towers", 20, UINT32_MAX))
       n_towers = *v;
-    else if (auto v = examples::flag_u64(arg, "--records")) n_records = *v;
-    else if (auto v = examples::flag_u64(arg, "--rounds")) rounds = *v;
+    else if (auto v = examples::flag_u64(arg, "--records", 1)) n_records = *v;
+    else if (auto v = examples::flag_u64(arg, "--rounds", 0, kMaxRounds))
+      rounds = *v;
     else if (auto v = examples::flag_u64(arg, "--batch", 1)) batch = *v;
     else if (auto v = examples::flag_u64(arg, "--pause-ms")) pause_ms = *v;
     else if (arg.starts_with("--trace="))
@@ -90,7 +150,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  examples::install_stop_handlers();
+  const auto on_signal = [](int) {
+    g_stop.store(true, std::memory_order_release);
+  };
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
   obs::arm_run_report("cellscoped");  // no-op unless CELLSCOPE_RUN_REPORT
 
   std::cout << "training model on " << n_towers << " towers...\n";
@@ -114,55 +178,66 @@ int main(int argc, char** argv) {
   server.start();
   std::cout << "cellscoped serving on http://127.0.0.1:" << server.port()
             << "  (/towers/:id/class /towers/:id/window /towers/:id/forecast"
-            << " POST /classify /stats /metrics /stream)\n";
+            << " POST /classify /stats /metrics /stream)" << std::endl;
 
-  ReplayOptions options;
-  options.batch_size = batch;
+  // Classify every tower, then republish the same frozen model: clients
+  // see model_epoch advance while in-flight requests finish on the epoch
+  // they loaded.
+  const auto classify_and_publish = [&] {
+    const std::size_t towers = classifier->classify_all(ingestor, &pool).size();
+    service.publish_model(classifier);
+    return towers;
+  };
 
   if (!trace_path.empty()) {
     FileReplayOptions file_options;
     file_options.batch_size = batch;
-    const ReplayStats stats = replay_trace_file(trace_path, ingestor, pool,
-                                                file_options,
-                                                classifier.get());
-    service.publish_model(classifier);
+    const ReplayStats stats =
+        replay_trace_file(trace_path, ingestor, pool, file_options);
+    const std::size_t classified = classify_and_publish();
     std::cout << trace_path << ": " << stats.records << " records in "
-              << stats.wall_ms << " ms; serving until a signal arrives\n";
-    while (!examples::stop_requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+              << stats.wall_ms << " ms, late " << stats.ingest.late
+              << ", dropped " << stats.ingest.dropped << ", classified "
+              << classified << " towers; serving until a signal arrives"
+              << std::endl;
   } else {
-    const auto base_logs = uniform_feed(
-        n_records, static_cast<std::uint32_t>(n_towers), 4321);
-    constexpr std::uint64_t kGridMinutes =
-        TimeGrid::kSlots * TimeGrid::kSlotMinutes;
-    for (std::size_t round = 0;
-         (rounds == 0 || round < rounds) && !examples::stop_requested();
-         ++round) {
-      std::vector<TrafficLog> logs = base_logs;
-      const auto shift = static_cast<std::uint32_t>(round * kGridMinutes);
-      for (auto& log : logs) {
-        log.start_minute += shift;
-        log.end_minute += shift;
+    ingestor.register_towers(experiment.towers());
+    std::vector<TrafficLog> feed = calibrated_feed(experiment, n_records);
+    ReplayOptions options;
+    options.batch_size = batch;
+    for (std::size_t round = 1;
+         (rounds == 0 || round <= rounds) && !stop_requested(); ++round) {
+      if (round > kMaxRounds) {
+        std::cout << "round " << kMaxRounds
+                  << " reached the end of the 32-bit minute range; feeding "
+                     "stops, serving continues"
+                  << std::endl;
+        break;
       }
-      options.seed = 99 + round;
-      const ReplayStats stats =
-          replay_trace(logs, ingestor, pool, options, classifier.get());
-      // Same frozen model, new epoch: clients see model_epoch advance
-      // while in-flight requests finish on the epoch they loaded.
-      service.publish_model(classifier);
-      const IngestStats ingest = stats.ingest;
-      std::cout << "round " << round + 1 << ": " << stats.records
-                << " records ("
+      // Each round replays the feed one grid later than the last, so event
+      // time (and the watermark) advances monotonically across rounds.
+      if (round > 1) {
+        for (auto& log : feed) {
+          log.start_minute += kGridMinutes;
+          log.end_minute += kGridMinutes;
+        }
+      }
+      const ReplayStats stats = replay_trace(feed, ingestor, pool, options);
+      const std::size_t classified = classify_and_publish();
+      const IngestStats& ingest = stats.ingest;
+      std::cout << "round " << round << ": " << stats.records << " records ("
                 << static_cast<std::uint64_t>(stats.records_per_sec)
                 << " rec/s), watermark " << ingest.watermark_minute
-                << ", model epoch " << service.model_epoch() << "\n";
-      if (pause_ms > 0 && !examples::stop_requested())
+                << ", late " << ingest.late << ", dropped " << ingest.dropped
+                << ", classified " << classified << " towers, model epoch "
+                << service.model_epoch() << std::endl;
+      if (pause_ms > 0 && !stop_requested())
         std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
     }
-    // Flag-free completion of a bounded run still serves until a signal.
-    while (!examples::stop_requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
+  // A finished feed still serves until a signal arrives.
+  while (!stop_requested())
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   std::cout << "\nstop requested; shutting down...\n";
   server.stop();

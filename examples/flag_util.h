@@ -2,7 +2,7 @@
 // by the example binaries.
 //
 // A value must be the whole argument remainder, parsed by the checked
-// parse_u64/parse_f64 of common/string_util.h and inside the flag's
+// parse_u64 of common/string_util.h and inside the flag's
 // [min, max] range. Junk ("abc", "12x", ""), overflow and out-of-range
 // values print one line naming the flag and exit with status 2 — the
 // status of an unknown flag — instead of silently becoming 0, wrapping,
@@ -51,17 +51,6 @@ inline std::optional<std::uint64_t> flag_u64(
   if (!value) return std::nullopt;
   const auto parsed = parse_u64(*value, min, max);
   if (!parsed) detail::reject_flag(name, *value, "an integer", min, max);
-  return parsed;
-}
-
-/// As flag_u64, for a finite decimal number in [min, max].
-inline std::optional<double> flag_f64(std::string_view arg,
-                                      std::string_view name, double min,
-                                      double max) {
-  const auto value = detail::flag_value(arg, name);
-  if (!value) return std::nullopt;
-  const auto parsed = parse_f64(*value, min, max);
-  if (!parsed) detail::reject_flag(name, *value, "a number", min, max);
   return parsed;
 }
 

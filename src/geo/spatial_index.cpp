@@ -1,8 +1,6 @@
 #include "geo/spatial_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.h"
 
@@ -80,35 +78,6 @@ std::size_t SpatialIndex::count_radius(const LatLon& center,
   std::size_t count = 0;
   for_each_within(center, radius_m, [&count](std::size_t) { ++count; });
   return count;
-}
-
-std::size_t SpatialIndex::nearest(const LatLon& center) const {
-  CS_CHECK_MSG(!points_.empty(), "nearest() on an empty index");
-  // Expanding-radius search over buckets, falling back to a linear scan for
-  // correctness once the search ring covers the whole grid.
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_i = 0;
-  for (double radius_m = 500.0;; radius_m *= 2.0) {
-    for (const std::size_t i : query_radius(center, radius_m)) {
-      const double d = haversine_m(points_[i], center);
-      if (d < best) {
-        best = d;
-        best_i = i;
-      }
-    }
-    if (best <= radius_m) return best_i;
-    const double diag_m =
-        1000.0 * std::hypot(box_.height_km(), box_.width_km());
-    if (radius_m > diag_m) break;
-  }
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double d = haversine_m(points_[i], center);
-    if (d < best) {
-      best = d;
-      best_i = i;
-    }
-  }
-  return best_i;
 }
 
 }  // namespace cellscope

@@ -29,9 +29,6 @@ class SpatialIndex {
   /// Number of points within `radius_m` meters of `center`.
   std::size_t count_radius(const LatLon& center, double radius_m) const;
 
-  /// Index of the nearest point to `center`; requires a non-empty index.
-  std::size_t nearest(const LatLon& center) const;
-
   std::size_t size() const { return points_.size(); }
   const LatLon& point(std::size_t i) const { return points_[i]; }
 

@@ -10,27 +10,12 @@
 
 namespace cellscope {
 
-namespace {
-
-constexpr double kNsPerMs = 1e6;
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since,
-                         std::chrono::steady_clock::time_point until) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(until - since)
-          .count());
-}
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t n_threads) {
   CS_CHECK_MSG(n_threads >= 1, "thread pool needs at least one worker");
   auto& registry = obs::MetricsRegistry::instance();
   metric_submitted_ = &registry.counter("cellscope.mapred.tasks_submitted");
   metric_completed_ = &registry.counter("cellscope.mapred.tasks_completed");
   metric_queue_depth_ = &registry.gauge("cellscope.mapred.queue_depth");
-  busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) busy_ns_[i].store(0);
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -52,17 +37,11 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     CS_CHECK_MSG(!stopping_, "submit on a stopping pool");
     tasks_.push(std::move(queued));
-    submitted_.fetch_add(1, std::memory_order_relaxed);
     metric_submitted_->add(1);
     metric_queue_depth_->add(1);
   }
   cv_.notify_one();
   return future;
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
 }
 
 void ThreadPool::parallel_for(std::size_t n,
@@ -103,17 +82,16 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       queued = std::move(tasks_.front());
       tasks_.pop();
     }
-    const auto started = std::chrono::steady_clock::now();
-    queue_wait_ns_.fetch_add(elapsed_ns(queued.enqueued, started),
-                             std::memory_order_relaxed);
     auto& trace = obs::StageTrace::instance();
     if (trace.enabled()) {
       // Tasks are coarse (per-shard drains, parallel_for blocks), so one
       // retroactive span per dequeue is cheap and makes pool contention
       // visible on the trace timeline next to the stage spans.
       const double enqueued_us = obs::time_point_us(queued.enqueued);
+      const double started_us =
+          obs::time_point_us(std::chrono::steady_clock::now());
       trace.record_complete("pool.queue_wait", "mapred", enqueued_us,
-                            obs::time_point_us(started) - enqueued_us,
+                            started_us - enqueued_us,
                             "\"worker\":" + std::to_string(worker_index));
     }
     metric_queue_depth_->add(-1);
@@ -123,34 +101,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     } catch (...) {
       error = std::current_exception();
     }
-    busy_ns_[worker_index].fetch_add(
-        elapsed_ns(started, std::chrono::steady_clock::now()),
-        std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
     metric_completed_->add(1);
     if (error)
       queued.done.set_exception(error);
     else
       queued.done.set_value();
   }
-}
-
-ThreadPoolStats ThreadPool::stats() const {
-  ThreadPoolStats s;
-  s.tasks_submitted = submitted_.load(std::memory_order_relaxed);
-  s.tasks_completed = completed_.load(std::memory_order_relaxed);
-  s.total_queue_wait_ms =
-      static_cast<double>(queue_wait_ns_.load(std::memory_order_relaxed)) /
-      kNsPerMs;
-  s.per_worker_busy_ms.reserve(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const double busy =
-        static_cast<double>(busy_ns_[i].load(std::memory_order_relaxed)) /
-        kNsPerMs;
-    s.per_worker_busy_ms.push_back(busy);
-    s.total_busy_ms += busy;
-  }
-  return s;
 }
 
 void for_each_index(ThreadPool* pool, std::size_t n,

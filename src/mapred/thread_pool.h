@@ -3,18 +3,15 @@
 // The parallel substrate that substitutes for the paper's Hadoop platform
 // (DESIGN.md §2) and runs every pooled stage (§8). Tasks are arbitrary
 // callables; parallel_for partitions an index range over the workers. The
-// pool keeps utilization stats (tasks run, queue wait, per-worker busy
-// time) and feeds the global cellscope.mapred.* metrics.
+// pool feeds the global cellscope.mapred.* metrics and, when tracing is on,
+// records a pool.queue_wait span per dequeued task.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -26,18 +23,6 @@ namespace obs {
 class Counter;
 class Gauge;
 }  // namespace obs
-
-/// Utilization snapshot of one ThreadPool.
-struct ThreadPoolStats {
-  std::uint64_t tasks_submitted = 0;
-  std::uint64_t tasks_completed = 0;
-  /// Total time tasks spent queued before a worker picked them up.
-  double total_queue_wait_ms = 0.0;
-  /// Total time workers spent running tasks (sum over workers).
-  double total_busy_ms = 0.0;
-  /// Busy time per worker, indexed 0..thread_count-1.
-  std::vector<double> per_worker_busy_ms;
-};
 
 /// Fixed-size thread pool with task futures and a blocking parallel_for.
 class ThreadPool {
@@ -57,9 +42,6 @@ class ThreadPool {
   /// propagate through the future).
   std::future<void> submit(std::function<void()> task);
 
-  /// Pending tasks not yet picked up by a worker.
-  std::size_t queue_depth() const;
-
   /// Runs fn(i) for i in [0, n), partitioned into contiguous blocks across
   /// the workers; blocks until every call finished. The first exception
   /// thrown by any fn(i) is rethrown here.
@@ -67,14 +49,11 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Utilization counters accumulated since construction.
-  ThreadPoolStats stats() const;
-
  private:
   struct QueuedTask {
     std::function<void()> task;
-    /// Made ready after the task's stats are counted, so stats() read
-    /// after future.get() always includes the task.
+    /// Made ready after the completion counter is bumped, so a metrics
+    /// read after future.get() always includes the task.
     std::promise<void> done;
     std::chrono::steady_clock::time_point enqueued;
   };
@@ -83,15 +62,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<QueuedTask> tasks_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-
-  // Pool-local stats (relaxed atomics; snapshotted by stats()).
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> queue_wait_ns_{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> busy_ns_;  // per worker
 
   // Process-global metrics (registered once, hot-path cached).
   obs::Counter* metric_submitted_;

@@ -1,7 +1,6 @@
 #include "stream/replay.h"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 
 #include "common/error.h"
@@ -64,35 +63,26 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
 namespace {
 
 /// What replay_trace and replay_trace_file share: the stream.replay span
-/// and its wall clock, the classify cadence, and the closing step.
+/// and its wall clock, the batch count, and the closing step.
 class ReplayRun {
  public:
-  ReplayRun(StreamIngestor& ingestor, ThreadPool& pool,
-            const OnlineClassifier* classifier, std::size_t classify_every)
-      : ingestor_(ingestor),
-        pool_(pool),
-        classifier_(classifier),
-        classify_every_(classify_every) {}
+  explicit ReplayRun(StreamIngestor& ingestor) : ingestor_(ingestor) {}
 
   ReplayStats stats;
 
   obs::StageSpan& span() { return *span_; }
-  double elapsed_ms() const { return timer_.elapsed_ms(); }
 
-  /// Counts one fed batch of `records`; classifies on the cadence.
+  /// Counts one fed batch of `records`.
   void batch_done(std::size_t records) {
     stats.records += records;
     ++stats.batches;
-    if (classify_every_ > 0 && stats.batches % classify_every_ == 0)
-      classify();
   }
 
-  /// The closing step: the final classify pass, the dropped/late
-  /// sentinels (one-shot checks evaluated as the span closes, like the
-  /// batch pipeline's stage checks), the span annotations, and the
-  /// ReplayStats totals. Returns the filled stats.
+  /// The closing step: the dropped/late sentinels (one-shot checks
+  /// evaluated as the span closes, like the batch pipeline's stage
+  /// checks), the span annotations, and the ReplayStats totals. Returns
+  /// the filled stats.
   ReplayStats& finish() {
-    classify();
     auto& board = obs::QualityBoard::instance();
     const auto ingest = ingestor_.stats();
     board.add_check(
@@ -115,7 +105,7 @@ class ReplayRun {
     span_->annotate({"late", ingest.late});
     span_.reset();
 
-    stats.ingest = ingestor_.stats();
+    stats.ingest = ingest;
     stats.wall_ms = timer_.elapsed_ms();
     stats.records_per_sec =
         stats.wall_ms > 0.0
@@ -125,16 +115,7 @@ class ReplayRun {
   }
 
  private:
-  void classify() {
-    if (classifier_ == nullptr) return;
-    stats.labels = classifier_->classify_all(ingestor_, &pool_);
-    ++stats.classify_passes;
-  }
-
   StreamIngestor& ingestor_;
-  ThreadPool& pool_;
-  const OnlineClassifier* classifier_;
-  std::size_t classify_every_;
   obs::ScopedTimer timer_;
   std::optional<obs::StageSpan> span_{std::in_place, "stream.replay",
                                       "stream"};
@@ -144,31 +125,9 @@ class ReplayRun {
 
 ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                          StreamIngestor& ingestor, ThreadPool& pool,
-                         const ReplayOptions& options,
-                         const OnlineClassifier* classifier) {
+                         const ReplayOptions& options) {
   CS_CHECK_MSG(options.batch_size >= 1, "batch_size must be positive");
-
-  // Periodic file-based metrics scrape (see ReplayOptions). Opened once;
-  // append mode so successive replays accumulate into one timeline.
-  const bool scrape = options.metrics_interval_ms > 0 &&
-                      !options.metrics_jsonl_path.empty();
-  std::ofstream metrics_out;
-  if (scrape) {
-    metrics_out.open(options.metrics_jsonl_path, std::ios::app);
-    if (!metrics_out)
-      throw IoError("cannot open metrics JSONL file " +
-                    options.metrics_jsonl_path);
-  }
-
-  ReplayRun run(ingestor, pool, classifier, options.classify_every_batches);
-  const auto dump_metrics = [&] {
-    metrics_out << "{\"wall_ms\":" << run.elapsed_ms() << ",\"metrics\":"
-                << obs::MetricsRegistry::instance().snapshot_json() << "}\n";
-    metrics_out.flush();  // a live tail -f must see complete lines
-    ++run.stats.metrics_snapshots;
-  };
-  double next_dump_ms = static_cast<double>(options.metrics_interval_ms);
-
+  ReplayRun run(ingestor);
   for (std::size_t begin = 0; begin < logs.size();
        begin += options.batch_size) {
     const std::size_t end = std::min(logs.size(), begin + options.batch_size);
@@ -176,26 +135,18 @@ ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
         std::span<const TrafficLog>(logs.data() + begin, end - begin));
     ingestor.drain(pool);
     run.batch_done(end - begin);
-    if (scrape && run.elapsed_ms() >= next_dump_ms) {
-      dump_metrics();
-      next_dump_ms =
-          run.elapsed_ms() + static_cast<double>(options.metrics_interval_ms);
-    }
   }
-  run.finish();
-  if (scrape) dump_metrics();  // final state, even for sub-interval replays
-  return run.stats;
+  return run.finish();
 }
 
 ReplayStats replay_trace_file(const std::string& path,
                               StreamIngestor& ingestor, ThreadPool& pool,
-                              const FileReplayOptions& options,
-                              const OnlineClassifier* classifier) {
+                              const FileReplayOptions& options) {
   CS_CHECK_MSG(options.batch_size >= 1, "batch_size must be positive");
   TraceCodec codec = options.codec == TraceCodec::kAuto
                          ? trace_codec_for_path(path)
                          : options.codec;
-  ReplayRun run(ingestor, pool, classifier, options.classify_every_batches);
+  ReplayRun run(ingestor);
   if (codec == TraceCodec::kCsv) {
     auto reader = open_trace_reader(path, TraceCodec::kCsv, options.batch_size);
     std::vector<TrafficLog> batch;

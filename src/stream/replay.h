@@ -18,7 +18,6 @@
 
 #include "mapred/thread_pool.h"
 #include "stream/ingestor.h"
-#include "stream/online_classifier.h"
 #include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
 #include "traffic/trace_record.h"
@@ -34,16 +33,6 @@ struct ReplayOptions {
   std::size_t skew_window = 0;
   /// Fraction of records deferred to the end of the stream, in [0, 1].
   double late_fraction = 0.0;
-  /// Run classifier.classify_all every this many batches (0 = only the
-  /// final pass) — the online re-evaluation cadence.
-  std::size_t classify_every_batches = 0;
-  /// When > 0 (and metrics_jsonl_path is set), append one full metrics
-  /// snapshot line to the JSONL file at roughly this wall-time cadence
-  /// during the replay, plus one final line — a file-based scrape for
-  /// processes that serve no HTTP. Each line is
-  /// {"wall_ms": <replay wall clock>, "metrics": <snapshot_json()>}.
-  std::uint32_t metrics_interval_ms = 0;
-  std::string metrics_jsonl_path;
 };
 
 /// Replay outcome.
@@ -53,13 +42,6 @@ struct ReplayStats {
   IngestStats ingest;  ///< ingestor lifetime counters after the replay
   double wall_ms = 0.0;
   double records_per_sec = 0.0;
-  std::size_t classify_passes = 0;
-  /// Metrics snapshot lines appended to metrics_jsonl_path (0 when the
-  /// periodic scrape was off).
-  std::size_t metrics_snapshots = 0;
-  /// Final classification per tower (ascending id); empty when no
-  /// classifier was supplied.
-  std::vector<std::pair<std::uint32_t, Classification>> labels;
 };
 
 /// Deterministically perturbs arrival order per the options (see file
@@ -69,15 +51,13 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
 
 /// Streams `logs` (already in desired arrival order — compose with
 /// perturb_arrival_order for defects) through the ingestor in batches,
-/// draining each batch on `pool`. When `classifier` is non-null the final
-/// (and cadenced) classification passes run and the last one is returned
-/// in ReplayStats::labels. Registers quality sentinels on the
+/// draining each batch on `pool`. Registers quality sentinels on the
 /// stream.replay stage: record drop ratio (fail > 1%) and late ratio
-/// (warn > 25%).
+/// (warn > 25%). Classifying the result is the caller's step
+/// (OnlineClassifier::classify_all).
 ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                          StreamIngestor& ingestor, ThreadPool& pool,
-                         const ReplayOptions& options = {},
-                         const OnlineClassifier* classifier = nullptr);
+                         const ReplayOptions& options = {});
 
 /// Knobs for replaying straight from a trace file (out-of-core: only one
 /// batch / chunk of records is resident at a time).
@@ -92,9 +72,6 @@ struct FileReplayOptions {
   bool bulk = true;
   /// Records per offer_batch round on the CSV/offer path.
   std::size_t batch_size = 8192;
-  /// Run classifier.classify_all every this many batches/chunks (0 =
-  /// only the final pass).
-  std::size_t classify_every_batches = 0;
   /// Columnar inputs: chunks whose footer tower/minute ranges cannot
   /// overlap this filter are skipped wholesale (counted on
   /// cellscope.io.chunks_skipped) — coarse, chunk-granular pruning;
@@ -111,7 +88,6 @@ struct FileReplayOptions {
 /// cannot be opened or its structure is invalid.
 ReplayStats replay_trace_file(const std::string& path,
                               StreamIngestor& ingestor, ThreadPool& pool,
-                              const FileReplayOptions& options = {},
-                              const OnlineClassifier* classifier = nullptr);
+                              const FileReplayOptions& options = {});
 
 }  // namespace cellscope

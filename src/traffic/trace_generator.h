@@ -58,9 +58,9 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
 /// grid: users uniform in [0, 99999], towers uniform in [0, n_towers),
 /// starts time-ordered (record i at i/n_records of the grid) plus 0–30
 /// minutes of jitter, durations 0–15 minutes, bytes uniform in
-/// [100, 200000]. No diurnal shape, duplicates or addresses — it drives
-/// the streaming and serving planes (cellscoped, stream_replay,
-/// perf_stream, perf_introspect), not the paper's analysis.
+/// [100, 200000]. No diurnal shape, duplicates or addresses. Only the
+/// perf_stream and perf_introspect benches use it, to keep their
+/// recorded baselines comparable; every live path replays generate_trace.
 /// Deterministic in the seed; requires n_towers >= 1.
 std::vector<TrafficLog> uniform_feed(std::size_t n_records,
                                      std::uint32_t n_towers,

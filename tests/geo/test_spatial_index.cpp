@@ -62,35 +62,9 @@ TEST(SpatialIndex, CountMatchesQuerySize) {
             index.query_radius(center, 1000.0).size());
 }
 
-TEST(SpatialIndex, NearestMatchesBruteForce) {
-  const auto points = random_points(300, 9);
-  const SpatialIndex index(test_box(), points);
-  Rng rng(13);
-  for (int trial = 0; trial < 20; ++trial) {
-    const LatLon center{rng.uniform(31.0, 31.2), rng.uniform(121.0, 121.2)};
-    const std::size_t got = index.nearest(center);
-    double best = 1e18;
-    std::size_t want = 0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const double d = haversine_m(points[i], center);
-      if (d < best) {
-        best = d;
-        want = i;
-      }
-    }
-    // The scan's first minimum, or another point at exactly the same
-    // distance (an exact tie).
-    if (got != want) {
-      EXPECT_EQ(haversine_m(points[got], center), best)
-          << "trial " << trial << ": got " << got << ", want " << want;
-    }
-  }
-}
-
 TEST(SpatialIndex, EmptyIndexQueriesReturnNothing) {
   const SpatialIndex index(test_box(), {});
   EXPECT_TRUE(index.query_radius({31.1, 121.1}, 1e6).empty());
-  EXPECT_THROW(index.nearest({31.1, 121.1}), Error);
 }
 
 TEST(SpatialIndex, PointsOutsideBoxAreClampedButQueryable) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace cellscope {
 namespace {
@@ -82,38 +83,20 @@ TEST(ThreadPool, RequiresAtLeastOneWorker) {
   EXPECT_THROW(ThreadPool(0), Error);
 }
 
-TEST(ThreadPool, StatsCountSubmittedAndCompletedTasks) {
-  ThreadPool pool(3);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 40; ++i)
-    futures.push_back(pool.submit([] {
-      volatile int sink = 0;
-      for (int j = 0; j < 1000; ++j) sink = sink + j;
-    }));
-  for (auto& f : futures) f.get();
-
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.tasks_submitted, 40u);
-  EXPECT_EQ(stats.tasks_completed, 40u);
-  EXPECT_GE(stats.total_queue_wait_ms, 0.0);
-  EXPECT_GE(stats.total_busy_ms, 0.0);
-  ASSERT_EQ(stats.per_worker_busy_ms.size(), pool.thread_count());
-  double summed = 0.0;
-  for (const double busy : stats.per_worker_busy_ms) {
-    EXPECT_GE(busy, 0.0);
-    summed += busy;
-  }
-  EXPECT_DOUBLE_EQ(summed, stats.total_busy_ms);
-}
-
 TEST(ThreadPool, StatsCoverParallelForBlocks) {
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& submitted = registry.counter("cellscope.mapred.tasks_submitted");
+  auto& completed = registry.counter("cellscope.mapred.tasks_completed");
   ThreadPool pool(2);
+  const auto submitted_before = submitted.value();
+  const auto completed_before = completed.value();
   pool.parallel_for(100, [](std::size_t) {});
-  const auto stats = pool.stats();
-  // parallel_for partitions into at most workers * 4 block tasks.
-  EXPECT_GE(stats.tasks_submitted, 1u);
-  EXPECT_LE(stats.tasks_submitted, 8u);
-  EXPECT_EQ(stats.tasks_submitted, stats.tasks_completed);
+  const auto blocks = submitted.value() - submitted_before;
+  // parallel_for partitions into at most workers * 4 block tasks, and
+  // each block's future resolves only after its completion is counted.
+  EXPECT_GE(blocks, 1u);
+  EXPECT_LE(blocks, 8u);
+  EXPECT_EQ(completed.value() - completed_before, blocks);
 }
 
 TEST(ThreadPool, DefaultThreadCountIsAtLeastTwo) {

@@ -22,6 +22,15 @@ namespace {
 class StreamSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("cs_snapshot_" + std::to_string(::getpid()) + ".bin"))
+                .string();
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Fills towers_ and logs_ with a two-day 8-tower trace (~1.1 M
+  /// records); only the tests that replay it pay for generating it.
+  void generate_trace_fixture() {
     const auto city = CityModel::create_default();
     DeploymentOptions deployment;
     deployment.n_towers = 8;
@@ -33,11 +42,7 @@ class StreamSnapshotTest : public ::testing::Test {
     options.duplicate_prob = 0.0;
     options.conflict_prob = 0.0;
     logs_ = generate_trace(towers_, intensity, options).logs;
-    path_ = (std::filesystem::temp_directory_path() /
-             ("cs_snapshot_" + std::to_string(::getpid()) + ".bin"))
-                .string();
   }
-  void TearDown() override { std::filesystem::remove(path_); }
 
   std::vector<Tower> towers_;
   std::vector<TrafficLog> logs_;
@@ -45,6 +50,7 @@ class StreamSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(StreamSnapshotTest, ResumeFromCheckpointIsBitIdentical) {
+  generate_trace_fixture();
   ThreadPool pool(2);
   const std::size_t half = logs_.size() / 2;
   const std::span<const TrafficLog> first(logs_.data(), half);
@@ -92,7 +98,12 @@ TEST_F(StreamSnapshotTest, ResumeFromCheckpointIsBitIdentical) {
 
 TEST_F(StreamSnapshotTest, RefusesToSnapshotWithPendingRecords) {
   StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
-  ingestor.offer(logs_.front());
+  ingestor.offer(TrafficLog{.user_id = 1,
+                            .tower_id = 0,
+                            .start_minute = 10,
+                            .end_minute = 15,
+                            .bytes = 4096,
+                            .address = {}});
   EXPECT_THROW(write_snapshot(path_, ingestor), Error);
   // After draining it succeeds.
   ThreadPool pool(1);
@@ -101,6 +112,7 @@ TEST_F(StreamSnapshotTest, RefusesToSnapshotWithPendingRecords) {
 }
 
 TEST_F(StreamSnapshotTest, RejectsBadMagicAndTruncation) {
+  generate_trace_fixture();
   ThreadPool pool(1);
   StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
   ingestor.offer_batch(logs_);
@@ -127,6 +139,7 @@ TEST_F(StreamSnapshotTest, RejectsBadMagicAndTruncation) {
 }
 
 TEST_F(StreamSnapshotTest, ReplayHarnessResumeMatchesUninterruptedReplay) {
+  generate_trace_fixture();
   ThreadPool pool(2);
   ReplayOptions options;
   options.seed = 4242;
