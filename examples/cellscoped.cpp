@@ -4,8 +4,8 @@
 // Trains a model on a synthetic city, then runs two planes concurrently
 // until SIGINT/SIGTERM:
 //
-//   * ingest plane: replays the city's calibrated trace (generate_trace:
-//     the intensity model's daily shape with its default 2 % duplicate and
+//   * ingest plane: replays the city's calibrated trace (calibrated_feed:
+//     generate_trace's daily shape with its default 2 % duplicate and
 //     1 % conflicting records, put in arrival order once with a bounded
 //     skew and a late tail) round after round, each round one 4-week grid
 //     later in event time so the watermark keeps advancing — or one
@@ -66,7 +66,6 @@
 #include "stream/online_classifier.h"
 #include "stream/replay.h"
 #include "stream/snapshot.h"
-#include "traffic/trace_generator.h"
 
 using namespace cellscope;
 
@@ -85,33 +84,6 @@ constexpr std::uint64_t kMaxRounds = UINT32_MAX / kGridMinutes;
 std::atomic<bool> g_stop{false};
 
 bool stop_requested() { return g_stop.load(std::memory_order_acquire); }
-
-/// The city's calibrated trace, sized so a round carries `n_records`
-/// records in expectation (sessions plus their duplicate and conflicting
-/// copies), in arrival order: serve_live's skew and late tail.
-std::vector<TrafficLog> calibrated_feed(const Experiment& experiment,
-                                        std::size_t n_records) {
-  TraceOptions trace;
-  trace.seed = experiment.config().seed ^ 0x5E7EULL;
-  double expected_bytes = 0.0;
-  for (const auto& tower : experiment.towers())
-    for (const double bytes : experiment.intensity().expected_series(tower.id))
-      expected_bytes += bytes;
-  const double copies = 1.0 + trace.duplicate_prob + trace.conflict_prob;
-  trace.mean_session_bytes =
-      expected_bytes * copies / static_cast<double>(n_records);
-  const TraceResult result =
-      generate_trace(experiment.towers(), experiment.intensity(), trace);
-  std::cout << "feed: " << result.logs.size() << " records per round ("
-            << n_records << " expected), " << result.duplicates_injected
-            << " duplicates, " << result.conflicts_injected
-            << " conflicts" << std::endl;
-  ReplayOptions arrival;
-  arrival.seed = experiment.config().seed ^ 0xA441FULL;
-  arrival.skew_window = 32;
-  arrival.late_fraction = 0.002;
-  return perturb_arrival_order(result.logs, arrival);
-}
 
 }  // namespace
 
@@ -202,7 +174,12 @@ int main(int argc, char** argv) {
               << std::endl;
   } else {
     ingestor.register_towers(experiment.towers());
-    std::vector<TrafficLog> feed = calibrated_feed(experiment, n_records);
+    CityFeed feed = calibrated_feed(experiment.towers(), experiment.intensity(),
+                                    config.seed, n_records);
+    std::cout << "feed: " << feed.logs.size() << " records per round ("
+              << n_records << " expected), " << feed.duplicates
+              << " duplicates, " << feed.conflicts << " conflicts"
+              << std::endl;
     ReplayOptions options;
     options.batch_size = batch;
     for (std::size_t round = 1;
@@ -217,12 +194,13 @@ int main(int argc, char** argv) {
       // Each round replays the feed one grid later than the last, so event
       // time (and the watermark) advances monotonically across rounds.
       if (round > 1) {
-        for (auto& log : feed) {
+        for (auto& log : feed.logs) {
           log.start_minute += kGridMinutes;
           log.end_minute += kGridMinutes;
         }
       }
-      const ReplayStats stats = replay_trace(feed, ingestor, pool, options);
+      const ReplayStats stats =
+          replay_trace(feed.logs, ingestor, pool, options);
       const std::size_t classified = classify_and_publish();
       const IngestStats& ingest = stats.ingest;
       std::cout << "round " << round << ": " << stats.records << " records ("

@@ -2,7 +2,8 @@
 // (README "Full-scale ingest").
 //
 //   trace_convert synth <out> [--records=N] [--towers=N] [--seed=S]
-//       generate a synthetic trace (codec by extension: .csv or .ctb/.bin)
+//       write the calibrated month of the city experiment seed S builds
+//       (codec by extension: .csv or .ctb/.bin)
 //   trace_convert convert <in> <out> [--chunk=N]
 //       re-encode a trace between codecs, streaming (out-of-core)
 //   trace_convert merge <out> <in1> <in2> [...]
@@ -15,10 +16,10 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
-#include "common/time_grid.h"
+#include "core/experiment.h"
 #include "flag_util.h"
 #include "obs/timer.h"
+#include "stream/replay.h"
 #include "traffic/trace_codec.h"
 #include "traffic/trace_mmap.h"
 
@@ -36,38 +37,28 @@ int usage() {
   return 2;
 }
 
+/// Writes the calibrated month of the city that `seed` and `n_towers`
+/// build (calibrated_feed over the towers and intensity model of
+/// Experiment::run's stages 1–2, no POIs, no training): the month
+/// cellscoped --towers=n_towers --records=n_records replays in round 1
+/// when `seed` is its experiment seed. The month is held in memory, as
+/// its arrival order needs.
 int cmd_synth(const std::string& out, std::size_t n_records,
               std::uint32_t n_towers, std::uint64_t seed) {
-  Rng rng(seed);
-  constexpr std::uint64_t kGridMinutes =
-      TimeGrid::kSlots * TimeGrid::kSlotMinutes;
-  auto writer = open_trace_writer(out);
   obs::ScopedTimer timer;
-  std::vector<TrafficLog> batch;
-  const std::size_t kBatch = 65536;
-  batch.reserve(kBatch);
-  for (std::size_t i = 0; i < n_records; ++i) {
-    TrafficLog log;
-    log.user_id = static_cast<std::uint64_t>(rng.uniform_int(0, 999999));
-    log.tower_id = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_towers) - 1));
-    const auto base = i * kGridMinutes / n_records;
-    log.start_minute = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        kGridMinutes - 1,
-        base + static_cast<std::uint64_t>(rng.uniform_int(0, 30))));
-    log.end_minute =
-        log.start_minute + static_cast<std::uint32_t>(rng.uniform_int(0, 15));
-    log.bytes = static_cast<std::uint64_t>(rng.uniform_int(100, 200000));
-    batch.push_back(std::move(log));
-    if (batch.size() == kBatch) {
-      writer->append(batch);
-      batch.clear();
-    }
-  }
-  writer->append(batch);
-  writer->finish();
-  std::cout << out << ": " << n_records << " records over " << n_towers
-            << " towers in " << timer.elapsed_ms() << " ms\n";
+  ExperimentConfig config;
+  config.seed = seed;
+  config.n_towers = n_towers;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  const auto towers = deploy_towers(city, recipe.deployment);
+  const auto intensity = IntensityModel::create(towers, recipe.intensity);
+  const CityFeed feed = calibrated_feed(towers, intensity, seed, n_records);
+  write_trace(out, feed.logs);
+  std::cout << out << ": " << feed.logs.size() << " records ("
+            << n_records << " expected, " << feed.duplicates
+            << " duplicates, " << feed.conflicts << " conflicts) over "
+            << n_towers << " towers in " << timer.elapsed_ms() << " ms\n";
   return 0;
 }
 
@@ -145,11 +136,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   std::size_t records = 1'000'000;
   std::uint32_t towers = 9600;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = ExperimentConfig{}.seed;
   std::size_t chunk = columnar::kDefaultChunkRecords;
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (auto v = examples::flag_u64(arg, "--records")) records = *v;
+    if (auto v = examples::flag_u64(arg, "--records", 1)) records = *v;
     else if (auto v = examples::flag_u64(arg, "--towers", 1, UINT32_MAX))
       towers = static_cast<std::uint32_t>(*v);
     else if (auto v = examples::flag_u64(arg, "--seed")) seed = *v;

@@ -59,11 +59,4 @@ std::vector<Tower> deploy_towers(const CityModel& city,
   return towers;
 }
 
-std::array<std::size_t, kNumRegions> region_histogram(
-    const std::vector<Tower>& towers) {
-  std::array<std::size_t, kNumRegions> h{};
-  for (const auto& t : towers) ++h[static_cast<int>(t.true_region)];
-  return h;
-}
-
 }  // namespace cellscope

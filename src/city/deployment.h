@@ -24,8 +24,4 @@ struct DeploymentOptions {
 std::vector<Tower> deploy_towers(const CityModel& city,
                                  const DeploymentOptions& options);
 
-/// Count of towers per region.
-std::array<std::size_t, kNumRegions> region_histogram(
-    const std::vector<Tower>& towers);
-
 }  // namespace cellscope

@@ -5,6 +5,22 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Quotes a cell if needed per RFC 4180.
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (const char c : cell) {
+    if (c == '"') out += "\"\"";
+    else out += c;
+  }
+  out += '"';
+  return out;
+}
+
+}  // namespace
+
 CsvWriter::CsvWriter(const std::string& path) : out_(path), path_(path) {
   if (!out_) throw IoError("cannot open for writing: " + path);
 }
@@ -86,17 +102,6 @@ bool CsvReader::split_unquoted(std::string_view line,
     cells.push_back(line.substr(begin, comma - begin));
     begin = comma + 1;
   }
-}
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace cellscope

@@ -53,7 +53,4 @@ class CsvReader {
                              std::vector<std::string_view>& cells);
 };
 
-/// Quotes a cell if needed per RFC 4180.
-std::string csv_escape(const std::string& cell);
-
 }  // namespace cellscope

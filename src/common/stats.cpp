@@ -24,11 +24,6 @@ double variance(std::span<const double> v) {
 
 double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
 
-double min_value(std::span<const double> v) {
-  CS_CHECK_MSG(!v.empty(), "min of empty vector");
-  return *std::min_element(v.begin(), v.end());
-}
-
 double max_value(std::span<const double> v) {
   CS_CHECK_MSG(!v.empty(), "max of empty vector");
   return *std::max_element(v.begin(), v.end());
@@ -90,16 +85,6 @@ std::vector<double> zscore(std::span<const double> v) {
   std::vector<double> out(v.size());
   if (sd == 0.0) return out;  // constant vector -> all zeros
   for (std::size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - m) / sd;
-  return out;
-}
-
-std::vector<double> minmax(std::span<const double> v) {
-  CS_CHECK_MSG(!v.empty(), "minmax of empty vector");
-  const double lo = min_value(v);
-  const double hi = max_value(v);
-  std::vector<double> out(v.size());
-  if (hi == lo) return out;  // constant vector -> all zeros
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - lo) / (hi - lo);
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Descriptive statistics and vector normalizations.
 //
-// The paper's vectorizer z-scores every tower's traffic vector (§3.2) and
-// the POI validation min-max normalizes POI counts (§3.3.2); both live here
-// together with the summary statistics used by the analysis module.
+// The paper's vectorizer z-scores every tower's traffic vector (§3.2); that
+// normalization lives here together with the summary statistics used by
+// the analysis module.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +19,6 @@ double variance(std::span<const double> v);
 
 /// Population standard deviation.
 double stddev(std::span<const double> v);
-
-/// Smallest element. Requires a non-empty input.
-double min_value(std::span<const double> v);
 
 /// Largest element. Requires a non-empty input.
 double max_value(std::span<const double> v);
@@ -46,9 +43,6 @@ double pearson(std::span<const double> a, std::span<const double> b);
 /// all zeros (the paper's towers always carry some traffic, but synthetic
 /// edge cases must not divide by zero).
 std::vector<double> zscore(std::span<const double> v);
-
-/// Min-max normalization onto [0, 1]. A constant vector maps to all zeros.
-std::vector<double> minmax(std::span<const double> v);
 
 /// Normalization by the maximum (used by the paper's Fig. 3/4/5 plots).
 /// A non-positive maximum maps to all zeros.

@@ -31,12 +31,6 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (auto& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -88,17 +82,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback,
   throw InvalidArgument("invalid " + std::string(name) + "='" + env +
                         "': expected an integer in [" + std::to_string(min) +
                         ", " + std::to_string(max) + "]");
-}
-
-std::optional<double> parse_f64(std::string_view text, double min,
-                                double max) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
-      value < min || value > max)
-    return std::nullopt;
-  return value;
 }
 
 }  // namespace cellscope

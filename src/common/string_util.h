@@ -16,9 +16,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Strips ASCII whitespace from both ends.
 std::string trim(std::string_view s);
 
-/// ASCII lower-case copy.
-std::string to_lower(std::string_view s);
-
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
@@ -49,9 +46,5 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback,
                       std::uint64_t min = 0,
                       std::uint64_t max =
                           std::numeric_limits<std::uint64_t>::max());
-
-/// As parse_u64, for a finite decimal number in [min, max].
-std::optional<double> parse_f64(std::string_view text, double min,
-                                double max);
 
 }  // namespace cellscope

@@ -35,6 +35,16 @@ double principal_energy_fraction(const std::vector<double>& column_mean) {
 
 namespace cellscope {
 
+CityRecipe city_recipe(const ExperimentConfig& config) {
+  CityRecipe recipe;
+  recipe.city_seed = config.seed;
+  recipe.deployment.n_towers = config.n_towers;
+  recipe.deployment.seed = config.seed ^ 0xD1B54A32D192ED03ULL;
+  recipe.intensity = config.intensity;
+  recipe.intensity.seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
+  return recipe;
+}
+
 Experiment Experiment::run(const ExperimentConfig& config) {
   CS_CHECK_MSG(config.n_towers >= 20,
                "experiments need at least 20 towers to cluster meaningfully");
@@ -67,25 +77,21 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   Experiment e;
   e.config_ = config;
 
+  const CityRecipe recipe = city_recipe(config);
   // 1. City and towers.
   {
     obs::StageSpan span("pipeline.city_deploy");
     e.city_ = std::make_unique<CityModel>(
-        CityModel::create_default(config.seed));
-    DeploymentOptions deployment;
-    deployment.n_towers = config.n_towers;
-    deployment.seed = config.seed ^ 0xD1B54A32D192ED03ULL;
-    e.towers_ = deploy_towers(*e.city_, deployment);
+        CityModel::create_default(recipe.city_seed));
+    e.towers_ = deploy_towers(*e.city_, recipe.deployment);
     span.annotate({"towers", e.towers_.size()});
   }
 
   // 2. Latent intensity models, then POIs conditioned on traffic mixtures.
   {
     obs::StageSpan span("pipeline.intensity_poi");
-    IntensityOptions intensity = config.intensity;
-    intensity.seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
     e.intensity_ = std::make_unique<IntensityModel>(
-        IntensityModel::create(e.towers_, intensity));
+        IntensityModel::create(e.towers_, recipe.intensity));
     PoiGenerationOptions poi_options;
     poi_options.scale = config.poi_scale;
     poi_options.seed = config.seed ^ 0xBF58476D1CE4E5B9ULL;

@@ -53,6 +53,21 @@ struct ExperimentConfig {
   IntensityOptions intensity;
 };
 
+/// What a config fixes of stages 1–2 before any POI or training: the
+/// city model's seed, the tower deployment and the intensity model's
+/// options. Experiment::run builds its city, towers and intensity model
+/// from these; a caller that needs only the city's towers and traffic
+/// model (trace_convert synth) builds the same three from them.
+struct CityRecipe {
+  std::uint64_t city_seed = 0;
+  DeploymentOptions deployment;
+  IntensityOptions intensity;
+};
+
+/// The stage 1–2 recipe of `config` (its seed, tower count and
+/// intensity knobs).
+CityRecipe city_recipe(const ExperimentConfig& config);
+
 /// A completed experiment with all intermediate products.
 class Experiment {
  public:

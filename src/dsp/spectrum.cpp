@@ -11,6 +11,13 @@ namespace cellscope {
 
 namespace {
 
+/// Total signal energy sum x[n]².
+double signal_energy(std::span<const double> series) {
+  double e = 0.0;
+  for (const double x : series) e += x * x;
+  return e;
+}
+
 /// e^{−2πij/N} for j < N.
 std::vector<Complex> build_roots(std::size_t n) {
   std::vector<Complex> roots(n);
@@ -105,12 +112,6 @@ std::vector<double> reconstruct_principal(std::span<const double> series) {
   const std::size_t keep[] = {kWeeklyComponent, kDailyComponent,
                               kHalfDailyComponent};
   return reconstruct(series, keep);
-}
-
-double signal_energy(std::span<const double> series) {
-  double e = 0.0;
-  for (const double x : series) e += x * x;
-  return e;
 }
 
 double energy_loss(std::span<const double> original,

@@ -53,9 +53,6 @@ std::vector<double> reconstruct(std::span<const double> series,
 /// Reconstruction from the paper's three principal components.
 std::vector<double> reconstruct_principal(std::span<const double> series);
 
-/// Total signal energy sum x[n]².
-double signal_energy(std::span<const double> series);
-
 /// Relative energy loss |E(x) - E(xr)| / E(x) of a reconstruction
 /// (the paper reports < 6 % for the principal reconstruction).
 double energy_loss(std::span<const double> original,

@@ -6,6 +6,9 @@
 
 namespace cellscope {
 
+namespace {
+
+/// The smoothed mean week the forecaster tiles.
 std::vector<double> spectral_mean_week(std::span<const double> history,
                                        const SpectralForecastOptions& options) {
   CS_CHECK_MSG(
@@ -34,6 +37,8 @@ std::vector<double> spectral_mean_week(std::span<const double> history,
   for (auto& v : smoothed) v = std::max(0.0, v);
   return smoothed;
 }
+
+}  // namespace
 
 std::vector<double> spectral_forecast(std::span<const double> history,
                                       std::size_t horizon,

@@ -29,9 +29,4 @@ std::vector<double> spectral_forecast(std::span<const double> history,
                                       std::size_t horizon,
                                       const SpectralForecastOptions& options = {});
 
-/// The smoothed mean week the forecaster tiles (exposed for inspection
-/// and tests).
-std::vector<double> spectral_mean_week(std::span<const double> history,
-                                       const SpectralForecastOptions& options = {});
-
 }  // namespace cellscope

@@ -278,12 +278,4 @@ std::size_t num_clusters(const std::vector<int>& labels) {
   return static_cast<std::size_t>(max_label) + 1;
 }
 
-std::vector<std::vector<std::size_t>> cluster_members(
-    const std::vector<int>& labels) {
-  std::vector<std::vector<std::size_t>> members(num_clusters(labels));
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    members[static_cast<std::size_t>(labels[i])].push_back(i);
-  return members;
-}
-
 }  // namespace cellscope

@@ -67,8 +67,4 @@ class Dendrogram {
 /// Number of clusters in a label vector (labels must be dense 0..k-1).
 std::size_t num_clusters(const std::vector<int>& labels);
 
-/// Row indices of each cluster.
-std::vector<std::vector<std::size_t>> cluster_members(
-    const std::vector<int>& labels);
-
 }  // namespace cellscope

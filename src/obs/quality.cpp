@@ -206,14 +206,6 @@ CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows) {
   return result;
 }
 
-CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,
-                              double tolerance) {
-  std::vector<double> deviations(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r)
-    deviations[r] = zscore_row_deviation(rows[r]);
-  return check_zscore_worst(worst_deviation(deviations), tolerance);
-}
-
 double zscore_row_deviation(std::span<const double> row) {
   if (row.empty()) return 0.0;
   double sum = 0.0;

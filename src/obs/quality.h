@@ -121,14 +121,6 @@ class QualityBoard {
 /// non-finite elements found.
 CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows);
 
-/// Every row is z-score normalized: |mean| <= tolerance and
-/// |stddev - 1| <= tolerance (constant rows, which z-score to all-zero,
-/// are exempt from the stddev bound). value = worst deviation seen.
-/// Equivalent to check_zscore_worst(worst_deviation(d), tolerance) over
-/// d[r] = zscore_row_deviation(rows[r]).
-CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,
-                              double tolerance = 1e-6);
-
 /// One row's distance from z-score normalization: max(|mean|, |sd - 1|),
 /// or |mean| alone for a constant row (sd 0); 0 for an empty row and
 /// +inf when either moment is not finite.

@@ -195,40 +195,4 @@ SimplexLsResult solve_simplex_ls_pg(
   return result;
 }
 
-bool check_simplex_kkt(const std::vector<std::vector<double>>& components,
-                       const std::vector<double>& target,
-                       const std::vector<double>& x, double tol) {
-  const std::size_t m = components.size();
-  CS_CHECK_MSG(x.size() == m, "solution size mismatch");
-  const Matrix a = component_matrix(components, target.size());
-  const Matrix gram = a.gram();
-  const auto atb = a.multiply_transposed(target);
-
-  double total = 0.0;
-  for (const double v : x) {
-    if (v < -tol) return false;
-    total += v;
-  }
-  if (std::fabs(total - 1.0) > tol) return false;
-
-  // Gradient; on the support all entries must equal the multiplier λ; off
-  // the support they must be >= λ.
-  std::vector<double> grad(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    double gx = 0.0;
-    for (std::size_t j = 0; j < m; ++j) gx += gram.at(i, j) * x[j];
-    grad[i] = 2.0 * (gx - atb[i]);
-  }
-  double lambda = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < m; ++i)
-    if (x[i] > tol) lambda = std::min(lambda, grad[i]);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (x[i] > tol && std::fabs(grad[i] - lambda) > tol * (1.0 + std::fabs(lambda)))
-      return false;
-    if (x[i] <= tol && grad[i] < lambda - tol * (1.0 + std::fabs(lambda)))
-      return false;
-  }
-  return true;
-}
-
 }  // namespace cellscope

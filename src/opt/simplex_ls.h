@@ -43,11 +43,4 @@ SimplexLsResult solve_simplex_ls_pg(
 /// {x : Σx = 1, x ≥ 0} (sort-based algorithm).
 std::vector<double> project_to_simplex(std::vector<double> v);
 
-/// Verifies the KKT conditions of a candidate solution within `tol`:
-/// feasibility, and ∇ᵢ ≥ λ with equality on the support (∇ the objective
-/// gradient, λ the equality multiplier). Returns true when satisfied.
-bool check_simplex_kkt(const std::vector<std::vector<double>>& components,
-                       const std::vector<double>& target,
-                       const std::vector<double>& x, double tol = 1e-6);
-
 }  // namespace cellscope

@@ -8,13 +8,15 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Rasterizes per-tower traffic summed over the slots [slot_begin,
+/// slot_end).
 DensityGrid traffic_density(const std::vector<Tower>& towers,
                             const TrafficMatrix& matrix,
                             std::size_t slot_begin, std::size_t slot_end,
                             const BoundingBox& box, std::size_t rows,
                             std::size_t cols) {
-  CS_CHECK_MSG(slot_begin < slot_end && slot_end <= TimeGrid::kSlots,
-               "invalid slot range");
   obs::StageSpan span("pipeline.density", "pipeline", obs::LogLevel::kDebug);
   std::unordered_map<std::uint32_t, const Tower*> tower_of;
   for (const auto& t : towers) tower_of.emplace(t.id, &t);
@@ -38,6 +40,8 @@ DensityGrid traffic_density(const std::vector<Tower>& towers,
   span.annotate({"bytes", total_bytes});
   return grid;
 }
+
+}  // namespace
 
 DensityGrid traffic_density_at_hour(const std::vector<Tower>& towers,
                                     const TrafficMatrix& matrix, int day,

@@ -11,17 +11,11 @@
 
 namespace cellscope {
 
-/// Rasterizes per-tower traffic summed over a slot range [slot_begin,
-/// slot_end) onto a rows × cols grid over `box` (bytes per cell; read
-/// densities via DensityGrid::density_at).
-DensityGrid traffic_density(const std::vector<Tower>& towers,
-                            const TrafficMatrix& matrix,
-                            std::size_t slot_begin, std::size_t slot_end,
-                            const BoundingBox& box, std::size_t rows,
-                            std::size_t cols);
-
-/// Rasterizes the traffic of one hour of one day (the paper's "at 4AM"
-/// snapshots of Fig. 2).
+/// Rasterizes per-tower traffic summed over one hour of one day (the
+/// paper's "at 4AM" snapshots of Fig. 2) onto a rows × cols grid over
+/// `box` (bytes per cell; read densities via DensityGrid::density_at).
+/// Throws when the day or hour is off the grid or a matrix row has no
+/// tower.
 DensityGrid traffic_density_at_hour(const std::vector<Tower>& towers,
                                     const TrafficMatrix& matrix, int day,
                                     int hour, const BoundingBox& box,

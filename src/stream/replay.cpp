@@ -26,38 +26,61 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
     return a.bytes < b.bytes;
   });
 
-  Rng rng(options.seed);
-  // Bounded local shuffle: each position swaps with a uniform earlier
-  // position at most skew_window back — records drift but never teleport.
-  if (options.skew_window > 0) {
-    for (std::size_t i = logs.size(); i > 1; --i) {
-      const std::size_t hi = i - 1;
-      const std::size_t lo =
-          hi > options.skew_window ? hi - options.skew_window : 0;
-      const auto j = static_cast<std::size_t>(
-          rng.uniform_int(static_cast<std::int64_t>(lo),
-                          static_cast<std::int64_t>(hi)));
-      std::swap(logs[hi], logs[j]);
-    }
-  }
-
-  // Late tail: a seeded sample of records is pulled out (preserving
-  // relative order) and appended after everything else.
-  if (options.late_fraction > 0.0) {
-    std::vector<TrafficLog> on_time;
-    std::vector<TrafficLog> late;
-    on_time.reserve(logs.size());
-    for (auto& log : logs) {
-      if (rng.uniform() < options.late_fraction)
+  // Bounded jitter: record i arrives in (i + U{0..w}, i) order. Key k is
+  // complete once record k is read (later records have larger keys), so
+  // a ring of w + 1 buckets holds the records still waiting, each bucket
+  // in read order. A record leaves its slot once and arrives in a slot
+  // already read.
+  const std::size_t w = std::min(options.skew_window, logs.size());
+  Rng jitter(options.seed);
+  Rng lateness = jitter.fork();
+  std::vector<std::vector<TrafficLog>> ring(w + 1);
+  std::vector<TrafficLog> late;
+  std::size_t placed = 0;
+  const auto arrive = [&](std::vector<TrafficLog>& bucket) {
+    for (auto& log : bucket) {
+      if (options.late_fraction > 0.0 &&
+          lateness.uniform() < options.late_fraction)
         late.push_back(std::move(log));
       else
-        on_time.push_back(std::move(log));
+        logs[placed++] = std::move(log);
     }
-    on_time.insert(on_time.end(), std::make_move_iterator(late.begin()),
-                   std::make_move_iterator(late.end()));
-    logs = std::move(on_time);
+    bucket.clear();
+  };
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const std::size_t key =
+        i + (w > 0 ? static_cast<std::size_t>(jitter.uniform_int(
+                         0, static_cast<std::int64_t>(w)))
+                   : 0);
+    ring[key % (w + 1)].push_back(std::move(logs[i]));
+    arrive(ring[i % (w + 1)]);
   }
+  for (std::size_t key = logs.size(); key < logs.size() + w; ++key)
+    arrive(ring[key % (w + 1)]);
+  std::move(late.begin(), late.end(), logs.begin() + placed);
   return logs;
+}
+
+CityFeed calibrated_feed(const std::vector<Tower>& towers,
+                         const IntensityModel& intensity, std::uint64_t seed,
+                         std::size_t n_records) {
+  CS_CHECK_MSG(n_records >= 1, "a feed needs at least one record");
+  TraceOptions options;
+  options.seed = seed ^ 0x5E7EULL;
+  double expected_bytes = 0.0;
+  for (const auto& tower : towers)
+    for (const double bytes : intensity.expected_series(tower.id))
+      expected_bytes += bytes;
+  const double copies = 1.0 + options.duplicate_prob + options.conflict_prob;
+  options.mean_session_bytes =
+      expected_bytes * copies / static_cast<double>(n_records);
+  TraceResult trace = generate_trace(towers, intensity, options);
+  ReplayOptions arrival;
+  arrival.seed = seed ^ 0xA441FULL;
+  arrival.skew_window = 32;
+  arrival.late_fraction = 0.002;
+  return {perturb_arrival_order(std::move(trace.logs), arrival),
+          trace.duplicates_injected, trace.conflicts_injected};
 }
 
 namespace {

@@ -4,12 +4,14 @@
 // Real feeds deliver records roughly by time but never exactly: network
 // skew reorders neighbors and a minority of records arrives very late.
 // perturb_arrival_order models both deterministically (seeded): records
-// are sorted by start time, a bounded Fisher-Yates pass shuffles each
-// record within ±skew_window positions, and a late_fraction sample is
-// deferred to the very end of the stream. replay_trace then feeds the
-// ingestor batch by batch, draining on the shared pool, and registers the
-// dropped/late data-quality sentinels evaluated when its stream.replay
-// stage span closes.
+// are sorted by start time, bounded jitter moves each record at most
+// skew_window positions either way, and a late_fraction sample is
+// deferred to the very end of the stream. calibrated_feed is the one
+// synthetic month of a city — generate_trace in that arrival order —
+// that cellscoped replays and trace_convert synth writes. replay_trace
+// then feeds the ingestor batch by batch, draining on the shared pool,
+// and registers the dropped/late data-quality sentinels evaluated when
+// its stream.replay stage span closes.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "mapred/thread_pool.h"
 #include "stream/ingestor.h"
 #include "traffic/trace_codec.h"
+#include "traffic/trace_generator.h"
 #include "traffic/trace_mmap.h"
 #include "traffic/trace_record.h"
 
@@ -29,7 +32,8 @@ struct ReplayOptions {
   std::uint64_t seed = 99;
   /// Records offered per offer_batch()/drain() round.
   std::size_t batch_size = 8192;
-  /// Local reorder radius, in records (0 = in-order).
+  /// Most positions an on-time record moves from its start-time rank,
+  /// either way (0 = in-order).
   std::size_t skew_window = 0;
   /// Fraction of records deferred to the end of the stream, in [0, 1].
   double late_fraction = 0.0;
@@ -44,10 +48,40 @@ struct ReplayStats {
   double records_per_sec = 0.0;
 };
 
-/// Deterministically perturbs arrival order per the options (see file
-/// comment). Same seed + options + records => same order, bit for bit.
+/// Deterministically perturbs arrival order per the options. Records are
+/// put in canonical order (start minute, then the other fields); record
+/// i then draws the key i + U{0..skew_window} and records arrive in
+/// (key, i) order, so each moves at most skew_window positions either
+/// way. (In fact fewer: a tie keeps read order, so a window of 1 leaves
+/// the order as it is; a window wider than the stream acts as one as
+/// wide.) Each arriving record is then deferred to the end of the stream
+/// with probability late_fraction, the deferred ones keeping their
+/// arrival order. That draw has a stream of its own, so the on-time
+/// records keep their jittered order whatever the fraction. O(n) after
+/// the sort and in place: beyond `logs` it holds the late tail and at
+/// most skew_window waiting records. Same seed + options + records =>
+/// same order, bit for bit.
 std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
                                               const ReplayOptions& options);
+
+/// A city's synthetic month in arrival order, with the defect counts
+/// generate_trace injected.
+struct CityFeed {
+  std::vector<TrafficLog> logs;
+  std::size_t duplicates = 0;
+  std::size_t conflicts = 0;
+};
+
+/// The calibrated feed of a city whose experiment seed is `seed`:
+/// generate_trace over `towers` and `intensity` with its default 2 %
+/// duplicate and 1 % conflicting records (trace seed seed ^ 0x5E7E),
+/// mean_session_bytes sized so the month carries `n_records` records in
+/// expectation (Σ expected bytes × (1 + duplicate + conflict
+/// probability) / n_records), put in arrival order with skew 32 and late
+/// fraction 0.002 (arrival seed seed ^ 0xA441F). Requires n_records >= 1.
+CityFeed calibrated_feed(const std::vector<Tower>& towers,
+                         const IntensityModel& intensity, std::uint64_t seed,
+                         std::size_t n_records);
 
 /// Streams `logs` (already in desired arrival order — compose with
 /// perturb_arrival_order for defects) through the ingestor in batches,

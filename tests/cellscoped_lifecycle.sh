@@ -4,10 +4,13 @@
 #
 #   cellscoped_lifecycle.sh rounds|trace <cellscoped> <trace_convert> <dir>
 #
-# "rounds" feeds two synthetic rounds of the calibrated trace and stops
-# once the "round 2:" line is out; "trace" converts a small synthetic
-# .ctb first and stops once cellscoped's --trace pass reports. Logs and
-# the checkpoint land in <dir>, which is recreated.
+# "rounds" feeds two synthetic rounds of the calibrated trace, stops once
+# the "round 2:" line is out, and fails when round 1 counts a quarter or
+# more of its records late (the stream_late_ratio bound). "trace" writes
+# the same city's month to a .ctb with trace_convert synth first, stops
+# once cellscoped's --trace pass reports, and fails unless that pass read
+# as many records as synth wrote. Logs and the checkpoint land in <dir>,
+# which is recreated.
 set -eu
 mode=$1 daemon=$2 convert=$3 dir=$4
 rm -rf "$dir"
@@ -20,7 +23,10 @@ case $mode in
     ready='^round 2:'
     set -- --records=20000 --rounds=2 --pause-ms=0 ;;
   trace)
-    "$convert" synth "$dir/city.ctb" --records=20000 --towers=40 >/dev/null
+    "$convert" synth "$dir/city.ctb" --records=20000 --towers=40 \
+      >"$dir/synth.log"
+    # "<path>: <records> records (...)"
+    written=$(sed -n 's/^[^ ]*: \([0-9]*\) records .*/\1/p' "$dir/synth.log")
     ready='serving until a signal'
     set -- --trace="$dir/city.ctb" ;;
   *)
@@ -52,4 +58,21 @@ status=0
 wait "$pid" || status=$?
 [ "$status" -eq 0 ] || fail "exit status $status after SIGINT"
 [ -s "$checkpoint" ] || fail "empty or missing checkpoint $checkpoint"
+
+case $mode in
+  rounds)
+    # "round 1: <records> records (...), watermark <m>, late <late>, ..."
+    records=$(sed -n 's/^round 1: \([0-9]*\) records .*/\1/p' "$log")
+    late=$(sed -n 's/^round 1: .*, late \([0-9]*\),.*/\1/p' "$log")
+    [ -n "$records" ] && [ -n "$late" ] || fail "no round 1 counts"
+    [ $((late * 4)) -lt "$records" ] ||
+      fail "round 1: $late of $records records late (>= 25 %)"
+    echo "cellscoped rounds: round 1 late $late of $records records" ;;
+  trace)
+    # "<path>: <records> records in <ms> ms, ..."
+    read_back=$(sed -n 's/^[^ ]*: \([0-9]*\) records in .*/\1/p' "$log")
+    [ -n "$written" ] && [ "$read_back" = "$written" ] ||
+      fail "synth wrote '$written' records, --trace read '$read_back'"
+    echo "cellscoped trace: $read_back records written and read" ;;
+esac
 echo "cellscoped $mode: exit 0, checkpoint $(wc -c <"$checkpoint") bytes"

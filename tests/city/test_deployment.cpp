@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "geo/address_codec.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "common/error.h"
 
@@ -84,9 +86,18 @@ TEST(Csv, ParseEmptyLineYieldsOneEmptyCell) {
 }
 
 TEST(Csv, EscapePassesPlainTextThrough) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("q\"q"), "\"q\"\"q\"");
+  // The writer quotes a cell only where RFC 4180 needs it.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("cs_csv_escape_" + std::to_string(::getpid()) + ".csv");
+  {
+    CsvWriter writer(path.string());
+    writer.write_row({"plain", "a,b", "q\"q"});
+  }
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove(path);
+  EXPECT_EQ(text.str(), "plain,\"a,b\",\"q\"\"q\"\n");
 }
 
 TEST(Csv, MissingFileThrows) {

@@ -21,7 +21,6 @@ TEST(Stats, EmptyInputsThrow) {
   const std::vector<double> empty;
   EXPECT_THROW(mean(empty), Error);
   EXPECT_THROW(variance(empty), Error);
-  EXPECT_THROW(min_value(empty), Error);
   EXPECT_THROW(max_value(empty), Error);
   EXPECT_THROW(argmin(empty), Error);
   EXPECT_THROW(argmax(empty), Error);
@@ -30,7 +29,6 @@ TEST(Stats, EmptyInputsThrow) {
 
 TEST(Stats, MinMaxArg) {
   const std::vector<double> v = {3, -1, 4, -1, 5};
-  EXPECT_DOUBLE_EQ(min_value(v), -1.0);
   EXPECT_DOUBLE_EQ(max_value(v), 5.0);
   EXPECT_EQ(argmin(v), 1u);  // first of the ties
   EXPECT_EQ(argmax(v), 4u);
@@ -82,20 +80,6 @@ TEST(Stats, ZscorePreservesOrdering) {
   const auto z = zscore(v);
   EXPECT_GT(z[0], z[2]);
   EXPECT_GT(z[2], z[1]);
-}
-
-TEST(Stats, MinmaxMapsToUnitInterval) {
-  const std::vector<double> v = {10, 20, 15};
-  const auto m = minmax(v);
-  EXPECT_DOUBLE_EQ(m[0], 0.0);
-  EXPECT_DOUBLE_EQ(m[1], 1.0);
-  EXPECT_DOUBLE_EQ(m[2], 0.5);
-}
-
-TEST(Stats, MinmaxOfConstantIsZeros) {
-  for (const double x : minmax(std::vector<double>{4, 4})) {
-    EXPECT_DOUBLE_EQ(x, 0.0);
-  }
 }
 
 TEST(Stats, MaxNormalizeDividesByPeak) {

@@ -23,10 +23,6 @@ TEST(StringUtil, TrimStripsBothEnds) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(StringUtil, ToLower) {
-  EXPECT_EQ(to_lower("AbC-12"), "abc-12");
-}
-
 TEST(StringUtil, StartsWith) {
   EXPECT_TRUE(starts_with("District-5", "District-"));
   EXPECT_FALSE(starts_with("Dis", "District-"));
@@ -71,18 +67,6 @@ TEST(StringUtil, ParseU64TakesOnlyAWholeInRangeDecimal) {
   EXPECT_FALSE(parse_u64("19", 20, 100).has_value());
   EXPECT_FALSE(parse_u64("101", 20, 100).has_value());
   EXPECT_FALSE(parse_u64("65616", 0, 65535).has_value());
-}
-
-TEST(StringUtil, ParseF64TakesOnlyAWholeFiniteInRangeNumber) {
-  EXPECT_EQ(parse_f64("0.25", 0.0, 1.0), 0.25);
-  EXPECT_EQ(parse_f64("1", 0.0, 1.0), 1.0);
-  EXPECT_EQ(parse_f64("-2.5e-1", -1.0, 1.0), -0.25);
-  for (const char* bad : {"", "abc", "0.5x", " 0.5", "+0.5", "nan", "inf",
-                          "1.0000001", "-0.1"})
-    EXPECT_FALSE(parse_f64(bad, 0.0, 1.0).has_value()) << "'" << bad << "'";
-  EXPECT_FALSE(parse_f64("inf", 0.0, std::numeric_limits<double>::infinity())
-                   .has_value());
-  EXPECT_FALSE(parse_f64("1e999", 0.0, 1e308).has_value());
 }
 
 }  // namespace

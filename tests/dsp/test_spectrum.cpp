@@ -124,8 +124,10 @@ TEST(Spectrum, EnergyLossOfPerfectReconstructionIsZero) {
 }
 
 TEST(Spectrum, SignalEnergyIsSumOfSquares) {
+  // E(x) = 3² + 4² = 25 and E(xr) = 3² = 9: the loss is 16 / 25.
   const std::vector<double> x = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(signal_energy(x), 25.0);
+  const std::vector<double> xr = {0.0, 3.0};
+  EXPECT_DOUBLE_EQ(energy_loss(x, xr), 16.0 / 25.0);
 }
 
 TEST(Spectrum, EnergyLossValidatesInput) {

@@ -73,8 +73,9 @@ TEST(SeasonalNaive, RequiresOneDay) {
 }
 
 TEST(SpectralForecast, MeanWeekIsNonNegativeAndWeekLong) {
+  // A one-week horizon tiles the smoothed mean week once.
   const auto s = tower_series(0.2);
-  const auto week = spectral_mean_week(s.train);
+  const auto week = spectral_forecast(s.train, TimeGrid::kSlotsPerWeek);
   ASSERT_EQ(week.size(), static_cast<std::size_t>(TimeGrid::kSlotsPerWeek));
   for (const double v : week) EXPECT_GE(v, 0.0);
 }

@@ -16,6 +16,7 @@
 #include "dsp/spectrum.h"
 #include "ml/distance.h"
 #include "obs/quality.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {

@@ -13,6 +13,7 @@
 #include "ml/hierarchical.h"
 #include "pipeline/traffic_matrix.h"
 #include "pipeline/vectorizer.h"
+#include "support/oracles.h"
 #include "traffic/intensity_model.h"
 
 namespace cellscope {

@@ -312,11 +312,6 @@ TEST(Hierarchical, CutKValidatesRange) {
 TEST(ClusterHelpers, NumClustersAndMembers) {
   const std::vector<int> labels = {0, 1, 0, 2, 1};
   EXPECT_EQ(num_clusters(labels), 3u);
-  const auto members = cluster_members(labels);
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(members[1], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(members[2], (std::vector<std::size_t>{3}));
 }
 
 TEST(ClusterHelpers, NegativeLabelsRejected) {

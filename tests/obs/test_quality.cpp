@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "support/oracles.h"
 
 namespace cellscope::obs {
 namespace {

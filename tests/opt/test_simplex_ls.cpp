@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {

@@ -28,10 +28,10 @@ Scenario make_scenario(std::size_t n) {
 
 TEST(Density, TotalEqualsTrafficInWindow) {
   const auto scenario = make_scenario(30);
-  const std::size_t begin = 0;
-  const std::size_t end = 144;
-  const auto grid = traffic_density(scenario.towers, scenario.matrix, begin,
-                                    end, scenario.box, 20, 20);
+  const std::size_t begin = TimeGrid::slot_at(2, 13, 0);
+  const std::size_t end = begin + TimeGrid::kSlotsPerHour;
+  const auto grid = traffic_density_at_hour(scenario.towers, scenario.matrix,
+                                            2, 13, scenario.box, 20, 20);
   double expected = 0.0;
   for (const auto& row : scenario.matrix.rows)
     for (std::size_t s = begin; s < end; ++s) expected += row[s];
@@ -61,26 +61,26 @@ TEST(Density, HourWindowIsOneHourOfSlots) {
 
 TEST(Density, InvalidSlotRangeThrows) {
   const auto scenario = make_scenario(5);
-  EXPECT_THROW(traffic_density(scenario.towers, scenario.matrix, 10, 10,
-                               scenario.box, 5, 5),
+  EXPECT_THROW(traffic_density_at_hour(scenario.towers, scenario.matrix,
+                                       TimeGrid::kDays, 0, scenario.box, 5, 5),
                Error);
-  EXPECT_THROW(traffic_density(scenario.towers, scenario.matrix, 0,
-                               TimeGrid::kSlots + 1, scenario.box, 5, 5),
+  EXPECT_THROW(traffic_density_at_hour(scenario.towers, scenario.matrix, 0,
+                                       24, scenario.box, 5, 5),
                Error);
 }
 
 TEST(Density, MissingTowerMetadataThrows) {
   auto scenario = make_scenario(5);
   scenario.towers.pop_back();  // matrix row without tower
-  EXPECT_THROW(traffic_density(scenario.towers, scenario.matrix, 0, 10,
-                               scenario.box, 5, 5),
+  EXPECT_THROW(traffic_density_at_hour(scenario.towers, scenario.matrix, 0, 0,
+                                       scenario.box, 5, 5),
                Error);
 }
 
 TEST(Density, CityCenterIsDenserThanFringe) {
   const auto scenario = make_scenario(400);
-  const auto grid = traffic_density(scenario.towers, scenario.matrix, 0,
-                                    TimeGrid::kSlots, scenario.box, 11, 11);
+  const auto grid = traffic_density_at_hour(scenario.towers, scenario.matrix,
+                                            3, 10, scenario.box, 11, 11);
   // The center cell (office CBD) should out-dense the corner cells.
   const double center = grid.density_at(5, 5);
   const double corner = grid.density_at(0, 0);

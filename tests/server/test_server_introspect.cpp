@@ -2,7 +2,7 @@
 // ephemeral port serves /metrics, /metrics.json, /healthz and its
 // ingestor's /stream through the one HTTP stack, answers malformed and half-closed requests with a typed
 // 400, and stays race-free while scrapes overlap live metric traffic —
-// the `-L server` TSan target scripts/check_server.sh runs.
+// part of the `-L server` suite scripts/check_tsan.sh race-checks.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>

@@ -1,0 +1,39 @@
+// Test-side oracles: reference checks the tests hold production results
+// against, and one counting helper two suites share. Nothing in src/
+// calls these, so they live with the tests.
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <vector>
+
+#include "city/tower.h"
+#include "obs/quality.h"
+
+namespace cellscope {
+
+/// Verifies the KKT conditions of a candidate simplex least-squares
+/// solution within `tol`: feasibility, and ∇ᵢ ≥ λ with equality on the
+/// support (∇ the objective gradient, λ the equality multiplier).
+/// Returns true when satisfied.
+bool check_simplex_kkt(const std::vector<std::vector<double>>& components,
+                       const std::vector<double>& target,
+                       const std::vector<double>& x, double tol = 1e-6);
+
+/// Count of towers per region.
+std::array<std::size_t, kNumRegions> region_histogram(
+    const std::vector<Tower>& towers);
+
+namespace obs {
+
+/// Every row is z-score normalized: |mean| <= tolerance and
+/// |stddev - 1| <= tolerance (constant rows, which z-score to all-zero,
+/// are exempt from the stddev bound). value = worst deviation seen.
+/// The whole-city form of the pipeline's zscore_normalized verdict:
+/// check_zscore_worst(worst_deviation(d), tolerance) over
+/// d[r] = zscore_row_deviation(rows[r]).
+CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,
+                              double tolerance = 1e-6);
+
+}  // namespace obs
+}  // namespace cellscope

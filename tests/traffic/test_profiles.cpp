@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/time_features.h"
 #include "common/error.h"
 #include "common/stats.h"
@@ -80,7 +82,7 @@ TEST(TrafficProfile, PeakValleyRatiosFollowTable4Ordering) {
   // Transport >> entertainment > office > resident/comprehensive.
   auto ratio = [](FunctionalRegion r) {
     const auto day = TrafficProfile::canonical(r).weekday_day();
-    return max_value(day) / min_value(day);
+    return max_value(day) / *std::ranges::min_element(day);
   };
   const double transport = ratio(FunctionalRegion::kTransport);
   const double office = ratio(FunctionalRegion::kOffice);
@@ -179,7 +181,7 @@ TEST(TrafficProfile, PureProfilesAreInRegionOrder) {
   // Transport (index 1) has the deepest relative valley.
   auto relative_min = [](const TrafficProfile& p) {
     const auto day = p.weekday_day();
-    return min_value(day) / max_value(day);
+    return *std::ranges::min_element(day) / max_value(day);
   };
   for (int i = 0; i < 4; ++i) {
     if (i != 1) {
