@@ -43,7 +43,8 @@
 // SIGINT/SIGTERM stop at the next round boundary, stop the server, drain
 // the ingestor, flush the checkpoint, and let the run report write —
 // never a torn snapshot. Progress lines are flushed as they are written,
-// so a tail of a redirected log sees each round as it lands.
+// so a tail of a redirected log sees each round as it lands; a round's
+// line counts that round's own late and dropped records.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -174,11 +175,11 @@ int main(int argc, char** argv) {
               << std::endl;
   } else {
     ingestor.register_towers(experiment.towers());
-    CityFeed feed = calibrated_feed(experiment.towers(), experiment.intensity(),
-                                    config.seed, n_records);
+    TraceResult feed = calibrated_feed(
+        experiment.towers(), experiment.intensity(), config.seed, n_records);
     std::cout << "feed: " << feed.logs.size() << " records per round ("
-              << n_records << " expected), " << feed.duplicates
-              << " duplicates, " << feed.conflicts << " conflicts"
+              << n_records << " expected), " << feed.duplicates_injected
+              << " duplicates, " << feed.conflicts_injected << " conflicts"
               << std::endl;
     ReplayOptions options;
     options.batch_size = batch;
@@ -199,6 +200,7 @@ int main(int argc, char** argv) {
           log.end_minute += kGridMinutes;
         }
       }
+      const IngestStats before = ingestor.stats();
       const ReplayStats stats =
           replay_trace(feed.logs, ingestor, pool, options);
       const std::size_t classified = classify_and_publish();
@@ -206,8 +208,9 @@ int main(int argc, char** argv) {
       std::cout << "round " << round << ": " << stats.records << " records ("
                 << static_cast<std::uint64_t>(stats.records_per_sec)
                 << " rec/s), watermark " << ingest.watermark_minute
-                << ", late " << ingest.late << ", dropped " << ingest.dropped
-                << ", classified " << classified << " towers, model epoch "
+                << ", late " << ingest.late - before.late << ", dropped "
+                << ingest.dropped - before.dropped << ", classified "
+                << classified << " towers, model epoch "
                 << service.model_epoch() << std::endl;
       if (pause_ms > 0 && !stop_requested())
         std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));

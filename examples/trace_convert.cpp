@@ -53,11 +53,11 @@ int cmd_synth(const std::string& out, std::size_t n_records,
   const auto city = CityModel::create_default(recipe.city_seed);
   const auto towers = deploy_towers(city, recipe.deployment);
   const auto intensity = IntensityModel::create(towers, recipe.intensity);
-  const CityFeed feed = calibrated_feed(towers, intensity, seed, n_records);
+  const TraceResult feed = calibrated_feed(towers, intensity, seed, n_records);
   write_trace(out, feed.logs);
   std::cout << out << ": " << feed.logs.size() << " records ("
-            << n_records << " expected, " << feed.duplicates
-            << " duplicates, " << feed.conflicts << " conflicts) over "
+            << n_records << " expected, " << feed.duplicates_injected
+            << " duplicates, " << feed.conflicts_injected << " conflicts) over "
             << n_towers << " towers in " << timer.elapsed_ms() << " ms\n";
   return 0;
 }

@@ -54,9 +54,6 @@ class TrafficAnomalyDetector {
   /// Merged anomaly intervals in the series.
   std::vector<Anomaly> detect(std::span<const double> series) const;
 
-  /// Fitted per-slot-of-week means (1008 values).
-  const std::vector<double>& slot_means() const { return means_; }
-
  private:
   AnomalyOptions options_;
   std::vector<double> means_;

@@ -130,10 +130,6 @@ inline void log_event(LogLevel level, std::string_view event,
                       std::initializer_list<LogField> fields = {}) {
   Logger::instance().log(level, event, fields);
 }
-inline void log_trace(std::string_view event,
-                      std::initializer_list<LogField> fields = {}) {
-  log_event(LogLevel::kTrace, event, fields);
-}
 inline void log_debug(std::string_view event,
                       std::initializer_list<LogField> fields = {}) {
   log_event(LogLevel::kDebug, event, fields);
@@ -145,10 +141,6 @@ inline void log_info(std::string_view event,
 inline void log_warn(std::string_view event,
                      std::initializer_list<LogField> fields = {}) {
   log_event(LogLevel::kWarn, event, fields);
-}
-inline void log_error(std::string_view event,
-                      std::initializer_list<LogField> fields = {}) {
-  log_event(LogLevel::kError, event, fields);
 }
 
 }  // namespace cellscope::obs

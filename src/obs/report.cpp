@@ -209,10 +209,4 @@ bool arm_run_report(
   return true;
 }
 
-bool run_report_armed() {
-  auto& armed = armed_report();
-  std::lock_guard<std::mutex> lock(armed.mutex);
-  return armed.atexit_registered;
-}
-
 }  // namespace cellscope::obs

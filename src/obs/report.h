@@ -67,7 +67,4 @@ bool arm_run_report(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& config_json);
 
-/// True when this process has armed a report.
-bool run_report_armed();
-
 }  // namespace cellscope::obs

@@ -61,9 +61,9 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
   return logs;
 }
 
-CityFeed calibrated_feed(const std::vector<Tower>& towers,
-                         const IntensityModel& intensity, std::uint64_t seed,
-                         std::size_t n_records) {
+TraceResult calibrated_feed(const std::vector<Tower>& towers,
+                            const IntensityModel& intensity,
+                            std::uint64_t seed, std::size_t n_records) {
   CS_CHECK_MSG(n_records >= 1, "a feed needs at least one record");
   TraceOptions options;
   options.seed = seed ^ 0x5E7EULL;
@@ -79,8 +79,8 @@ CityFeed calibrated_feed(const std::vector<Tower>& towers,
   arrival.seed = seed ^ 0xA441FULL;
   arrival.skew_window = 32;
   arrival.late_fraction = 0.002;
-  return {perturb_arrival_order(std::move(trace.logs), arrival),
-          trace.duplicates_injected, trace.conflicts_injected};
+  trace.logs = perturb_arrival_order(std::move(trace.logs), arrival);
+  return trace;
 }
 
 namespace {

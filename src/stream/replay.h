@@ -3,15 +3,17 @@
 //
 // Real feeds deliver records roughly by time but never exactly: network
 // skew reorders neighbors and a minority of records arrives very late.
-// perturb_arrival_order models both deterministically (seeded): records
-// are sorted by start time, bounded jitter moves each record at most
-// skew_window positions either way, and a late_fraction sample is
-// deferred to the very end of the stream. calibrated_feed is the one
-// synthetic month of a city — generate_trace in that arrival order —
-// that cellscoped replays and trace_convert synth writes. replay_trace
-// then feeds the ingestor batch by batch, draining on the shared pool,
-// and registers the dropped/late data-quality sentinels evaluated when
-// its stream.replay stage span closes.
+// perturb_arrival_order is the one arrival model and covers both
+// deterministically (seeded): records are sorted by start time (so the
+// result does not depend on the input order — generate_trace emits
+// tower by tower), bounded jitter moves each record at most skew_window
+// positions either way, and a late_fraction sample is deferred to the
+// very end of the stream. calibrated_feed is the one synthetic month of
+// a city — generate_trace in that arrival order — that cellscoped
+// replays and trace_convert synth writes. replay_trace then feeds the
+// ingestor batch by batch, draining on the shared pool, and registers
+// the dropped/late data-quality sentinels evaluated when its
+// stream.replay stage span closes.
 #pragma once
 
 #include <cstdint>
@@ -64,24 +66,17 @@ struct ReplayStats {
 std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
                                               const ReplayOptions& options);
 
-/// A city's synthetic month in arrival order, with the defect counts
-/// generate_trace injected.
-struct CityFeed {
-  std::vector<TrafficLog> logs;
-  std::size_t duplicates = 0;
-  std::size_t conflicts = 0;
-};
-
 /// The calibrated feed of a city whose experiment seed is `seed`:
 /// generate_trace over `towers` and `intensity` with its default 2 %
 /// duplicate and 1 % conflicting records (trace seed seed ^ 0x5E7E),
 /// mean_session_bytes sized so the month carries `n_records` records in
 /// expectation (Σ expected bytes × (1 + duplicate + conflict
 /// probability) / n_records), put in arrival order with skew 32 and late
-/// fraction 0.002 (arrival seed seed ^ 0xA441F). Requires n_records >= 1.
-CityFeed calibrated_feed(const std::vector<Tower>& towers,
-                         const IntensityModel& intensity, std::uint64_t seed,
-                         std::size_t n_records);
+/// fraction 0.002 (arrival seed seed ^ 0xA441F). Returns generate_trace's
+/// result with its logs in that arrival order. Requires n_records >= 1.
+TraceResult calibrated_feed(const std::vector<Tower>& towers,
+                            const IntensityModel& intensity,
+                            std::uint64_t seed, std::size_t n_records);
 
 /// Streams `logs` (already in desired arrival order — compose with
 /// perturb_arrival_order for defects) through the ingestor in batches,

@@ -31,8 +31,6 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
 
   Rng rng(options.seed);
   TraceResult result;
-  result.clean_bytes.assign(towers.size(),
-                            std::vector<double>(TimeGrid::kSlots, 0.0));
 
   const auto slot_begin = static_cast<std::size_t>(options.day_begin) *
                           TimeGrid::kSlotsPerDay;
@@ -100,7 +98,6 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
         log.bytes = static_cast<std::uint64_t>(
             std::max(1.0, slot_bytes * shares[static_cast<std::size_t>(s)]));
 
-        result.clean_bytes[tower.id][slot] += static_cast<double>(log.bytes);
         result.logs.push_back(log);
 
         // Inject data-quality defects the cleaner must remove.
@@ -123,10 +120,6 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
       }
     }
   }
-
-  // Shuffle so the pipeline cannot rely on ordering (real logs arrive
-  // unordered across collection points).
-  rng.shuffle(result.logs);
   return result;
 }
 

@@ -38,18 +38,19 @@ struct TraceOptions {
   int day_end = TimeGrid::kDays;
 };
 
-/// Generation output with some bookkeeping for validation.
+/// A generated trace: the log and the number of defects injected into it.
 struct TraceResult {
   std::vector<TrafficLog> logs;
   std::size_t duplicates_injected = 0;
   std::size_t conflicts_injected = 0;
-  /// Ground-truth clean bytes per (tower, slot) — what a perfect pipeline
-  /// should recover. Indexed [tower_id][slot].
-  std::vector<std::vector<double>> clean_bytes;
 };
 
 /// Generates the session-level trace for all towers over the selected day
-/// window. Deterministic in the seed.
+/// window. Deterministic in the seed. Records come out in emission order:
+/// towers in `towers` order, slots ascending within a tower, and each
+/// connection directly followed by its duplicate, then its conflicting
+/// copy, when it has them. Arrival order is not modelled here:
+/// perturb_arrival_order (stream/replay.h) is the one arrival model.
 TraceResult generate_trace(const std::vector<Tower>& towers,
                            const IntensityModel& intensity,
                            const TraceOptions& options);

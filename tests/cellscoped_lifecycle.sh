@@ -6,11 +6,12 @@
 #
 # "rounds" feeds two synthetic rounds of the calibrated trace, stops once
 # the "round 2:" line is out, and fails when round 1 counts a quarter or
-# more of its records late (the stream_late_ratio bound). "trace" writes
-# the same city's month to a .ctb with trace_convert synth first, stops
-# once cellscoped's --trace pass reports, and fails unless that pass read
-# as many records as synth wrote. Logs and the checkpoint land in <dir>,
-# which is recreated.
+# more of its records late (the stream_late_ratio bound), or when round 2,
+# the same feed one grid later, counts a different number late. "trace"
+# writes the same city's month to a .ctb with trace_convert synth first,
+# stops once cellscoped's --trace pass reports, and fails unless that
+# pass read as many records as synth wrote. Logs and the checkpoint land
+# in <dir>, which is recreated.
 set -eu
 mode=$1 daemon=$2 convert=$3 dir=$4
 rm -rf "$dir"
@@ -67,7 +68,9 @@ case $mode in
     [ -n "$records" ] && [ -n "$late" ] || fail "no round 1 counts"
     [ $((late * 4)) -lt "$records" ] ||
       fail "round 1: $late of $records records late (>= 25 %)"
-    echo "cellscoped rounds: round 1 late $late of $records records" ;;
+    late2=$(sed -n 's/^round 2: .*, late \([0-9]*\),.*/\1/p' "$log")
+    [ "$late2" = "$late" ] || fail "round 2 late '$late2', round 1 late $late"
+    echo "cellscoped rounds: rounds 1 and 2 each $late of $records late" ;;
   trace)
     # "<path>: <records> records in <ms> ms, ..."
     read_back=$(sed -n 's/^[^ ]*: \([0-9]*\) records in .*/\1/p' "$log")

@@ -5,6 +5,7 @@
 #include "city/deployment.h"
 #include "common/stats.h"
 #include "pipeline/cleaner.h"
+#include "support/oracles.h"
 #include "traffic/trace_generator.h"
 
 namespace cellscope {
@@ -62,8 +63,8 @@ TEST(Vectorizer, IgnoresUnknownTowersAndOutOfGridSlots) {
 
 TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
   // The headline pipeline property: generate (with defects) -> clean ->
-  // vectorize must reproduce the generator's clean per-(tower, slot)
-  // bytes exactly.
+  // vectorize must reproduce the per-(tower, slot) bytes of the original
+  // records the generator emitted, exactly.
   const auto towers = make_towers(5);
   const auto intensity = IntensityModel::create(towers, IntensityOptions{});
   TraceOptions trace_options;
@@ -74,6 +75,7 @@ TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
   const auto trace = generate_trace(towers, intensity, trace_options);
   ASSERT_GT(trace.duplicates_injected, 0u);
   ASSERT_GT(trace.conflicts_injected, 0u);
+  const auto truth = emitted_clean_bytes(trace.logs, towers.size());
 
   const auto cleaned = clean_logs(trace.logs);
   ThreadPool pool(2);
@@ -81,7 +83,7 @@ TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
   for (std::size_t r = 0; r < matrix.n(); ++r) {
     const auto tower_id = matrix.tower_ids[r];
     for (std::size_t s = 0; s < TimeGrid::kSlots; ++s) {
-      ASSERT_NEAR(matrix.rows[r][s], trace.clean_bytes[tower_id][s], 1e-6)
+      ASSERT_NEAR(matrix.rows[r][s], truth[tower_id][s], 1e-6)
           << "tower " << tower_id << " slot " << s;
     }
   }

@@ -3,6 +3,7 @@
 // on-time record arrives within ±skew_window positions of its start-time
 // rank, the late tail keeps the relative order the records would have
 // arrived in, and one seed gives one order whatever the input order.
+// Also pins calibrated_feed's 40-tower month byte for byte.
 #include "stream/replay.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <tuple>
 #include <vector>
+
+#include "core/experiment.h"
 
 namespace cellscope {
 namespace {
@@ -123,6 +126,39 @@ INSTANTIATE_TEST_SUITE_P(
     SizesAndWindows, ArrivalOrder,
     ::testing::Combine(::testing::Values<std::size_t>(1, 1000, 200000),
                        ::testing::Values<std::size_t>(0, 1, 32, 256)));
+
+TEST(CalibratedFeed, PinsTheFortyTowerMonth) {
+  // The month cellscoped --towers=40 --records=20000 replays each round
+  // and trace_convert synth writes at the same flags: an FNV-1a over
+  // every field of every record, in arrival order, pins its bytes.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 40;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  const auto towers = deploy_towers(city, recipe.deployment);
+  const auto intensity = IntensityModel::create(towers, recipe.intensity);
+  const TraceResult feed =
+      calibrated_feed(towers, intensity, config.seed, 20000);
+  ASSERT_EQ(feed.logs.size(), 19977u);
+  EXPECT_EQ(feed.duplicates_injected, 395u);
+  EXPECT_EQ(feed.conflicts_injected, 215u);
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  for (const auto& log : feed.logs) {
+    mix(log.user_id);
+    mix(log.tower_id);
+    mix(log.start_minute);
+    mix(log.end_minute);
+    mix(log.bytes);
+    mix(log.address.size());
+    for (const char c : log.address) mix(static_cast<unsigned char>(c));
+  }
+  EXPECT_EQ(hash, 0xba87505d9ca19f5full);
+}
 
 }  // namespace
 }  // namespace cellscope

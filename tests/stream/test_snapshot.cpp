@@ -11,6 +11,7 @@
 #include "city/deployment.h"
 #include "common/checksum.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "mapred/thread_pool.h"
 #include "stream/ingestor.h"
 #include "stream/replay.h"
@@ -51,6 +52,9 @@ class StreamSnapshotTest : public ::testing::Test {
 
 TEST_F(StreamSnapshotTest, ResumeFromCheckpointIsBitIdentical) {
   generate_trace_fixture();
+  // generate_trace emits tower by tower; shuffled, each half spans every
+  // tower and both days, so the checkpoint falls mid-stream for each.
+  Rng(4242).shuffle(logs_);
   ThreadPool pool(2);
   const std::size_t half = logs_.size() / 2;
   const std::span<const TrafficLog> first(logs_.data(), half);

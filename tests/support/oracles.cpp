@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/time_grid.h"
 #include "opt/linalg.h"
 
 namespace cellscope {
@@ -57,6 +58,25 @@ std::array<std::size_t, kNumRegions> region_histogram(
   std::array<std::size_t, kNumRegions> h{};
   for (const auto& t : towers) ++h[static_cast<int>(t.true_region)];
   return h;
+}
+
+std::vector<std::vector<double>> emitted_clean_bytes(
+    const std::vector<TrafficLog>& logs, std::size_t n_towers) {
+  std::vector<std::vector<double>> clean(
+      n_towers, std::vector<double>(TimeGrid::kSlots, 0.0));
+  const TrafficLog* original = nullptr;
+  for (const auto& log : logs) {
+    if (original != nullptr && log.user_id == original->user_id &&
+        log.tower_id == original->tower_id &&
+        log.start_minute == original->start_minute)
+      continue;
+    CS_CHECK_MSG(log.tower_id < n_towers, "tower id out of range");
+    const std::size_t slot = log.start_minute / TimeGrid::kSlotMinutes;
+    CS_CHECK_MSG(slot < TimeGrid::kSlots, "start minute past the grid");
+    clean[log.tower_id][slot] += static_cast<double>(log.bytes);
+    original = &log;
+  }
+  return clean;
 }
 
 namespace obs {

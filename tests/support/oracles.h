@@ -1,6 +1,6 @@
 // Test-side oracles: reference checks the tests hold production results
-// against, and one counting helper two suites share. Nothing in src/
-// calls these, so they live with the tests.
+// against, and the counting helpers suites share. Nothing in src/ calls
+// these, so they live with the tests.
 #pragma once
 
 #include <array>
@@ -9,6 +9,7 @@
 
 #include "city/tower.h"
 #include "obs/quality.h"
+#include "traffic/trace_record.h"
 
 namespace cellscope {
 
@@ -23,6 +24,16 @@ bool check_simplex_kkt(const std::vector<std::vector<double>>& components,
 /// Count of towers per region.
 std::array<std::size_t, kNumRegions> region_histogram(
     const std::vector<Tower>& towers);
+
+/// The clean bytes per (tower, slot) of a trace in generate_trace's
+/// emission order, indexed [tower_id][slot] for tower ids below
+/// `n_towers` — what a perfect §2.2 cleaner plus vectorizer recovers.
+/// Each injected copy directly follows its original, so a record is an
+/// original exactly when its (user, tower, start) differs from the last
+/// original's; the originals' bytes are summed in emission order. Throws
+/// when a tower id is n_towers or more.
+std::vector<std::vector<double>> emitted_clean_bytes(
+    const std::vector<TrafficLog>& logs, std::size_t n_towers);
 
 namespace obs {
 

@@ -5,6 +5,7 @@
 #include "city/deployment.h"
 #include "common/error.h"
 #include "common/stats.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {
@@ -95,15 +96,16 @@ TEST(TraceGenerator, NoDefectsWhenProbabilitiesAreZero) {
 }
 
 TEST(TraceGenerator, CleanBytesMatchCleanLogTotals) {
-  // clean_bytes must equal the per-(tower, slot) sums of the *first*
+  // The clean bytes are the per-(tower, slot) sums of the original
   // (non-defect) logs; with defect injection disabled the trace itself
-  // must sum to it.
+  // must sum to them.
   const auto scenario = make_scenario(6);
   TraceOptions options = small_window();
   options.duplicate_prob = 0.0;
   options.conflict_prob = 0.0;
   const auto result =
       generate_trace(scenario.towers, scenario.intensity, options);
+  const auto clean = emitted_clean_bytes(result.logs, scenario.towers.size());
   std::vector<std::vector<double>> sums(
       scenario.towers.size(), std::vector<double>(TimeGrid::kSlots, 0.0));
   for (const auto& log : result.logs) {
@@ -112,7 +114,50 @@ TEST(TraceGenerator, CleanBytesMatchCleanLogTotals) {
   }
   for (std::size_t t = 0; t < sums.size(); ++t)
     for (std::size_t s = 0; s < TimeGrid::kSlots; ++s)
-      EXPECT_NEAR(sums[t][s], result.clean_bytes[t][s], 1e-6);
+      EXPECT_NEAR(sums[t][s], clean[t][s], 1e-6);
+}
+
+TEST(TraceGenerator, EmitsTowerBySlotWithEachCopyAfterItsOriginal) {
+  // The emission order trace_generator.h documents: towers in `towers`
+  // order, slots ascending within a tower, and every injected copy right
+  // after its original (or after the original's duplicate) — an exact
+  // duplicate, or a conflicting copy with fewer bytes that ends one
+  // minute after it starts.
+  const auto scenario = make_scenario(8);
+  TraceOptions options = small_window();
+  options.duplicate_prob = 0.05;
+  options.conflict_prob = 0.03;
+  const auto result =
+      generate_trace(scenario.towers, scenario.intensity, options);
+  ASSERT_GT(result.duplicates_injected, 0u);
+  ASSERT_GT(result.conflicts_injected, 0u);
+
+  std::size_t tower = 0;
+  std::size_t copies = 0;
+  const TrafficLog* original = nullptr;
+  for (const auto& log : result.logs) {
+    if (original != nullptr && log.user_id == original->user_id &&
+        log.tower_id == original->tower_id &&
+        log.start_minute == original->start_minute) {
+      ++copies;
+      if (log == *original) continue;
+      EXPECT_LT(log.bytes, original->bytes);
+      EXPECT_EQ(log.end_minute, log.start_minute + 1);
+      EXPECT_EQ(log.address, original->address);
+      continue;
+    }
+    while (tower < scenario.towers.size() &&
+           scenario.towers[tower].id != log.tower_id)
+      ++tower;
+    ASSERT_LT(tower, scenario.towers.size())
+        << "tower " << log.tower_id << " out of order";
+    if (original != nullptr && original->tower_id == log.tower_id) {
+      ASSERT_LE(original->start_minute / TimeGrid::kSlotMinutes,
+                log.start_minute / TimeGrid::kSlotMinutes);
+    }
+    original = &log;
+  }
+  EXPECT_EQ(copies, result.duplicates_injected + result.conflicts_injected);
 }
 
 TEST(TraceGenerator, SlotTotalsTrackTheIntensityModel) {
@@ -126,13 +171,14 @@ TEST(TraceGenerator, SlotTotalsTrackTheIntensityModel) {
       generate_trace(scenario.towers, scenario.intensity, options);
   // Total clean bytes over the window should be within a few percent of
   // the expected intensity (session quantization + Poisson).
+  const auto clean = emitted_clean_bytes(result.logs, scenario.towers.size());
   double clean_total = 0.0;
   double expected_total = 0.0;
   for (const auto& t : scenario.towers) {
     const auto expected = scenario.intensity.expected_series(t.id);
     for (std::size_t s = 0; s < 7u * TimeGrid::kSlotsPerDay; ++s)
       expected_total += expected[s];
-    for (const double v : result.clean_bytes[t.id]) clean_total += v;
+    for (const double v : clean[t.id]) clean_total += v;
   }
   EXPECT_NEAR(clean_total / expected_total, 1.0, 0.1);
 }
