@@ -96,16 +96,13 @@ Decomposition decompose_feature(
   // verdict so run reports surface it.
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("cellscope.analysis.decompositions").add(1);
-  const auto feasible = obs::check_simplex_weights(solution.coefficients);
+  auto feasible = obs::check_simplex_weights(solution.coefficients);
   if (!feasible.passed) {
     registry.counter("cellscope.analysis.simplex_violations").add(1);
-    obs::QualityBoard::instance().record(
-        {.check = "simplex_feasible",
-         .stage = "analysis.decompose",
-         .severity = obs::Severity::kFail,
-         .passed = false,
-         .value = feasible.value,
-         .detail = feasible.detail});
+    obs::QualityBoard::instance().record("analysis.decompose",
+                                         "simplex_feasible",
+                                         obs::Severity::kFail,
+                                         std::move(feasible));
   }
   return d;
 }

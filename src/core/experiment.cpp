@@ -107,9 +107,9 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     e.matrix_ = vectorize_intensity(e.towers_, *e.intensity_,
                                     config.seed ^ 0x94D049BB133111EBULL,
                                     &pool);
-    obs::QualityBoard::instance().add_check(
+    obs::QualityBoard::instance().record(
         "pipeline.vectorize", "matrix_finite", obs::Severity::kFail,
-        [&rows = e.matrix_.rows] { return obs::check_finite_rows(rows); });
+        obs::check_finite_rows(e.matrix_.rows));
     span.annotate({"towers", e.towers_.size()});
     span.annotate({"rows", e.matrix_.n()});
   }
@@ -151,11 +151,9 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     }
     for (auto& v : column_mean) v /= static_cast<double>(n);
     principal_energy = principal_energy_fraction(column_mean);
-    obs::QualityBoard::instance().add_check(
+    obs::QualityBoard::instance().record(
         "pipeline.zscore", "zscore_normalized", obs::Severity::kFail,
-        [worst = obs::worst_deviation(deviations)] {
-          return obs::check_zscore_worst(worst);
-        });
+        obs::check_zscore_worst(obs::worst_deviation(deviations)));
     span.annotate({"rows", n});
   }
 
@@ -174,19 +172,14 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     e.chosen_ = best_cut(e.sweep_);
     e.labels_ = e.dendrogram_->cut_k(e.chosen_.k);
     auto& board = obs::QualityBoard::instance();
-    board.add_check("pipeline.cluster_tune", "cluster_min_population",
-                    obs::Severity::kWarn,
-                    [&labels = e.labels_, min_cluster_size] {
-                      return obs::check_min_population(labels,
-                                                       min_cluster_size);
-                    });
-    board.add_check("pipeline.cluster_tune", "dbi_sane",
-                    obs::Severity::kFail,
-                    [dbi = e.chosen_.dbi] { return obs::check_dbi(dbi); });
-    board.add_check("pipeline.cluster_tune", "dft_energy_principal",
-                    obs::Severity::kWarn, [principal_energy] {
-                      return obs::check_energy_fraction(principal_energy);
-                    });
+    board.record("pipeline.cluster_tune", "cluster_min_population",
+                 obs::Severity::kWarn,
+                 obs::check_min_population(e.labels_, min_cluster_size));
+    board.record("pipeline.cluster_tune", "dbi_sane", obs::Severity::kFail,
+                 obs::check_dbi(e.chosen_.dbi));
+    board.record("pipeline.cluster_tune", "dft_energy_principal",
+                 obs::Severity::kWarn,
+                 obs::check_energy_fraction(principal_energy));
     span.annotate({"towers", e.towers_.size()});
     span.annotate({"k", e.chosen_.k});
   }

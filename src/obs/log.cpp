@@ -203,23 +203,22 @@ struct Logger::Sink {
 
 Logger::Logger() : level_(static_cast<int>(LogLevel::kWarn)),
                    sink_(new Sink) {
-  // CELLSCOPE_LOG = <level>[,file=PATH]
+  // CELLSCOPE_LOG = <level>[,file=PATH]. An unknown level or an
+  // unopenable sink must not take the process down: say so once and keep
+  // the default level / stderr alone.
   const char* env = std::getenv("CELLSCOPE_LOG");
   if (!env || !*env) return;
   for (const auto& part : split(env, ',')) {
     const auto token = trim(part);
-    if (token.starts_with("file=")) {
-      try {
+    if (token.empty()) continue;
+    try {
+      if (token.starts_with("file="))
         set_file(std::string(token.substr(5)));
-      } catch (const Error&) {
-        // An unopenable sink must not take the process down.
-      }
-    } else if (!token.empty()) {
-      try {
+      else
         set_level(parse_log_level(token));
-      } catch (const Error&) {
-        // Unknown level: keep the default rather than crash at startup.
-      }
+    } catch (const Error& e) {
+      std::fprintf(stderr, "cellscope: ignoring CELLSCOPE_LOG: %s\n",
+                   e.what());
     }
   }
 }

@@ -5,17 +5,12 @@
 #include <limits>
 #include <map>
 
-#include "common/error.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace cellscope::obs {
 
 namespace {
-
-/// Storage cap: a bench looping Experiment::run thousands of times must
-/// not grow the verdict log without bound; the counts stay exact.
-constexpr std::size_t kMaxStoredVerdicts = 1024;
 
 std::string format_value(double v) {
   char buf[32];
@@ -42,59 +37,11 @@ QualityBoard& QualityBoard::instance() {
   return *board;
 }
 
-void QualityBoard::add_check(std::string_view stage, std::string_view name,
-                             Severity severity, CheckFn fn) {
-  CS_CHECK_MSG(static_cast<bool>(fn), "quality check needs a callable");
-  std::lock_guard<std::mutex> lock(mutex_);
-  pending_.push_back(Pending{std::string(stage), std::string(name), severity,
-                             std::move(fn)});
-}
-
-std::size_t QualityBoard::evaluate_stage(std::string_view stage) noexcept {
-  // Pull the stage's checks out under the lock, run them outside it (a
-  // check may legitimately touch the registry or log).
-  std::vector<Pending> due;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->stage == stage) {
-        due.push_back(std::move(*it));
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& pending : due) {
-    QualityVerdict verdict;
-    verdict.check = std::move(pending.name);
-    verdict.stage = std::move(pending.stage);
-    verdict.severity = pending.severity;
-    try {
-      const CheckResult result = pending.fn();
-      verdict.passed = result.passed;
-      verdict.value = result.value;
-      verdict.detail = result.detail;
-    } catch (const std::exception& e) {
-      verdict.passed = false;
-      verdict.severity = Severity::kFail;
-      verdict.detail = std::string("check threw: ") + e.what();
-    } catch (...) {
-      verdict.passed = false;
-      verdict.severity = Severity::kFail;
-      verdict.detail = "check threw a non-standard exception";
-    }
-    try {
-      record(std::move(verdict));
-    } catch (...) {
-      // Recording must never propagate out of a destructor-driven
-      // evaluation; the counters may be momentarily short.
-    }
-  }
-  return due.size();
-}
-
-void QualityBoard::record(QualityVerdict verdict) {
+void QualityBoard::record(std::string_view stage, std::string_view check,
+                          Severity severity, CheckResult result) {
+  QualityVerdict verdict{std::string(check), std::string(stage), severity,
+                         result.passed, result.value,
+                         std::move(result.detail)};
   auto& registry = MetricsRegistry::instance();
   LogLevel level = LogLevel::kDebug;
   {
@@ -123,21 +70,19 @@ void QualityBoard::record(QualityVerdict verdict) {
              {"passed", verdict.passed},
              {"value", verdict.value},
              {"detail", verdict.detail}});
+  // Keep the newest verdicts: a daemon's latest rounds matter more than
+  // its first, and the tallies above stay exact either way.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (verdicts_.size() >= kMaxStoredVerdicts)
+  if (verdicts_.size() == kMaxStoredVerdicts) {
+    verdicts_.pop_front();
     ++dropped_;
-  else
-    verdicts_.push_back(std::move(verdict));
+  }
+  verdicts_.push_back(std::move(verdict));
 }
 
 std::vector<QualityVerdict> QualityBoard::verdicts() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return verdicts_;
-}
-
-std::size_t QualityBoard::pending_checks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
+  return {verdicts_.begin(), verdicts_.end()};
 }
 
 std::size_t QualityBoard::passed() const {
@@ -153,6 +98,11 @@ std::size_t QualityBoard::warned() const {
 std::size_t QualityBoard::failed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return failed_;
+}
+
+std::size_t QualityBoard::dropped() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dropped_;
 }
 
 std::string QualityBoard::verdicts_json() const {
@@ -177,7 +127,6 @@ std::string QualityBoard::verdicts_json() const {
 
 void QualityBoard::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  pending_.clear();
   verdicts_.clear();
   dropped_ = 0;
   passed_ = warned_ = failed_ = 0;

@@ -3,19 +3,18 @@
 // The pipeline's failure modes are silent: a NaN row, a degenerate
 // cluster, or spectral energy leaking out of the paper's three components
 // corrupts every downstream figure without crashing. A sentinel is a
-// named invariant check with a severity, registered for a pipeline stage
-// while the stage's data is live and evaluated (then consumed) when that
-// stage's StageSpan closes. Every evaluation yields a QualityVerdict that
-// feeds the cellscope.quality.* counters, one structured log line, and
-// the run report (obs/report.h).
+// named invariant check with a severity, recorded by the stage that
+// computes the guarded value, inside that stage's StageSpan. Every
+// record() yields a QualityVerdict that feeds the cellscope.quality.*
+// counters, one structured log line, and the run report (obs/report.h).
 //
 // The check helpers at the bottom are pure functions over plain vectors
 // so this layer stays dependency-free; callers that need domain math
-// (DFT energy, DBI) compute the scalar and wrap it in a closure.
+// (DFT energy, DBI) compute the scalar and pass it to the helper.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <deque>
 #include <mutex>
 #include <span>
 #include <string>
@@ -49,46 +48,34 @@ struct QualityVerdict {
   std::string detail;
 };
 
-/// Process-global sentinel registry and verdict log.
-///
-/// add_check() registers a closure for a stage; ~StageSpan calls
-/// evaluate_stage(), which runs and *consumes* every check registered
-/// for that stage (one-shot, so closures may capture references to
-/// stage-local data). A check that throws records a failed verdict with
-/// the exception text rather than propagating (evaluation runs inside
-/// destructors).
+/// Process-global verdict log. record() evaluates nothing: the caller
+/// runs the check where its value is computed and hands in the result.
+/// The newest kMaxStoredVerdicts verdicts are kept; older ones are
+/// dropped (and counted) while the tallies stay exact.
 class QualityBoard {
  public:
-  /// Singleton; intentionally leaked so spans closing during static
+  /// Singleton; intentionally leaked so verdicts recorded during static
   /// destruction stay safe (same rule as MetricsRegistry).
   static QualityBoard& instance();
 
-  using CheckFn = std::function<CheckResult()>;
+  static constexpr std::size_t kMaxStoredVerdicts = 1024;
 
-  /// Registers `fn` to run when `stage`'s span closes. `severity` is the
-  /// escalation applied if the check fails.
-  void add_check(std::string_view stage, std::string_view name,
-                 Severity severity, CheckFn fn);
+  /// Records the outcome of `check` guarding `stage`. `severity` is the
+  /// escalation applied if the check failed.
+  void record(std::string_view stage, std::string_view check,
+              Severity severity, CheckResult result);
 
-  /// Runs and consumes every check registered for `stage`; returns the
-  /// number evaluated. Safe to call from destructors.
-  std::size_t evaluate_stage(std::string_view stage) noexcept;
-
-  /// Records an already-evaluated verdict directly (for call sites that
-  /// check per-item rather than per-stage, e.g. the convex decomposer).
-  void record(QualityVerdict verdict);
-
-  std::vector<QualityVerdict> verdicts() const;
-  std::size_t pending_checks() const;
+  std::vector<QualityVerdict> verdicts() const;  ///< oldest first
   std::size_t passed() const;
   std::size_t warned() const;  ///< violated at info/warn severity
   std::size_t failed() const;  ///< violated at fail severity
+  std::size_t dropped() const;  ///< evicted from the stored verdicts
   bool ok() const { return failed() == 0; }
 
-  /// JSON array of every stored verdict (insertion order).
+  /// JSON array of every stored verdict (oldest first).
   std::string verdicts_json() const;
 
-  /// Drops all pending checks and stored verdicts (tests, run isolation).
+  /// Drops all stored verdicts and tallies (tests, run isolation).
   void clear();
 
   QualityBoard(const QualityBoard&) = delete;
@@ -97,17 +84,9 @@ class QualityBoard {
  private:
   QualityBoard() = default;
 
-  struct Pending {
-    std::string stage;
-    std::string name;
-    Severity severity;
-    CheckFn fn;
-  };
-
   mutable std::mutex mutex_;
-  std::vector<Pending> pending_;
-  std::vector<QualityVerdict> verdicts_;
-  std::size_t dropped_ = 0;  // verdicts beyond the storage cap
+  std::deque<QualityVerdict> verdicts_;
+  std::size_t dropped_ = 0;
   std::size_t passed_ = 0;
   std::size_t warned_ = 0;
   std::size_t failed_ = 0;
@@ -115,7 +94,7 @@ class QualityBoard {
 
 // ---------------------------------------------------------------------------
 // Invariant helpers. Each returns passed/value/detail; the caller picks
-// stage and severity when registering.
+// stage and severity when recording.
 
 /// Every element of every row is finite (no NaN/inf). value = number of
 /// non-finite elements found.

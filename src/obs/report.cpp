@@ -163,6 +163,7 @@ std::string RunReport::to_json() const {
   json += ",\"quality\":{\"passed\":" + std::to_string(board.passed()) +
           ",\"warned\":" + std::to_string(board.warned()) +
           ",\"failed\":" + std::to_string(board.failed()) +
+          ",\"dropped\":" + std::to_string(board.dropped()) +
           ",\"ok\":" + (board.ok() ? "true" : "false") +
           ",\"verdicts\":" + board.verdicts_json() + "}";
   json += "}";

@@ -3,7 +3,8 @@
 // A RunReport aggregates everything the obs layer knows about a run into
 // a single machine-readable document: build/git identity, the run's
 // configuration, recorded stage spans, the full metrics snapshot (with
-// p50/p90/p99 histogram percentiles), and every quality-sentinel verdict.
+// p50/p90/p99 histogram percentiles), and the quality-sentinel tallies
+// with the newest stored verdicts.
 // Setting CELLSCOPE_RUN_REPORT=<path> makes Experiment::run and every
 // perf_*/ext_* bench write one at process exit; BENCH_*.json perf reports
 // share the same schema (see DESIGN.md §7 for the field list).

@@ -9,7 +9,6 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/quality.h"
 
 namespace cellscope::obs {
 
@@ -204,9 +203,6 @@ StageSpan::~StageSpan() {
   const double wall_ms = elapsed_ms();
   StageTrace::instance().end(token_);
   histogram_->observe(wall_ms);
-  // Stage-boundary sentinels: run (and consume) every quality check
-  // registered for this stage while its data was live (obs/quality.h).
-  QualityBoard::instance().evaluate_stage(stage_);
   auto& logger = Logger::instance();
   if (logger.enabled(level_)) {
     std::vector<LogField> fields;

@@ -43,7 +43,8 @@ HttpResponse error_response(int status, std::string_view message) {
                        "{\"error\":\"" + obs::json_escape(message) + "\"}");
 }
 
-/// The /healthz body: quality-sentinel tallies plus every verdict; 503
+/// The /healthz body: quality-sentinel tallies plus the stored (newest)
+/// verdicts; 503
 /// once any check has failed, so the endpoint doubles as a readiness
 /// probe.
 HttpResponse healthz_response() {
@@ -55,6 +56,7 @@ HttpResponse healthz_response() {
           ",\"passed\":" + std::to_string(board.passed()) +
           ",\"warned\":" + std::to_string(board.warned()) +
           ",\"failed\":" + std::to_string(board.failed()) +
+          ",\"dropped\":" + std::to_string(board.dropped()) +
           ",\"verdicts\":" + board.verdicts_json() + "}");
 }
 

@@ -137,40 +137,23 @@ void QueryServer::stop() {
   // server.* sentinels over this instance's share of the counters. Sheds
   // are working-as-intended under saturation (warn, generous bound);
   // handler exceptions and truncated replies are not (fail / warn).
-  {
-    auto& board = obs::QualityBoard::instance();
-    const std::uint64_t requests = metrics.requests->value() - base_requests_;
-    const std::uint64_t errors = metrics.errors_500->value() - base_errors_500_;
-    const std::uint64_t shed = (metrics.shed_503->value() - base_shed_503_) +
-                               (metrics.shed_429->value() - base_shed_429_);
-    const std::uint64_t partial =
-        metrics.reply_partial->value() - base_reply_partial_;
-    obs::StageSpan span("server.serve", "server");
-    span.annotate({"requests", requests});
-    span.annotate({"shed", shed});
-    board.add_check("server.serve", "server_error_ratio",
-                    obs::Severity::kFail, [errors, requests] {
-                      return obs::check_reject_ratio(
-                          static_cast<std::size_t>(errors),
-                          static_cast<std::size_t>(requests), 0.01);
-                    });
-    board.add_check("server.serve", "server_shed_ratio", obs::Severity::kWarn,
-                    [shed, requests] {
-                      return obs::check_reject_ratio(
-                          static_cast<std::size_t>(shed),
-                          static_cast<std::size_t>(requests + shed), 0.5);
-                    });
-    board.add_check("server.serve", "server_reply_partial",
-                    obs::Severity::kWarn, [partial] {
-                      obs::CheckResult result;
-                      result.passed = partial == 0;
-                      result.value = static_cast<double>(partial);
-                      result.detail =
-                          std::to_string(partial) + " truncated replies";
-                      return result;
-                    });
-  }
-  obs::log_info("server.stop", {{"port", static_cast<std::uint64_t>(port_)}});
+  auto& board = obs::QualityBoard::instance();
+  const std::size_t requests = metrics.requests->value() - base_requests_;
+  const std::size_t errors = metrics.errors_500->value() - base_errors_500_;
+  const std::size_t shed = (metrics.shed_503->value() - base_shed_503_) +
+                           (metrics.shed_429->value() - base_shed_429_);
+  const std::size_t partial =
+      metrics.reply_partial->value() - base_reply_partial_;
+  board.record("server.serve", "server_error_ratio", obs::Severity::kFail,
+               obs::check_reject_ratio(errors, requests, 0.01));
+  board.record("server.serve", "server_shed_ratio", obs::Severity::kWarn,
+               obs::check_reject_ratio(shed, requests + shed, 0.5));
+  board.record("server.serve", "server_reply_partial", obs::Severity::kWarn,
+               {partial == 0, static_cast<double>(partial),
+                std::to_string(partial) + " truncated replies"});
+  obs::log_info("server.stop", {{"port", static_cast<std::uint64_t>(port_)},
+                                {"requests", requests},
+                                {"shed", shed}});
 }
 
 std::size_t QueryServer::queue_depth() const {

@@ -27,7 +27,7 @@
 // traffic.
 //
 // stop() closes the listen socket, shuts down every live connection,
-// drains the admission queue with 503s, joins all threads, and evaluates
+// drains the admission queue with 503s, joins all threads, and records
 // the server.* quality sentinels (error ratio, shed ratio, partial
 // replies) over this instance's delta of the process-global counters.
 #pragma once
@@ -73,7 +73,7 @@ class QueryServer {
   void start();
 
   /// Stops accepting, closes every connection, joins all threads, and
-  /// evaluates the server.* sentinels. Idempotent.
+  /// records the server.* sentinels. Idempotent.
   void stop();
 
   /// The bound port (resolved after start() when config.port was 0).

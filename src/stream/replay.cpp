@@ -101,27 +101,19 @@ class ReplayRun {
     ++stats.batches;
   }
 
-  /// The closing step: the dropped/late sentinels (one-shot checks
-  /// evaluated as the span closes, like the batch pipeline's stage
-  /// checks), the span annotations, and the ReplayStats totals. Returns
-  /// the filled stats.
+  /// The closing step: the dropped/late sentinels (recorded inside the
+  /// span, like the batch pipeline's stage checks), the span
+  /// annotations, and the ReplayStats totals. Returns the filled stats.
   ReplayStats& finish() {
     auto& board = obs::QualityBoard::instance();
     const auto ingest = ingestor_.stats();
-    board.add_check(
-        "stream.replay", "stream_drop_ratio", obs::Severity::kFail,
-        [dropped = ingest.dropped, offered = ingest.offered] {
-          return obs::check_reject_ratio(
-              static_cast<std::size_t>(dropped),
-              static_cast<std::size_t>(offered), 0.01);
-        });
-    board.add_check(
-        "stream.replay", "stream_late_ratio", obs::Severity::kWarn,
-        [late = ingest.late, offered = ingest.offered] {
-          return obs::check_reject_ratio(static_cast<std::size_t>(late),
-                                         static_cast<std::size_t>(offered),
-                                         0.25);
-        });
+    const auto offered = static_cast<std::size_t>(ingest.offered);
+    board.record("stream.replay", "stream_drop_ratio", obs::Severity::kFail,
+                 obs::check_reject_ratio(
+                     static_cast<std::size_t>(ingest.dropped), offered, 0.01));
+    board.record("stream.replay", "stream_late_ratio", obs::Severity::kWarn,
+                 obs::check_reject_ratio(
+                     static_cast<std::size_t>(ingest.late), offered, 0.25));
     span_->annotate({"records", stats.records});
     span_->annotate({"batches", stats.batches});
     span_->annotate({"dropped", ingest.dropped});

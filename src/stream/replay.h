@@ -11,9 +11,9 @@
 // very end of the stream. calibrated_feed is the one synthetic month of
 // a city — generate_trace in that arrival order — that cellscoped
 // replays and trace_convert synth writes. replay_trace then feeds the
-// ingestor batch by batch, draining on the shared pool, and registers
-// the dropped/late data-quality sentinels evaluated when its
-// stream.replay stage span closes.
+// ingestor batch by batch, draining on the shared pool, and records the
+// dropped/late data-quality sentinels inside its stream.replay stage
+// span.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,7 @@ TraceResult calibrated_feed(const std::vector<Tower>& towers,
 
 /// Streams `logs` (already in desired arrival order — compose with
 /// perturb_arrival_order for defects) through the ingestor in batches,
-/// draining each batch on `pool`. Registers quality sentinels on the
+/// draining each batch on `pool`. Records quality sentinels for the
 /// stream.replay stage: record drop ratio (fail > 1%) and late ratio
 /// (warn > 25%). Classifying the result is the caller's step
 /// (OnlineClassifier::classify_all).
@@ -112,7 +112,7 @@ struct FileReplayOptions {
 /// the full-scale ingest path. Corrupt chunks / malformed CSV lines are
 /// skipped and counted per the codec contract; a columnar replay records
 /// the trace_chunk_corrupt_ratio verdict over the chunks it read, on the
-/// bulk and the offer path alike. Registers the same
+/// bulk and the offer path alike. Records the same
 /// stream.replay sentinels as replay_trace. Throws IoError when the file
 /// cannot be opened or its structure is invalid.
 ReplayStats replay_trace_file(const std::string& path,

@@ -442,7 +442,6 @@ void ColumnarTraceWriter::flush_chunk() {
   entry.offset = offset_;
   write_bytes(frame);
   index_.push_back(entry);
-  records_written_ += pending_.size();
   pending_.clear();
 }
 

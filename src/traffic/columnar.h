@@ -164,8 +164,6 @@ class ColumnarTraceWriter {
   /// Idempotent; further append() calls throw.
   void finish();
 
-  std::uint64_t records_written() const { return records_written_; }
-
   ColumnarTraceWriter(const ColumnarTraceWriter&) = delete;
   ColumnarTraceWriter& operator=(const ColumnarTraceWriter&) = delete;
 
@@ -179,7 +177,6 @@ class ColumnarTraceWriter {
   std::vector<TrafficLog> pending_;
   std::vector<columnar::ChunkIndexEntry> index_;
   std::uint64_t offset_ = 0;  ///< current end-of-data file offset
-  std::uint64_t records_written_ = 0;
   bool finished_ = false;
 };
 

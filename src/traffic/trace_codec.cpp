@@ -131,17 +131,10 @@ class CsvTraceReader final : public TraceReader {
     }
     if (rejected_ > 0)
       registry.counter("cellscope.io.rejected_lines").add(rejected_);
-    if (data_lines_ > 0) {
-      auto result =
-          obs::check_reject_ratio(rejected_, data_lines_, kMaxRejectRatio);
+    if (data_lines_ > 0)
       obs::QualityBoard::instance().record(
-          {.check = "trace_reject_ratio",
-           .stage = "io.read_trace",
-           .severity = obs::Severity::kFail,
-           .passed = result.passed,
-           .value = result.value,
-           .detail = std::move(result.detail)});
-    }
+          "io.read_trace", "trace_reject_ratio", obs::Severity::kFail,
+          obs::check_reject_ratio(rejected_, data_lines_, kMaxRejectRatio));
     span_.reset();
   }
 
@@ -258,14 +251,9 @@ class BinTraceWriter final : public TraceWriter {
 
 void record_chunk_corrupt_ratio(std::size_t corrupt, std::size_t chunks) {
   if (chunks == 0) return;
-  auto result = obs::check_reject_ratio(corrupt, chunks, kMaxRejectRatio);
   obs::QualityBoard::instance().record(
-      {.check = "trace_chunk_corrupt_ratio",
-       .stage = "io.read_trace",
-       .severity = obs::Severity::kFail,
-       .passed = result.passed,
-       .value = result.value,
-       .detail = std::move(result.detail)});
+      "io.read_trace", "trace_chunk_corrupt_ratio", obs::Severity::kFail,
+      obs::check_reject_ratio(corrupt, chunks, kMaxRejectRatio));
 }
 
 TraceCodec trace_codec_for_path(const std::string& path) {

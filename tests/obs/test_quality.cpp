@@ -4,10 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "support/oracles.h"
 
 namespace cellscope::obs {
@@ -134,23 +134,15 @@ TEST(QualityChecks, RejectRatioPassAndFail) {
 
 // --- board mechanics --------------------------------------------------
 
-TEST_F(QualityBoardTest, EvaluatesAndConsumesChecksForOneStage) {
+TEST_F(QualityBoardTest, RecordsVerdictsInOrder) {
   auto& board = QualityBoard::instance();
-  board.add_check("stage.a", "always_pass", Severity::kFail,
-                  [] { return CheckResult{true, 1.0, "ok"}; });
-  board.add_check("stage.a", "always_fail", Severity::kWarn,
-                  [] { return CheckResult{false, 2.0, "bad"}; });
-  board.add_check("stage.b", "other_stage", Severity::kFail,
-                  [] { return CheckResult{true, 0.0, ""}; });
-
-  EXPECT_EQ(board.pending_checks(), 3u);
-  EXPECT_EQ(board.evaluate_stage("stage.a"), 2u);
-  EXPECT_EQ(board.pending_checks(), 1u);  // stage.b untouched
-  EXPECT_EQ(board.evaluate_stage("stage.a"), 0u);  // one-shot: consumed
+  board.record("stage.a", "always_pass", Severity::kFail, {true, 1.0, "ok"});
+  board.record("stage.a", "always_fail", Severity::kWarn, {false, 2.0, "bad"});
 
   EXPECT_EQ(board.passed(), 1u);
   EXPECT_EQ(board.warned(), 1u);  // kWarn violation escalates to warned
   EXPECT_EQ(board.failed(), 0u);
+  EXPECT_EQ(board.dropped(), 0u);
   EXPECT_TRUE(board.ok());
 
   const auto verdicts = board.verdicts();
@@ -160,43 +152,17 @@ TEST_F(QualityBoardTest, EvaluatesAndConsumesChecksForOneStage) {
   EXPECT_EQ(verdicts[1].check, "always_fail");
   EXPECT_FALSE(verdicts[1].passed);
   EXPECT_EQ(verdicts[1].stage, "stage.a");
+  EXPECT_EQ(verdicts[1].severity, Severity::kWarn);
+  EXPECT_DOUBLE_EQ(verdicts[1].value, 2.0);
+  EXPECT_EQ(verdicts[1].detail, "bad");
 }
 
 TEST_F(QualityBoardTest, FailSeverityViolationFlipsOk) {
   auto& board = QualityBoard::instance();
-  board.add_check("stage.c", "hard_fail", Severity::kFail,
-                  [] { return CheckResult{false, 0.0, "broken"}; });
-  board.evaluate_stage("stage.c");
+  board.record("stage.c", "hard_fail", Severity::kFail,
+               {false, 0.0, "broken"});
   EXPECT_EQ(board.failed(), 1u);
   EXPECT_FALSE(board.ok());
-}
-
-TEST_F(QualityBoardTest, ThrowingCheckBecomesFailedVerdict) {
-  auto& board = QualityBoard::instance();
-  board.add_check("stage.d", "throws", Severity::kFail,
-                  []() -> CheckResult { throw std::runtime_error("boom"); });
-  EXPECT_EQ(board.evaluate_stage("stage.d"), 1u);  // must not propagate
-  const auto verdicts = board.verdicts();
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_FALSE(verdicts[0].passed);
-  EXPECT_NE(verdicts[0].detail.find("boom"), std::string::npos);
-}
-
-TEST_F(QualityBoardTest, StageSpanCloseEvaluatesRegisteredChecks) {
-  auto& board = QualityBoard::instance();
-  bool ran = false;
-  {
-    StageSpan span("stage.spanned", "test", LogLevel::kDebug);
-    board.add_check("stage.spanned", "via_span", Severity::kFail,
-                    [&ran] {
-                      ran = true;
-                      return CheckResult{true, 0.0, ""};
-                    });
-    EXPECT_FALSE(ran);  // evaluation happens at span close, not before
-  }
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(board.pending_checks(), 0u);
-  EXPECT_EQ(board.passed(), 1u);
 }
 
 TEST_F(QualityBoardTest, CountersTrackVerdicts) {
@@ -207,11 +173,8 @@ TEST_F(QualityBoardTest, CountersTrackVerdicts) {
       registry.counter("cellscope.quality.checks_failed").value();
 
   auto& board = QualityBoard::instance();
-  board.add_check("stage.e", "p", Severity::kFail,
-                  [] { return CheckResult{true, 0.0, ""}; });
-  board.add_check("stage.e", "f", Severity::kFail,
-                  [] { return CheckResult{false, 0.0, ""}; });
-  board.evaluate_stage("stage.e");
+  board.record("stage.e", "p", Severity::kFail, {true, 0.0, ""});
+  board.record("stage.e", "f", Severity::kFail, {false, 0.0, ""});
 
   EXPECT_EQ(registry.counter("cellscope.quality.checks_passed").value(),
             passed_before + 1);
@@ -219,10 +182,32 @@ TEST_F(QualityBoardTest, CountersTrackVerdicts) {
             failed_before + 1);
 }
 
+// A long-running daemon records verdicts every round: the stored log
+// keeps the newest kMaxStoredVerdicts and counts what it evicted, while
+// the tallies cover every verdict.
+TEST_F(QualityBoardTest, KeepsTheNewestVerdictsAndCountsTheDropped) {
+  static_assert(QualityBoard::kMaxStoredVerdicts == 1024);
+  auto& board = QualityBoard::instance();
+  for (int i = 1; i <= 1030; ++i)
+    board.record("stage.g", "check_" + std::to_string(i), Severity::kFail,
+                 {true, static_cast<double>(i), ""});
+
+  const auto verdicts = board.verdicts();
+  ASSERT_EQ(verdicts.size(), 1024u);
+  EXPECT_EQ(verdicts.front().check, "check_7");
+  EXPECT_EQ(verdicts.back().check, "check_1030");
+  EXPECT_EQ(board.dropped(), 6u);
+  EXPECT_EQ(board.passed(), 1030u);
+
+  board.clear();
+  EXPECT_EQ(board.dropped(), 0u);
+  EXPECT_TRUE(board.verdicts().empty());
+}
+
 TEST_F(QualityBoardTest, VerdictsJsonIsWellFormedArray) {
   auto& board = QualityBoard::instance();
-  board.record({"check_a", "stage.f", Severity::kWarn, false, 1.5,
-                "detail \"quoted\""});
+  board.record("stage.f", "check_a", Severity::kWarn,
+               {false, 1.5, "detail \"quoted\""});
   const auto json = board.verdicts_json();
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');

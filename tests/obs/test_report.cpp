@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -53,6 +55,7 @@ TEST(RunReport, JsonRoundTripsThroughParser) {
   const auto& quality = v.at("quality");
   EXPECT_TRUE(quality.at("verdicts").is_array());
   EXPECT_TRUE(quality.contains("ok"));
+  EXPECT_TRUE(quality.contains("dropped"));
 }
 
 TEST(RunReport, CapturesSpansMetricsAndVerdicts) {
@@ -61,8 +64,8 @@ TEST(RunReport, CapturesSpansMetricsAndVerdicts) {
   MetricsRegistry::instance()
       .histogram("report.test_hist", {1.0, 10.0})
       .observe(2.0);
-  QualityBoard::instance().record(
-      {"report_check", "report.test_stage", Severity::kInfo, true, 1.0, ""});
+  QualityBoard::instance().record("report.test_stage", "report_check",
+                                  Severity::kInfo, {true, 1.0, ""});
 
   const auto v = JsonValue::parse(RunReport("capture").to_json());
 
@@ -107,9 +110,9 @@ TEST(RunReport, WriteToBadPathThrowsIoError) {
   EXPECT_THROW(report.write("/nonexistent_dir_zz/report.json"), IoError);
 }
 
-// The acceptance path: a full (small) pipeline run must register and
-// evaluate every stage sentinel, and a healthy synthetic city passes all
-// of them.
+// The acceptance path: a full (small) pipeline run records every stage
+// sentinel, in stage order, and a healthy synthetic city passes all of
+// them.
 TEST(RunReport, ExperimentRunYieldsPassingSentinels) {
   auto& board = QualityBoard::instance();
   board.clear();
@@ -120,7 +123,18 @@ TEST(RunReport, ExperimentRunYieldsPassingSentinels) {
   config.seed = 7;
   const auto e = Experiment::run(config);
 
-  EXPECT_EQ(board.pending_checks(), 0u);  // every sentinel was consumed
+  using Row = std::tuple<std::string, std::string, Severity>;
+  const std::vector<Row> expected = {
+      {"pipeline.vectorize", "matrix_finite", Severity::kFail},
+      {"pipeline.zscore", "zscore_normalized", Severity::kFail},
+      {"pipeline.cluster_tune", "cluster_min_population", Severity::kWarn},
+      {"pipeline.cluster_tune", "dbi_sane", Severity::kFail},
+      {"pipeline.cluster_tune", "dft_energy_principal", Severity::kWarn},
+  };
+  std::vector<Row> recorded;
+  for (const auto& verdict : board.verdicts())
+    recorded.emplace_back(verdict.stage, verdict.check, verdict.severity);
+  EXPECT_EQ(recorded, expected);
   EXPECT_GE(board.passed() + board.warned() + board.failed(), 5u);
   EXPECT_EQ(board.failed(), 0u) << board.verdicts_json();
   EXPECT_TRUE(board.ok());

@@ -424,18 +424,15 @@ TEST_F(QueryServiceTest, HealthzAnswers503AfterAFailingVerdict) {
   EXPECT_EQ(healthy.status, 200);
   EXPECT_EQ(JsonValue::parse(healthy.body).at("ok").as_bool(), true);
 
-  board.record(obs::QualityVerdict{.check = "test_router_check",
-                                   .stage = "test.router",
-                                   .severity = obs::Severity::kFail,
-                                   .passed = false,
-                                   .value = 1.0,
-                                   .detail = "forced failure"});
+  board.record("test.router", "test_router_check", obs::Severity::kFail,
+               {false, 1.0, "forced failure"});
   const auto failing = service.dispatch(get_request("/healthz"));
   EXPECT_EQ(failing.status, 503);
   EXPECT_EQ(failing.content_type, "application/json");
   const JsonValue doc = JsonValue::parse(failing.body);
   EXPECT_EQ(doc.at("ok").as_bool(), false);
   EXPECT_EQ(doc.at("failed").as_number(), 1.0);
+  EXPECT_EQ(doc.at("dropped").as_number(), 0.0);
   EXPECT_NE(failing.body.find("test_router_check"), std::string::npos);
   board.clear();
 }
