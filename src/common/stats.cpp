@@ -79,13 +79,20 @@ double pearson(std::span<const double> a, std::span<const double> b) {
 }
 
 std::vector<double> zscore(std::span<const double> v) {
+  std::vector<double> out(v.begin(), v.end());
+  zscore_in_place(out);
+  return out;
+}
+
+void zscore_in_place(std::span<double> v) {
   CS_CHECK_MSG(!v.empty(), "zscore of empty vector");
   const double m = mean(v);
   const double sd = stddev(v);
-  std::vector<double> out(v.size());
-  if (sd == 0.0) return out;  // constant vector -> all zeros
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - m) / sd;
-  return out;
+  if (sd == 0.0) {  // constant vector -> all zeros
+    std::fill(v.begin(), v.end(), 0.0);
+    return;
+  }
+  for (double& x : v) x = (x - m) / sd;
 }
 
 std::vector<double> max_normalize(std::span<const double> v) {

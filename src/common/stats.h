@@ -44,6 +44,9 @@ double pearson(std::span<const double> a, std::span<const double> b);
 /// edge cases must not divide by zero).
 std::vector<double> zscore(std::span<const double> v);
 
+/// zscore over `v` itself, bit for bit, with no allocation.
+void zscore_in_place(std::span<double> v);
+
 /// Normalization by the maximum (used by the paper's Fig. 3/4/5 plots).
 /// A non-positive maximum maps to all zeros.
 std::vector<double> max_normalize(std::span<const double> v);

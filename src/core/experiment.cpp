@@ -15,9 +15,13 @@
 
 namespace {
 
-/// Rows z-scored per step of stage 4: 256 rows of 4032 slots hold 8 MB,
-/// whatever the city size.
+/// Rows sampled and z-scored per step of stage 4: 256 rows of 4032 slots
+/// hold 8 MB, whatever the city size.
 constexpr std::size_t kZscoreBlockRows = 256;
+
+/// Salt of the row streams' seed (experiment seed ^ salt): stage 4 and
+/// matrix() sample the same rows from it.
+constexpr std::uint64_t kRowStreamSalt = 0x94D049BB133111EBULL;
 
 /// Slots per task of the column-sum step; 63 ranges cover the 4032 slots.
 constexpr std::size_t kColumnSumSlots = 64;
@@ -101,31 +105,32 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     span.annotate({"pois", e.pois_->pois().size()});
   }
 
-  // 3. Traffic matrix (the §3.2 vectorizer).
+  // 3. The §3.2 vectorizer's row streams: one per tower, forked in tower
+  // order, exactly the streams vectorize_intensity samples its rows from.
+  std::vector<Rng> row_streams;
   {
     obs::StageSpan span("pipeline.vectorize");
-    e.matrix_ = vectorize_intensity(e.towers_, *e.intensity_,
-                                    config.seed ^ 0x94D049BB133111EBULL,
-                                    &pool);
-    obs::QualityBoard::instance().record(
-        "pipeline.vectorize", "matrix_finite", obs::Severity::kFail,
-        obs::check_finite_rows(e.matrix_.rows));
+    row_streams = fork_row_streams(config.seed ^ kRowStreamSalt,
+                                   e.towers_.size());
     span.annotate({"towers", e.towers_.size()});
-    span.annotate({"rows", e.matrix_.n()});
+    span.annotate({"rows", row_streams.size()});
   }
 
-  // 4. Normalization, one block of rows at a time. Each row is z-scored
-  // once into its slot of the block and read there for its fold
-  // (DESIGN.md §5.2), its frequency features and its zscore_normalized
-  // deviation; the block then joins the column sum behind the §5.1
-  // energy check. The z-scored city is never held, so the O(n²) distance
-  // matrix does not land on top of it.
+  // 4. Sampling and normalization, one block of rows at a time. Each row
+  // is sampled from its stream into its slot of the block (the raw row
+  // vectorize_intensity gives, bit for bit), scanned for non-finite
+  // values, z-scored in place and read there for its fold (DESIGN.md
+  // §5.2), its frequency features and its zscore_normalized deviation;
+  // the block then joins the column sum behind the §5.1 energy check.
+  // Neither the raw nor the z-scored city is ever held, so the O(n²)
+  // distance matrix does not land on top of them.
   double principal_energy = 0.0;
   {
     obs::StageSpan span("pipeline.zscore");
-    const std::size_t n = e.matrix_.n();
+    const std::size_t n = e.towers_.size();
     e.folded_.resize(n);
     e.freq_features_.resize(n);
+    std::vector<std::size_t> non_finite(n);
     std::vector<double> deviations(n);
     std::vector<double> column_mean(TimeGrid::kSlots, 0.0);
     std::vector<std::vector<double>> block(std::min(n, kZscoreBlockRows));
@@ -133,7 +138,10 @@ Experiment Experiment::run(const ExperimentConfig& config) {
       const std::size_t rows = std::min(kZscoreBlockRows, n - first);
       for_each_index(&pool, rows, [&](std::size_t j) {
         const std::size_t i = first + j;
-        block[j] = zscore(e.matrix_.rows[i]);
+        e.intensity_->sample_series(e.towers_[i].id, row_streams[i],
+                                    block[j]);
+        non_finite[i] = obs::non_finite_count(block[j]);
+        zscore_in_place(block[j]);
         e.folded_[i] = fold_week(block[j]);
         e.freq_features_[i] = compute_freq_features(block[j]);
         deviations[i] = obs::zscore_row_deviation(block[j]);
@@ -151,9 +159,13 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     }
     for (auto& v : column_mean) v /= static_cast<double>(n);
     principal_energy = principal_energy_fraction(column_mean);
-    obs::QualityBoard::instance().record(
-        "pipeline.zscore", "zscore_normalized", obs::Severity::kFail,
-        obs::check_zscore_worst(obs::worst_deviation(deviations)));
+    // The vectorizer's check, judged here because the rows exist only
+    // in this pass.
+    auto& board = obs::QualityBoard::instance();
+    board.record("pipeline.vectorize", "matrix_finite", obs::Severity::kFail,
+                 obs::check_finite_counts(non_finite));
+    board.record("pipeline.zscore", "zscore_normalized", obs::Severity::kFail,
+                 obs::check_zscore_worst(obs::worst_deviation(deviations)));
     span.annotate({"rows", n});
   }
 
@@ -205,7 +217,7 @@ Experiment Experiment::run(const ExperimentConfig& config) {
     const auto normalized =
         normalized_poi_by_cluster(e.poi_counts_, e.labels_);
     e.labeling_ = label_clusters_by_poi(normalized);
-    std::vector<std::size_t> row_tower(e.matrix_.n());
+    std::vector<std::size_t> row_tower(e.towers_.size());
     for (std::size_t i = 0; i < row_tower.size(); ++i) row_tower[i] = i;
     e.validation_ = validate_labels(e.labels_, e.labeling_, row_tower,
                                     e.towers_);
@@ -235,8 +247,17 @@ std::vector<std::size_t> Experiment::rows_of_cluster(
   return rows;
 }
 
+const TrafficMatrix& Experiment::matrix() const {
+  if (!matrix_) {
+    ThreadPool pool(configured_thread_count());
+    matrix_ = vectorize_intensity(towers_, *intensity_,
+                                  config_.seed ^ kRowStreamSalt, &pool);
+  }
+  return *matrix_;
+}
+
 std::vector<double> Experiment::cluster_aggregate(std::size_t cluster) const {
-  return aggregate_series(matrix_, rows_of_cluster(cluster));
+  return aggregate_series(matrix(), rows_of_cluster(cluster));
 }
 
 std::vector<double> Experiment::region_aggregate(
@@ -248,11 +269,11 @@ std::vector<double> Experiment::region_aggregate(
   }
   CS_CHECK_MSG(!rows.empty(), "no towers labeled with region " +
                                   region_name(region));
-  return aggregate_series(matrix_, rows);
+  return aggregate_series(matrix(), rows);
 }
 
 std::vector<double> Experiment::total_aggregate() const {
-  return aggregate_series(matrix_);
+  return aggregate_series(matrix());
 }
 
 const std::array<std::size_t, 4>& Experiment::representatives() const {

@@ -3,11 +3,14 @@
 // One Experiment run performs, in order:
 //   1. synthetic city construction and tower deployment (data substitute),
 //   2. latent per-tower intensity models and POI generation,
-//   3. traffic matrix construction (10-minute vectors, §3.2 vectorizer),
-//   4. z-score normalization, one pooled pass over fixed blocks of rows:
-//      each row is z-scored once and read for its mean-week fold, its
-//      frequency features, its normalization check and the column mean
-//      behind the §5.1 energy check; the z-scored city is never held,
+//   3. the §3.2 vectorizer's row streams: one Rng per tower, forked in
+//      tower order,
+//   4. sampling and z-score normalization, one pooled pass over fixed
+//      blocks of rows: each row's 10-minute vector is sampled from its
+//      stream, checked for non-finite values, z-scored once and read for
+//      its mean-week fold, its frequency features, its normalization
+//      check and the column mean behind the §5.1 energy check; neither
+//      the raw nor the z-scored city is held,
 //   5. average-linkage hierarchical clustering of the fold with a
 //      Davies-Bouldin sweep (§3.2 pattern identifier + metric tuner),
 //   6. POI-based cluster labeling and ground-truth validation (§3.3),
@@ -80,8 +83,12 @@ class Experiment {
   const IntensityModel& intensity() const { return *intensity_; }
   const PoiDatabase& pois() const { return *pois_; }
 
-  /// Raw traffic matrix (row i corresponds to towers()[i]).
-  const TrafficMatrix& matrix() const { return matrix_; }
+  /// Raw traffic matrix (row i corresponds to towers()[i]): what
+  /// vectorize_intensity gives for the row streams stage 4 sampled, bit
+  /// for bit. Training never holds it; it is built on the first call
+  /// (310 MB at 9,600 towers) and kept. The first call is not
+  /// thread-safe: make it before sharing the experiment across threads.
+  const TrafficMatrix& matrix() const;
 
   /// Mean-week (1008-slot) folds of the z-scored rows — the
   /// representation the dendrogram and the DBI sweep clustered
@@ -123,7 +130,8 @@ class Experiment {
   /// Row indices of one cluster.
   std::vector<std::size_t> rows_of_cluster(std::size_t cluster) const;
 
-  /// Aggregate raw traffic of a cluster (bytes per slot).
+  /// Aggregate raw traffic of a cluster (bytes per slot). The three
+  /// aggregates read matrix(), so the first builds it.
   std::vector<double> cluster_aggregate(std::size_t cluster) const;
 
   /// Aggregate raw traffic of all towers labeled `region`.
@@ -154,7 +162,6 @@ class Experiment {
   std::vector<Tower> towers_;
   std::unique_ptr<IntensityModel> intensity_;
   std::unique_ptr<PoiDatabase> pois_;
-  TrafficMatrix matrix_;
   std::vector<std::vector<double>> folded_;
   std::vector<FreqFeatures> freq_features_;
   std::unique_ptr<Dendrogram> dendrogram_;
@@ -165,7 +172,8 @@ class Experiment {
   ClusterLabeling labeling_;
   LabelValidation validation_;
 
-  // Lazy cache.
+  // Lazy caches.
+  mutable std::optional<TrafficMatrix> matrix_;
   mutable std::optional<std::array<std::size_t, 4>> representatives_;
 };
 

@@ -135,21 +135,31 @@ void QualityBoard::clear() {
 // ---------------------------------------------------------------------------
 
 CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows) {
+  std::vector<std::size_t> per_row(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    per_row[r] = non_finite_count(rows[r]);
+  return check_finite_counts(per_row);
+}
+
+std::size_t non_finite_count(std::span<const double> row) {
+  std::size_t bad = 0;
+  for (const double v : row)
+    if (!std::isfinite(v)) ++bad;
+  return bad;
+}
+
+CheckResult check_finite_counts(std::span<const std::size_t> per_row) {
   std::size_t bad = 0;
   std::size_t first_row = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (const double v : rows[r]) {
-      if (!std::isfinite(v)) {
-        if (bad == 0) first_row = r;
-        ++bad;
-      }
-    }
+  for (std::size_t r = 0; r < per_row.size(); ++r) {
+    if (bad == 0 && per_row[r] != 0) first_row = r;
+    bad += per_row[r];
   }
   CheckResult result;
   result.passed = bad == 0;
   result.value = static_cast<double>(bad);
   result.detail =
-      bad == 0 ? "all " + std::to_string(rows.size()) + " rows finite"
+      bad == 0 ? "all " + std::to_string(per_row.size()) + " rows finite"
                : std::to_string(bad) + " non-finite values (first in row " +
                      std::to_string(first_row) + ")";
   return result;

@@ -100,6 +100,14 @@ class QualityBoard {
 /// non-finite elements found.
 CheckResult check_finite_rows(const std::vector<std::vector<double>>& rows);
 
+/// The number of non-finite (NaN/inf) elements of one row.
+std::size_t non_finite_count(std::span<const double> row);
+
+/// check_finite_rows from per-row non_finite_counts, for a caller that
+/// scans the rows one block at a time and never holds them all: the same
+/// passed, value and detail (the first row with a non-finite element).
+CheckResult check_finite_counts(std::span<const std::size_t> per_row);
+
 /// One row's distance from z-score normalization: max(|mean|, |sd - 1|),
 /// or |mean| alone for a constant row (sd 0); 0 for an empty row and
 /// +inf when either moment is not finite.

@@ -71,24 +71,31 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
   return matrix;
 }
 
+std::vector<Rng> fork_row_streams(std::uint64_t seed, std::size_t n_rows) {
+  Rng rng(seed);
+  std::vector<Rng> streams;
+  streams.reserve(n_rows);
+  for (std::size_t i = 0; i < n_rows; ++i) streams.push_back(rng.fork());
+  obs::MetricsRegistry::instance()
+      .counter("cellscope.pipeline.vectorizer_rows")
+      .add(n_rows);
+  return streams;
+}
+
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
                                   std::uint64_t seed, ThreadPool* pool) {
   CS_CHECK_MSG(towers.size() == intensity.size(),
                "towers and intensity model must match");
   obs::ScopedTimer timer;
-  // Fork every tower's stream first, serially in tower order, so row i
-  // draws from the same Rng whichever worker samples it. The rows are
-  // reserved here too: workers fill them in place, so the matrix lives in
-  // the caller's allocator arena rather than scattered over the workers'.
-  Rng rng(seed);
-  std::vector<Rng> tower_rngs;
-  tower_rngs.reserve(towers.size());
+  auto tower_rngs = fork_row_streams(seed, towers.size());
+  // The rows are reserved here: workers fill them in place, so the
+  // matrix lives in the caller's allocator arena rather than scattered
+  // over the workers'.
   TrafficMatrix matrix;
   matrix.tower_ids.reserve(towers.size());
   matrix.rows.resize(towers.size());
   for (std::size_t i = 0; i < towers.size(); ++i) {
-    tower_rngs.push_back(rng.fork());
     matrix.tower_ids.push_back(towers[i].id);
     matrix.rows[i].reserve(TimeGrid::kSlots);
   }
@@ -96,9 +103,6 @@ TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
     intensity.sample_series(towers[i].id, tower_rngs[i], matrix.rows[i]);
   });
   matrix.check();
-  obs::MetricsRegistry::instance()
-      .counter("cellscope.pipeline.vectorizer_rows")
-      .add(matrix.n());
   obs::log_debug("vectorizer.intensity_done",
                  {{"towers", towers.size()},
                   {"wall_ms", timer.elapsed_ms()}});

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "city/tower.h"
+#include "common/rng.h"
 #include "mapred/thread_pool.h"
 #include "pipeline/traffic_matrix.h"
 #include "traffic/intensity_model.h"
@@ -34,11 +35,21 @@ TrafficMatrix vectorize_logs(const std::vector<TrafficLog>& logs,
                              const std::vector<Tower>& towers,
                              ThreadPool& pool);
 
+/// The per-row sampling streams behind vectorize_intensity: `n_rows`
+/// forks of Rng(seed), taken serially in row (tower) order, so row i
+/// draws from the same stream whichever worker samples it. A caller that
+/// samples the rows itself (Experiment::run, one block at a time) gets
+/// vectorize_intensity's rows bit for bit by passing stream i to
+/// IntensityModel::sample_series for row i. Adds `n_rows` to the
+/// cellscope.pipeline.vectorizer_rows counter.
+std::vector<Rng> fork_row_streams(std::uint64_t seed, std::size_t n_rows);
+
 /// Builds the matrix straight from the intensity model with per-slot
 /// sampling noise — statistically what vectorize_logs(clean(generate()))
-/// produces, minus session quantization. Deterministic in the seed. With
-/// a pool, rows are sampled in parallel; the result is bit-identical to
-/// the serial (nullptr) path.
+/// produces, minus session quantization. Deterministic in the seed: row i
+/// is sampled from stream i of fork_row_streams(seed, towers.size()).
+/// With a pool, rows are sampled in parallel; the result is bit-identical
+/// to the serial (nullptr) path.
 TrafficMatrix vectorize_intensity(const std::vector<Tower>& towers,
                                   const IntensityModel& intensity,
                                   std::uint64_t seed,

@@ -89,7 +89,8 @@ namespace {
 /// and its wall clock, the batch count, and the closing step.
 class ReplayRun {
  public:
-  explicit ReplayRun(StreamIngestor& ingestor) : ingestor_(ingestor) {}
+  explicit ReplayRun(StreamIngestor& ingestor)
+      : ingestor_(ingestor), start_(ingestor.stats()) {}
 
   ReplayStats stats;
 
@@ -102,22 +103,25 @@ class ReplayRun {
   }
 
   /// The closing step: the dropped/late sentinels (recorded inside the
-  /// span, like the batch pipeline's stage checks), the span
-  /// annotations, and the ReplayStats totals. Returns the filled stats.
+  /// span, like the batch pipeline's stage checks) and the span
+  /// annotations, both over this replay's share of the ingestor's
+  /// counters, and the ReplayStats totals. Returns the filled stats.
   ReplayStats& finish() {
     auto& board = obs::QualityBoard::instance();
     const auto ingest = ingestor_.stats();
-    const auto offered = static_cast<std::size_t>(ingest.offered);
+    const auto offered =
+        static_cast<std::size_t>(ingest.offered - start_.offered);
+    const auto dropped =
+        static_cast<std::size_t>(ingest.dropped - start_.dropped);
+    const auto late = static_cast<std::size_t>(ingest.late - start_.late);
     board.record("stream.replay", "stream_drop_ratio", obs::Severity::kFail,
-                 obs::check_reject_ratio(
-                     static_cast<std::size_t>(ingest.dropped), offered, 0.01));
+                 obs::check_reject_ratio(dropped, offered, 0.01));
     board.record("stream.replay", "stream_late_ratio", obs::Severity::kWarn,
-                 obs::check_reject_ratio(
-                     static_cast<std::size_t>(ingest.late), offered, 0.25));
+                 obs::check_reject_ratio(late, offered, 0.25));
     span_->annotate({"records", stats.records});
     span_->annotate({"batches", stats.batches});
-    span_->annotate({"dropped", ingest.dropped});
-    span_->annotate({"late", ingest.late});
+    span_->annotate({"dropped", dropped});
+    span_->annotate({"late", late});
     span_.reset();
 
     stats.ingest = ingest;
@@ -131,6 +135,7 @@ class ReplayRun {
 
  private:
   StreamIngestor& ingestor_;
+  const IngestStats start_;  ///< the ingestor's counters before this replay
   obs::ScopedTimer timer_;
   std::optional<obs::StageSpan> span_{std::in_place, "stream.replay",
                                       "stream"};

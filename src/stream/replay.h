@@ -45,7 +45,11 @@ struct ReplayOptions {
 struct ReplayStats {
   std::size_t records = 0;
   std::size_t batches = 0;
-  IngestStats ingest;  ///< ingestor lifetime counters after the replay
+  /// The ingestor's lifetime counters after the replay, earlier replays
+  /// into the same ingestor included; perfbench reads them as they are.
+  /// The stream.replay sentinels and span annotations count this
+  /// replay's share alone.
+  IngestStats ingest;
   double wall_ms = 0.0;
   double records_per_sec = 0.0;
 };
@@ -81,9 +85,9 @@ TraceResult calibrated_feed(const std::vector<Tower>& towers,
 /// Streams `logs` (already in desired arrival order — compose with
 /// perturb_arrival_order for defects) through the ingestor in batches,
 /// draining each batch on `pool`. Records quality sentinels for the
-/// stream.replay stage: record drop ratio (fail > 1%) and late ratio
-/// (warn > 25%). Classifying the result is the caller's step
-/// (OnlineClassifier::classify_all).
+/// stream.replay stage over the records this replay offered: drop ratio
+/// (fail > 1%) and late ratio (warn > 25%). Classifying the result is the
+/// caller's step (OnlineClassifier::classify_all).
 ReplayStats replay_trace(const std::vector<TrafficLog>& logs,
                          StreamIngestor& ingestor, ThreadPool& pool,
                          const ReplayOptions& options = {});

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 
@@ -16,6 +17,7 @@
 #include "dsp/spectrum.h"
 #include "ml/distance.h"
 #include "obs/quality.h"
+#include "pipeline/vectorizer.h"
 #include "support/oracles.h"
 
 namespace cellscope {
@@ -286,14 +288,50 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/// FNV-1a 64 over `size` bytes at `data`, continuing from `hash`.
+std::uint64_t fnv1a(const void* data, std::size_t size,
+                    std::uint64_t hash = 0xcbf29ce484222325ull) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 TEST(Experiment, BlockedZscorePassMatchesTheWholeCity) {
-  // Stage 4 z-scores the city a block of rows at a time and never holds
-  // it. 333 towers is one full block plus a partial one; every product
-  // must equal what the whole z-scored city gives, bit for bit.
+  // Stage 4 samples and z-scores the city a block of rows at a time and
+  // never holds it. 333 towers is one full block plus a partial one;
+  // every product must equal what the whole raw and z-scored city give,
+  // bit for bit.
   obs::QualityBoard::instance().clear();
   ExperimentConfig config;
   config.n_towers = 333;
   const auto e = Experiment::run(config);
+
+  // matrix() is the vectorizer's matrix for the streams stage 4 sampled.
+  const auto vectorized = vectorize_intensity(
+      e.towers(), e.intensity(), config.seed ^ 0x94D049BB133111EBull);
+  ASSERT_EQ(e.matrix().tower_ids, vectorized.tower_ids);
+  ASSERT_EQ(e.matrix().n(), vectorized.n());
+  for (std::size_t i = 0; i < vectorized.n(); ++i)
+    ASSERT_EQ(std::memcmp(e.matrix().rows[i].data(),
+                          vectorized.rows[i].data(),
+                          vectorized.rows[i].size() * sizeof(double)),
+              0)
+        << "row " << i;
+  const auto finite_want = obs::check_finite_rows(e.matrix().rows);
+  const auto finite_got = verdict_named("matrix_finite");
+  EXPECT_TRUE(same_bits(finite_got.value, finite_want.value));
+  EXPECT_EQ(finite_got.passed, finite_want.passed);
+  EXPECT_EQ(finite_got.detail, finite_want.detail);
+  const auto total = aggregate_series(e.matrix());
+  const auto total_got = e.total_aggregate();
+  ASSERT_EQ(total_got.size(), total.size());
+  EXPECT_EQ(std::memcmp(total_got.data(), total.data(),
+                        total.size() * sizeof(double)),
+            0);
+
   const auto zscored = zscore_rows(e.matrix());
 
   const auto folded = fold_to_week(zscored);
@@ -323,6 +361,22 @@ TEST(Experiment, BlockedZscorePassMatchesTheWholeCity) {
   const double energy = 1.0 - energy_loss(mean, reconstruct_principal(mean));
   EXPECT_TRUE(same_bits(verdict_named("dft_energy_principal").value, energy));
   obs::QualityBoard::instance().clear();
+}
+
+TEST(Experiment, PinsTheTwoThousandTowerTraining) {
+  // The labels and the clustered folds of a 2,000-tower training at the
+  // default knobs, pinned by FNV-1a 64 over their bytes in row order.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 2000;
+  const auto e = Experiment::run(config);
+  ASSERT_EQ(e.n_clusters(), 5u);
+  EXPECT_EQ(fnv1a(e.labels().data(), e.labels().size() * sizeof(int)),
+            0x3c85ccd7ffc73a94ull);
+  std::uint64_t folded = 0xcbf29ce484222325ull;
+  for (const auto& row : e.folded())
+    folded = fnv1a(row.data(), row.size() * sizeof(double), folded);
+  EXPECT_EQ(folded, 0xb2c5937a9e8a1138ull);
 }
 
 TEST(Experiment, ValidatesConfig) {

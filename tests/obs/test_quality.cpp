@@ -33,6 +33,14 @@ TEST(QualityChecks, FiniteRowsPassAndFail) {
   EXPECT_FALSE(r.passed);
   EXPECT_DOUBLE_EQ(r.value, 2.0);  // counts every non-finite element
   EXPECT_NE(r.detail.find("row 1"), std::string::npos);
+
+  // The same verdict from per-row counts, as a blocked pass records it.
+  const std::vector<std::size_t> per_row = {0, 2};
+  const auto counted = check_finite_counts(per_row);
+  EXPECT_EQ(counted.passed, r.passed);
+  EXPECT_EQ(counted.value, r.value);
+  EXPECT_EQ(counted.detail, r.detail);
+  EXPECT_EQ(non_finite_count(dirty[1]), 2u);
 }
 
 TEST(QualityChecks, ZscoreRowsPassAndFail) {

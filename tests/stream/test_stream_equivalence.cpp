@@ -11,6 +11,7 @@
 #include "city/deployment.h"
 #include "common/time_grid.h"
 #include "mapred/thread_pool.h"
+#include "obs/quality.h"
 #include "pipeline/vectorizer.h"
 #include "stream/ingestor.h"
 #include "stream/replay.h"
@@ -91,6 +92,43 @@ TEST_F(StreamEquivalenceTest, AnyShardingAndArrivalOrderMatchesBatchExactly) {
       EXPECT_EQ(vec, folded[matrix.row_of(id)]);
     }
   }
+}
+
+TEST_F(StreamEquivalenceTest, ReplaySentinelsJudgeThatReplayAlone) {
+  // cellscoped's rounds: one feed replayed twice into one ingestor, the
+  // second pass one grid later. The second replay's verdicts read its
+  // own late and dropped records over its own offered ones.
+  ThreadPool pool(2);
+  StreamIngestor ingestor(StreamConfig{.queue_capacity = 0});
+  ingestor.register_towers(towers_);
+  ReplayOptions options;
+  options.seed = 44;
+  options.skew_window = 32;
+  options.late_fraction = 0.02;
+  auto feed = perturb_arrival_order(logs_, options);
+  const auto first = replay_trace(feed, ingestor, pool, options);
+  for (auto& log : feed) {
+    log.start_minute += TimeGrid::kSlots * TimeGrid::kSlotMinutes;
+    log.end_minute += TimeGrid::kSlots * TimeGrid::kSlotMinutes;
+  }
+  auto& board = obs::QualityBoard::instance();
+  board.clear();
+  const auto second = replay_trace(feed, ingestor, pool, options);
+  const auto late =
+      static_cast<std::size_t>(second.ingest.late - first.ingest.late);
+  ASSERT_GT(first.ingest.late, 0u);
+  ASSERT_GT(late, 0u);
+  EXPECT_EQ(second.ingest.offered, 2 * feed.size());  // lifetime counters
+
+  const auto verdicts = board.verdicts();
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].check, "stream_drop_ratio");
+  EXPECT_EQ(verdicts[0].detail,
+            obs::check_reject_ratio(0, feed.size(), 0.01).detail);
+  EXPECT_EQ(verdicts[1].check, "stream_late_ratio");
+  EXPECT_EQ(verdicts[1].detail,
+            obs::check_reject_ratio(late, feed.size(), 0.25).detail);
+  board.clear();
 }
 
 TEST_F(StreamEquivalenceTest, PerturbationIsDeterministicInTheSeed) {
