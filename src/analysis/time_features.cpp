@@ -11,6 +11,14 @@ namespace cellscope {
 
 namespace {
 
+/// Smoothing half-window (slots) applied to the mean day before peak
+/// detection; 10-minute noise would otherwise fragment peaks.
+constexpr std::size_t kSmoothHalfWindow = 3;
+/// A local maximum counts as a peak if >= this fraction of the global one.
+constexpr double kSecondaryFraction = 0.55;
+/// Minimum separation between reported peaks, hours.
+constexpr double kMinPeakSeparationH = 3.0;
+
 /// Mean day (144 slots) over the slots of one day type.
 std::vector<double> mean_day_profile(std::span<const double> series,
                                      bool weekday) {
@@ -30,8 +38,7 @@ std::vector<double> mean_day_profile(std::span<const double> series,
 }
 
 /// Local maxima of a circular day profile, filtered and sorted by height.
-std::vector<double> find_peaks(const std::vector<double>& day,
-                               const TimeFeatureOptions& options) {
+std::vector<double> find_peaks(const std::vector<double>& day) {
   const std::size_t n = day.size();
   std::vector<std::pair<double, double>> candidates;  // (height, hour)
   for (std::size_t i = 0; i < n; ++i) {
@@ -48,11 +55,11 @@ std::vector<double> find_peaks(const std::vector<double>& day,
 
   std::vector<double> peaks;
   for (const auto& [height, hour] : candidates) {
-    if (height < options.secondary_fraction * top) break;
+    if (height < kSecondaryFraction * top) break;
     bool distinct = true;
     for (const double kept : peaks) {
       const double d = std::fabs(kept - hour);
-      if (std::min(d, 24.0 - d) < options.min_peak_separation_h) {
+      if (std::min(d, 24.0 - d) < kMinPeakSeparationH) {
         distinct = false;
         break;
       }
@@ -63,8 +70,7 @@ std::vector<double> find_peaks(const std::vector<double>& day,
 }
 
 DayTypeFeatures day_type_features(std::span<const double> series,
-                                  bool weekday,
-                                  const TimeFeatureOptions& options) {
+                                  bool weekday) {
   DayTypeFeatures f;
   f.mean_day = mean_day_profile(series, weekday);
 
@@ -72,7 +78,7 @@ DayTypeFeatures day_type_features(std::span<const double> series,
     if (TimeGrid::is_weekday(s) == weekday) f.total_bytes += series[s];
 
   const auto smooth =
-      circular_moving_average(f.mean_day, options.smooth_half_window);
+      circular_moving_average(f.mean_day, kSmoothHalfWindow);
   const std::size_t peak_slot = argmax(smooth);
   const std::size_t valley_slot = argmin(smooth);
   f.max_traffic = f.mean_day[peak_slot];
@@ -84,19 +90,18 @@ DayTypeFeatures day_type_features(std::span<const double> series,
   f.peak_valley_ratio =
       f.min_traffic > 0.0 ? f.max_traffic / f.min_traffic
                           : std::numeric_limits<double>::infinity();
-  f.peak_hours = find_peaks(smooth, options);
+  f.peak_hours = find_peaks(smooth);
   return f;
 }
 
 }  // namespace
 
-TimeFeatures compute_time_features(std::span<const double> series,
-                                   const TimeFeatureOptions& options) {
+TimeFeatures compute_time_features(std::span<const double> series) {
   CS_CHECK_MSG(series.size() == TimeGrid::kSlots,
                "time features need a 4032-slot series");
   TimeFeatures f;
-  f.weekday = day_type_features(series, true, options);
-  f.weekend = day_type_features(series, false, options);
+  f.weekday = day_type_features(series, true);
+  f.weekend = day_type_features(series, false);
   // Per-day means: 20 weekdays vs 8 weekend days in the 4-week grid.
   const double weekday_days = 20.0;
   const double weekend_days = 8.0;

@@ -25,8 +25,8 @@ struct DayTypeFeatures {
   double peak_valley_ratio = 0.0;
   double peak_hour = 0.0;        ///< hour-of-day of the main peak
   double valley_hour = 0.0;      ///< hour-of-day of the valley
-  /// Hours of all local peaks at least `secondary_fraction` of the main
-  /// one, in descending height order (detects double humps).
+  /// Hours of all local peaks at least 0.55 of the main one, at least
+  /// 3 h apart, in descending height order (detects double humps).
   std::vector<double> peak_hours;
   /// Mean day profile (144 slots).
   std::vector<double> mean_day;
@@ -41,20 +41,8 @@ struct TimeFeatures {
   double weekday_weekend_ratio = 0.0;
 };
 
-/// Options for the peak detector.
-struct TimeFeatureOptions {
-  /// Smoothing half-window (slots) applied to the mean day before peak
-  /// detection; 10-minute noise would otherwise fragment peaks.
-  std::size_t smooth_half_window = 3;
-  /// A local maximum counts as a peak if >= this fraction of the global one.
-  double secondary_fraction = 0.55;
-  /// Minimum separation between reported peaks, hours.
-  double min_peak_separation_h = 3.0;
-};
-
 /// Computes the features of a 4032-slot series.
-TimeFeatures compute_time_features(std::span<const double> series,
-                                   const TimeFeatureOptions& options = {});
+TimeFeatures compute_time_features(std::span<const double> series);
 
 /// Pretty "HH:MM" for a peak/valley hour.
 std::string format_peak_time(double hour);

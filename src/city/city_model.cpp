@@ -8,6 +8,10 @@ namespace cellscope {
 
 namespace {
 
+/// `region_at` names a pure function only when its intensity is at least
+/// this many times the runner-up's.
+constexpr double kDominance = 1.6;
+
 // Planar km offsets between two nearby points (adequate at city scale).
 double dx_km(const LatLon& a, const LatLon& b) {
   return (b.lon - a.lon) * km_per_degree_lon((a.lat + b.lat) / 2.0);
@@ -111,9 +115,7 @@ LatLon CityModel::sample_location(FunctionalRegion r, Rng& rng) const {
   return box_.clamp(p);
 }
 
-FunctionalRegion CityModel::region_at(const LatLon& p,
-                                      double dominance) const {
-  CS_CHECK_MSG(dominance >= 1.0, "dominance ratio must be >= 1");
+FunctionalRegion CityModel::region_at(const LatLon& p) const {
   double best = 0.0;
   double second = 0.0;
   FunctionalRegion best_r = FunctionalRegion::kComprehensive;
@@ -130,7 +132,7 @@ FunctionalRegion CityModel::region_at(const LatLon& p,
     }
   }
   if (best <= 0.0) return FunctionalRegion::kComprehensive;
-  if (second > 0.0 && best / second < dominance)
+  if (second > 0.0 && best / second < kDominance)
     return FunctionalRegion::kComprehensive;
   return best_r;
 }

@@ -50,8 +50,8 @@ class CityModel {
 
   /// The locally dominant region at a point: the pure function with the
   /// largest intensity, or kComprehensive when no pure function dominates
-  /// clearly (mixing ratio below `dominance`, default 1.6).
-  FunctionalRegion region_at(const LatLon& p, double dominance = 1.6) const;
+  /// clearly (best-to-second intensity ratio below 1.6).
+  FunctionalRegion region_at(const LatLon& p) const;
 
   const BoundingBox& box() const { return box_; }
 

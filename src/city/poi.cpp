@@ -35,6 +35,9 @@ constexpr double kPresenceProb[kNumRegions][kNumPoiTypes] = {
     {0.55, 0.15, 0.60, 0.45},  // comprehensive tower
 };
 
+/// Spatial spread of POIs around their anchor tower, meters.
+constexpr double kSpreadM = 90.0;
+
 }  // namespace
 
 double PoiDatabase::expected_count(FunctionalRegion tower_region,
@@ -72,7 +75,6 @@ PoiDatabase PoiDatabase::generate(
     const std::vector<std::array<double, 4>>& mixtures,
     const PoiGenerationOptions& options) {
   CS_CHECK_MSG(options.scale > 0.0, "poi scale must be positive");
-  CS_CHECK_MSG(options.spread_m > 0.0, "poi spread must be positive");
   CS_CHECK_MSG(mixtures.size() == towers.size(),
                "need one mixture per tower");
   Rng rng(options.seed);
@@ -131,8 +133,8 @@ PoiDatabase PoiDatabase::generate(
       const double mean = base * rng.gamma(4.0, 0.25);
       const auto count = rng.poisson(mean);
       for (std::int64_t i = 0; i < count; ++i) {
-        const double north_m = rng.normal(0.0, options.spread_m);
-        const double east_m = rng.normal(0.0, options.spread_m);
+        const double north_m = rng.normal(0.0, kSpreadM);
+        const double east_m = rng.normal(0.0, kSpreadM);
         LatLon p = t.position;
         p.lat += north_m / 1000.0 / km_per_degree_lat();
         p.lon += east_m / 1000.0 / km_per_degree_lon(t.position.lat);

@@ -30,8 +30,6 @@ struct PoiGenerationOptions {
   /// Global multiplier on POI counts (1.0 reproduces Table-2-scale counts;
   /// smaller values save memory at large tower counts).
   double scale = 1.0;
-  /// Spatial spread of POIs around their anchor tower, meters.
-  double spread_m = 90.0;
   std::uint64_t seed = 4242;
 };
 

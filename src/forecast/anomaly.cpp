@@ -8,17 +8,28 @@
 
 namespace cellscope {
 
-TrafficAnomalyDetector::TrafficAnomalyDetector(
-    std::span<const double> history)
-    : TrafficAnomalyDetector(history, AnomalyOptions{}) {}
+namespace {
+
+/// |z|-score threshold to open an interval.
+constexpr double kThreshold = 4.0;
+/// Slots the score may dip below threshold without closing the interval
+/// (bridges brief returns to normal inside one event).
+constexpr std::size_t kGapTolerance = 2;
+/// Dispersion floor as a fraction of the slot mean, guarding slots
+/// whose history happened to be near-constant.
+constexpr double kMinRelativeSigma = 0.05;
+/// Minimum interval length in slots. Physical events span multiple
+/// 10-minute slots; single-slot exceedances are sampling noise (with
+/// ~1000 slots per scored week, a 4-sigma spike occurs by chance).
+constexpr std::size_t kMinDuration = 2;
+
+}  // namespace
 
 TrafficAnomalyDetector::TrafficAnomalyDetector(
-    std::span<const double> history, AnomalyOptions options)
-    : options_(options) {
+    std::span<const double> history) {
   const auto week = static_cast<std::size_t>(TimeGrid::kSlotsPerWeek);
   CS_CHECK_MSG(history.size() >= 2 * week,
                "anomaly detector needs at least two weeks of history");
-  CS_CHECK_MSG(options_.threshold > 0.0, "threshold must be positive");
 
   means_.assign(week, 0.0);
   sigmas_.assign(week, 0.0);
@@ -49,7 +60,7 @@ TrafficAnomalyDetector::TrafficAnomalyDetector(
   const double pooled_relative =
       relative.empty() ? 0.0 : quantile(relative, 0.75);
   const double floor_relative =
-      std::max(options_.min_relative_sigma, pooled_relative);
+      std::max(kMinRelativeSigma, pooled_relative);
   for (std::size_t s = 0; s < week; ++s) {
     sigmas_[s] = std::max(sigmas_[s], floor_relative * std::fabs(means_[s]));
     if (sigmas_[s] <= 0.0) sigmas_[s] = 1e-9;  // all-zero slot history
@@ -79,14 +90,14 @@ std::vector<Anomaly> TrafficAnomalyDetector::detect(
 
   auto close = [&](std::size_t end) {
     current.end_slot = end;
-    if (current.end_slot - current.begin_slot >= options_.min_duration)
+    if (current.end_slot - current.begin_slot >= kMinDuration)
       anomalies.push_back(current);
     open = false;
   };
 
   for (std::size_t s = 0; s < scores.size(); ++s) {
     const double z = scores[s];
-    if (std::fabs(z) >= options_.threshold) {
+    if (std::fabs(z) >= kThreshold) {
       if (!open) {
         open = true;
         current = Anomaly{};
@@ -101,7 +112,7 @@ std::vector<Anomaly> TrafficAnomalyDetector::detect(
       quiet = 0;
     } else if (open) {
       ++quiet;
-      if (quiet > options_.gap_tolerance) close(s - quiet + 1);
+      if (quiet > kGapTolerance) close(s - quiet + 1);
     }
   }
   if (open) close(scores.size() - quiet);

@@ -22,40 +22,22 @@ struct Anomaly {
   bool is_surge = true;        ///< traffic above (true) or below model
 };
 
-/// Detector options.
-struct AnomalyOptions {
-  /// |z|-score threshold to open an interval.
-  double threshold = 4.0;
-  /// Slots the score may dip below threshold without closing the interval
-  /// (bridges brief returns to normal inside one event).
-  std::size_t gap_tolerance = 2;
-  /// Dispersion floor as a fraction of the slot mean, guarding slots
-  /// whose history happened to be near-constant.
-  double min_relative_sigma = 0.05;
-  /// Minimum interval length in slots. Physical events span multiple
-  /// 10-minute slots; single-slot exceedances are sampling noise (with
-  /// ~1000 slots per scored week, a 4-sigma spike occurs by chance).
-  std::size_t min_duration = 2;
-};
-
 /// A per-slot-of-week traffic model fitted from history.
 class TrafficAnomalyDetector {
  public:
   /// Fits slot-of-week means and standard deviations. The history must
   /// cover at least two full weeks (one dispersion sample per slot).
   explicit TrafficAnomalyDetector(std::span<const double> history);
-  TrafficAnomalyDetector(std::span<const double> history,
-                         AnomalyOptions options);
 
   /// Z-score of each observation in a series that *continues* the history
   /// (slot phase continues where history ended).
   std::vector<double> score(std::span<const double> series) const;
 
-  /// Merged anomaly intervals in the series.
+  /// Merged anomaly intervals in the series: runs of |z| >= 4 that may
+  /// dip below it for up to 2 slots and last at least 2 slots.
   std::vector<Anomaly> detect(std::span<const double> series) const;
 
  private:
-  AnomalyOptions options_;
   std::vector<double> means_;
   std::vector<double> sigmas_;
   std::size_t phase_ = 0;  ///< slot-of-week where scoring starts

@@ -8,13 +8,16 @@ namespace cellscope {
 
 namespace {
 
+/// Number of leading weekly harmonics kept (k = 1..n on the 1008-slot
+/// week; the daily line is k = 7, half-day k = 14). 21 keeps everything
+/// through the 3-per-day harmonic.
+constexpr std::size_t kKeepHarmonics = 21;
+
 /// The smoothed mean week the forecaster tiles.
-std::vector<double> spectral_mean_week(std::span<const double> history,
-                                       const SpectralForecastOptions& options) {
+std::vector<double> spectral_mean_week(std::span<const double> history) {
   CS_CHECK_MSG(
       history.size() >= static_cast<std::size_t>(TimeGrid::kSlotsPerWeek),
       "spectral forecaster needs at least one week of history");
-  CS_CHECK_MSG(options.keep_harmonics >= 1, "keep at least one harmonic");
 
   // Mean week over all *complete* weeks in the history (partial tails
   // would bias weekday slots).
@@ -26,10 +29,10 @@ std::vector<double> spectral_mean_week(std::span<const double> history,
           history[w * TimeGrid::kSlotsPerWeek + static_cast<std::size_t>(s)];
   for (auto& v : week) v /= static_cast<double>(weeks);
 
-  // Harmonic truncation: keep DC and the first keep_harmonics lines.
+  // Harmonic truncation: keep DC and the first kKeepHarmonics lines.
   std::vector<std::size_t> keep;
   const std::size_t max_k =
-      std::min<std::size_t>(options.keep_harmonics, week.size() / 2);
+      std::min<std::size_t>(kKeepHarmonics, week.size() / 2);
   for (std::size_t k = 1; k <= max_k; ++k) keep.push_back(k);
   auto smoothed = reconstruct(week, keep);
   // Traffic is non-negative; the truncation can undershoot near deep
@@ -41,9 +44,8 @@ std::vector<double> spectral_mean_week(std::span<const double> history,
 }  // namespace
 
 std::vector<double> spectral_forecast(std::span<const double> history,
-                                      std::size_t horizon,
-                                      const SpectralForecastOptions& options) {
-  const auto week = spectral_mean_week(history, options);
+                                      std::size_t horizon) {
+  const auto week = spectral_mean_week(history);
   std::vector<double> out;
   out.reserve(horizon);
   for (std::size_t h = 0; h < horizon; ++h)

@@ -15,18 +15,11 @@
 
 namespace cellscope {
 
-/// Spectral forecaster options.
-struct SpectralForecastOptions {
-  /// Number of leading weekly harmonics kept (k = 1..n on the 1008-slot
-  /// week; the daily line is k = 7, half-day k = 14). 21 keeps everything
-  /// through the 3-per-day harmonic.
-  std::size_t keep_harmonics = 21;
-};
-
-/// Forecasts `horizon` slots following `history`. Requires at least one
-/// full week of history (the mean week needs every weekday represented).
+/// Forecasts `horizon` slots following `history`, tiling the mean week
+/// smoothed to DC plus its first 21 weekly harmonics. Requires at least
+/// one full week of history (the mean week needs every weekday
+/// represented).
 std::vector<double> spectral_forecast(std::span<const double> history,
-                                      std::size_t horizon,
-                                      const SpectralForecastOptions& options = {});
+                                      std::size_t horizon);
 
 }  // namespace cellscope

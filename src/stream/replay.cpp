@@ -77,7 +77,11 @@ TraceResult calibrated_feed(const std::vector<Tower>& towers,
   TraceResult trace = generate_trace(towers, intensity, options);
   ReplayOptions arrival;
   arrival.seed = seed ^ 0xA441FULL;
-  arrival.skew_window = 32;
+  // 32 positions per 200,000 records, rounded, at least 1: the jitter
+  // spans ~6.5 event minutes on average whatever the feed's density, so a
+  // sparse feed is no later against the lateness bound than a dense one.
+  arrival.skew_window =
+      std::max<std::size_t>(1, (32 * n_records + 100000) / 200000);
   arrival.late_fraction = 0.002;
   trace.logs = perturb_arrival_order(std::move(trace.logs), arrival);
   return trace;

@@ -287,56 +287,46 @@ bool check_header(const unsigned char* data, std::size_t len) {
   return version == kVersion;
 }
 
-namespace {
-
-/// Reads the trailer's footer offset from the last kTrailerBytes of a
-/// file. Returns false on a bad trailer magic.
-bool read_trailer(const unsigned char* trailer, std::uint64_t& footer_offset) {
-  if (read_u32(trailer + 8) != kTailMagic) return false;
-  footer_offset = read_u64(trailer);
-  return true;
-}
-
-/// parse_footer's validation of the footer region [footer_offset, file
-/// end): footer body, CRC, trailer and per-entry frame bounds.
-bool parse_footer_region(const unsigned char* region, std::size_t region_len,
-                         std::uint64_t footer_offset,
-                         std::vector<ChunkIndexEntry>& entries,
-                         std::string& error) {
+bool parse_footer(const unsigned char* data, std::size_t len,
+                  std::vector<ChunkIndexEntry>& entries, std::string& error) {
   entries.clear();
-  if (region_len < kFooterHeaderBytes + 4 + kTrailerBytes) {
-    error = "footer region too small";
+  constexpr std::size_t kMinTail = kFooterHeaderBytes + 4 + kTrailerBytes;
+  if (len < kHeaderBytes + kMinTail) {
+    error = "file too small for header + trailer";
     return false;
   }
-  const unsigned char* trailer = region + region_len - kTrailerBytes;
-  std::uint64_t echoed = 0;
-  if (!read_trailer(trailer, echoed)) {
+  const unsigned char* trailer = data + len - kTrailerBytes;
+  if (read_u32(trailer + 8) != kTailMagic) {
     error = "bad trailer magic (truncated or not a columnar trace)";
     return false;
   }
-  if (echoed != footer_offset) {
-    error = "trailer footer offset mismatch";
+  const std::uint64_t footer_offset = read_u64(trailer);
+  // Subtract rather than add on the right-hand side: a corrupted offset
+  // near UINT64_MAX must not wrap past the bound.
+  if (footer_offset < kHeaderBytes || footer_offset > len - kMinTail) {
+    error = "footer offset out of bounds";
     return false;
   }
-  if (read_u32(region) != kFooterMagic) {
+  const unsigned char* footer = data + footer_offset;
+  if (read_u32(footer) != kFooterMagic) {
     error = "bad footer magic";
     return false;
   }
-  const std::uint32_t n_chunks = read_u32(region + 4);
+  const std::uint32_t n_chunks = read_u32(footer + 4);
   const std::size_t footer_len =
       kFooterHeaderBytes + static_cast<std::size_t>(n_chunks) * kIndexEntryBytes;
-  if (footer_len + 4 + kTrailerBytes != region_len) {
+  if (footer_len + 4 + kTrailerBytes != len - footer_offset) {
     error = "footer length disagrees with file size";
     return false;
   }
-  if (crc32(region, footer_len) != read_u32(region + footer_len)) {
+  if (crc32(footer, footer_len) != read_u32(footer + footer_len)) {
     error = "footer CRC mismatch";
     return false;
   }
   entries.reserve(n_chunks);
   std::uint64_t cursor = kHeaderBytes;
   for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    const unsigned char* p = region + kFooterHeaderBytes + c * kIndexEntryBytes;
+    const unsigned char* p = footer + kFooterHeaderBytes + c * kIndexEntryBytes;
     ChunkIndexEntry entry;
     entry.offset = read_u64(p);
     entry.payload_len = read_u32(p + 8);
@@ -360,32 +350,6 @@ bool parse_footer_region(const unsigned char* region, std::size_t region_len,
     return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool parse_footer(const unsigned char* data, std::size_t len,
-                  std::vector<ChunkIndexEntry>& entries, std::string& error) {
-  entries.clear();
-  constexpr std::size_t kMinTail = kFooterHeaderBytes + 4 + kTrailerBytes;
-  if (len < kHeaderBytes + kMinTail) {
-    error = "file too small for header + trailer";
-    return false;
-  }
-  const unsigned char* trailer = data + len - kTrailerBytes;
-  std::uint64_t footer_offset = 0;
-  if (!read_trailer(trailer, footer_offset)) {
-    error = "bad trailer magic (truncated or not a columnar trace)";
-    return false;
-  }
-  // Subtract rather than add on the right-hand side: a corrupted offset
-  // near UINT64_MAX must not wrap past the bound.
-  if (footer_offset < kHeaderBytes || footer_offset > len - kMinTail) {
-    error = "footer offset out of bounds";
-    return false;
-  }
-  return parse_footer_region(data + footer_offset, len - footer_offset,
-                             footer_offset, entries, error);
 }
 
 IoMetrics& io_metrics() {

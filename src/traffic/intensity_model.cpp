@@ -7,11 +7,22 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Dirichlet concentrations used for comprehensive towers' mixtures,
+/// in pure-region order. The total concentration controls how tightly
+/// comprehensive towers bunch around the mean mix — high enough that
+/// they form their own cluster (the paper's pattern #5) yet low enough
+/// that they spread over the Fig. 17 polygon interior.
+constexpr std::array<double, 4> kComprehensiveAlpha = {24.0, 6.0, 24.0, 6.0};
+/// Log-sigma of the per-tower lognormal scale spread.
+constexpr double kScaleSigma = 0.45;
+
+}  // namespace
+
 IntensityModel IntensityModel::create(const std::vector<Tower>& towers,
                                       const IntensityOptions& options) {
   CS_CHECK_MSG(!towers.empty(), "need at least one tower");
-  CS_CHECK_MSG(options.purity_leak >= 0.0 && options.purity_leak < 1.0,
-               "purity_leak must be in [0, 1)");
   Rng rng(options.seed);
 
   // Expected cluster sizes calibrate per-tower scale so that cluster
@@ -30,16 +41,15 @@ IntensityModel IntensityModel::create(const std::vector<Tower>& towers,
     const int region = static_cast<int>(t.true_region);
 
     if (t.true_region == FunctionalRegion::kComprehensive) {
-      const auto alpha = std::vector<double>(
-          options.comprehensive_alpha.begin(),
-          options.comprehensive_alpha.end());
+      const auto alpha = std::vector<double>(kComprehensiveAlpha.begin(),
+                                             kComprehensiveAlpha.end());
       const auto w = rng.dirichlet(alpha);
       for (int i = 0; i < 4; ++i) m.mixture[i] = w[i];
     } else {
       // Nearly pure: leak a little mass to the other profiles so pure
       // clusters have realistic within-cluster spread.
       const auto leak = rng.dirichlet({1.0, 1.0, 1.0});
-      const double eps = options.purity_leak * rng.uniform();
+      const double eps = kPurityLeak * rng.uniform();
       int j = 0;
       for (int i = 0; i < 4; ++i) {
         if (i == region) {
@@ -52,8 +62,8 @@ IntensityModel IntensityModel::create(const std::vector<Tower>& towers,
     }
 
     // Lognormal scale spread with mean 1, centered on the cluster share.
-    const double sigma = options.scale_sigma;
-    const double unit = rng.lognormal(-sigma * sigma / 2.0, sigma);
+    const double unit =
+        rng.lognormal(-kScaleSigma * kScaleSigma / 2.0, kScaleSigma);
     const double denom = std::max<std::size_t>(1, counts[region]);
     m.scale = cluster_peak[region] / static_cast<double>(denom) * unit;
     m.noise_cv = options.noise_cv;

@@ -32,19 +32,13 @@ struct TowerTrafficModel {
   double noise_cv = 0.12;
 };
 
+/// Contamination mass spread over foreign profiles for pure towers: a
+/// pure tower keeps at least 1 - kPurityLeak of its mixture at home.
+inline constexpr double kPurityLeak = 0.04;
+
 /// Options for building the intensity model.
 struct IntensityOptions {
   std::uint64_t seed = 1234;
-  /// Contamination mass spread over foreign profiles for pure towers.
-  double purity_leak = 0.04;
-  /// Dirichlet concentrations used for comprehensive towers' mixtures,
-  /// in pure-region order. The total concentration controls how tightly
-  /// comprehensive towers bunch around the mean mix — high enough that
-  /// they form their own cluster (the paper's pattern #5) yet low enough
-  /// that they spread over the Fig. 17 polygon interior.
-  std::array<double, 4> comprehensive_alpha = {24.0, 6.0, 24.0, 6.0};
-  /// Log-sigma of the per-tower lognormal scale spread.
-  double scale_sigma = 0.45;
   /// Per-slot multiplicative noise CV.
   double noise_cv = 0.12;
 };

@@ -45,8 +45,6 @@ struct UserProfile {
 struct MobilityOptions {
   std::size_t n_users = 2000;
   double employment_rate = 0.75;
-  /// Probability of a weekend leisure outing (12:00-18:00).
-  double weekend_outing_prob = 0.6;
   std::uint64_t seed = 20140801;
 };
 

@@ -7,6 +7,18 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Mean sessions per user per hour at the daily activity peak.
+constexpr double kPeakSessionsPerHour = 1.5;
+/// Lognormal session bytes: exp(N(mu, sigma)).
+constexpr double kBytesMu = 11.0;  ///< median ≈ 60 KB
+constexpr double kBytesSigma = 1.2;
+/// Probability of a weekend leisure outing (12:00-18:00).
+constexpr double kWeekendOutingProb = 0.6;
+
+}  // namespace
+
 double activity_level(double hour_of_day) {
   CS_CHECK_MSG(hour_of_day >= 0.0 && hour_of_day < 24.0, "hour out of range");
   // Two-bump activity: midday and evening, deep night minimum.
@@ -22,8 +34,6 @@ std::vector<TrafficLog> generate_mobility_trace(
     const std::vector<Tower>& towers, const MobilityModel& mobility,
     const MobilityTraceOptions& options) {
   CS_CHECK_MSG(!towers.empty(), "need towers");
-  CS_CHECK_MSG(options.peak_sessions_per_hour > 0.0,
-               "session rate must be positive");
   CS_CHECK_MSG(options.day_begin >= 0 &&
                    options.day_begin < options.day_end &&
                    options.day_end <= TimeGrid::kDays,
@@ -44,7 +54,7 @@ std::vector<TrafficLog> generate_mobility_trace(
     Rng user_rng = rng.fork();
     // Weekend outing decision per weekend day, cached per user.
     for (std::size_t slot = slot_begin; slot < slot_end; ++slot) {
-      const double rate = options.peak_sessions_per_hour / 6.0 *
+      const double rate = kPeakSessionsPerHour / 6.0 *
                           activity_level(TimeGrid::hour_of_day(slot));
       const auto n_sessions = user_rng.poisson(rate);
       if (n_sessions == 0) continue;
@@ -55,7 +65,8 @@ std::vector<TrafficLog> generate_mobility_trace(
       if (mobility.place_at(user, slot) == UserPlace::kLeisure) {
         Rng outing_rng(user.user_id * 31 +
                        static_cast<std::uint64_t>(TimeGrid::day(slot)));
-        if (outing_rng.uniform() >= 0.6) tower_id = user.home_tower;
+        if (outing_rng.uniform() >= kWeekendOutingProb)
+          tower_id = user.home_tower;
       }
       CS_CHECK_MSG(tower_id < towers.size(), "tower id out of range");
       for (std::int64_t s = 0; s < n_sessions; ++s) {
@@ -71,7 +82,7 @@ std::vector<TrafficLog> generate_mobility_trace(
             log.start_minute + 1 +
             static_cast<std::uint32_t>(user_rng.exponential(1.0 / 6.0));
         log.bytes = static_cast<std::uint64_t>(std::max(
-            1.0, user_rng.lognormal(options.bytes_mu, options.bytes_sigma)));
+            1.0, user_rng.lognormal(kBytesMu, kBytesSigma)));
         logs.push_back(std::move(log));
       }
     }

@@ -19,11 +19,6 @@ namespace cellscope {
 /// Mobility-trace knobs.
 struct MobilityTraceOptions {
   std::uint64_t seed = 99;
-  /// Mean sessions per user per hour at the daily activity peak.
-  double peak_sessions_per_hour = 1.5;
-  /// Lognormal session bytes: exp(N(mu, sigma)).
-  double bytes_mu = 11.0;  ///< median ≈ 60 KB
-  double bytes_sigma = 1.2;
   /// Generate days [day_begin, day_end) of the grid.
   int day_begin = 0;
   int day_end = 7;

@@ -9,6 +9,13 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Mean session duration in minutes (exponential).
+constexpr double kMeanSessionMinutes = 8.0;
+
+}  // namespace
+
 TraceResult generate_trace(const std::vector<Tower>& towers,
                            const IntensityModel& intensity,
                            const TraceOptions& options) {
@@ -18,8 +25,6 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
   CS_CHECK_MSG(options.n_users > 0, "need at least one user");
   CS_CHECK_MSG(options.mean_session_bytes > 0.0,
                "mean_session_bytes must be positive");
-  CS_CHECK_MSG(options.mean_session_minutes > 0.0,
-               "mean_session_minutes must be positive");
   CS_CHECK_MSG(options.duplicate_prob >= 0.0 && options.duplicate_prob <= 1.0,
                "duplicate_prob must be a probability");
   CS_CHECK_MSG(options.conflict_prob >= 0.0 && options.conflict_prob <= 1.0,
@@ -90,7 +95,7 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
         }
         if (!found_key) continue;  // saturated slot; skip this session
         const double duration =
-            tower_rng.exponential(1.0 / options.mean_session_minutes);
+            tower_rng.exponential(1.0 / kMeanSessionMinutes);
         log.end_minute = std::min(
             grid_end_minute,
             log.start_minute + 1 +

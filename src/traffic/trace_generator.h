@@ -25,8 +25,6 @@ struct TraceOptions {
   /// Mean bytes per session; controls how many sessions a slot's expected
   /// bytes decompose into.
   double mean_session_bytes = 2.0e5;
-  /// Mean session duration in minutes (exponential).
-  double mean_session_minutes = 8.0;
   /// Probability of emitting an exact duplicate of a record.
   double duplicate_prob = 0.02;
   /// Probability of emitting a conflicting copy (same user/tower/start,

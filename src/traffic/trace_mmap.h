@@ -60,7 +60,6 @@ class MmapTraceReader {
   std::uint64_t record_count() const { return record_count_; }
   /// Bytes of file data this reader mapped.
   std::uint64_t bytes_mapped() const { return size_; }
-  const std::string& path() const { return path_; }
 
   bool chunk_overlaps(std::size_t i, const ChunkFilter& filter) const {
     const auto& e = index_[i];

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "core/experiment.h"
+#include "support/oracles.h"
 #include "traffic/profiles.h"
 
 namespace cellscope {
@@ -82,23 +84,24 @@ TEST(TimeFeatures, DetectsDoubleHumps) {
 }
 
 TEST(TimeFeatures, SecondaryFractionFiltersSmallBumps) {
-  std::vector<double> series(TimeGrid::kSlots);
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    const double h = TimeGrid::hour_of_day(s);
-    auto bump = [&](double center) {
-      double d = std::fabs(h - center);
-      d = std::min(d, 24.0 - d);
-      return std::exp(-d * d / 2.0);
-    };
-    series[s] = 0.05 + bump(12.0) + 0.3 * bump(20.0);  // minor bump
-  }
-  TimeFeatureOptions options;
-  options.secondary_fraction = 0.55;
-  const auto strict = compute_time_features(series, options);
-  EXPECT_EQ(strict.weekday.peak_hours.size(), 1u);
-  options.secondary_fraction = 0.2;
-  const auto lenient = compute_time_features(series, options);
-  EXPECT_EQ(lenient.weekday.peak_hours.size(), 2u);
+  // A second bump counts as a peak only at >= 0.55 of the main one.
+  auto two_bumps = [](double minor_height) {
+    std::vector<double> series(TimeGrid::kSlots);
+    for (std::size_t s = 0; s < series.size(); ++s) {
+      const double h = TimeGrid::hour_of_day(s);
+      auto bump = [&](double center) {
+        double d = std::fabs(h - center);
+        d = std::min(d, 24.0 - d);
+        return std::exp(-d * d / 2.0);
+      };
+      series[s] = 0.05 + bump(12.0) + minor_height * bump(20.0);
+    }
+    return series;
+  };
+  const auto small = compute_time_features(two_bumps(0.3));
+  EXPECT_EQ(small.weekday.peak_hours.size(), 1u);
+  const auto large = compute_time_features(two_bumps(0.7));
+  EXPECT_EQ(large.weekday.peak_hours.size(), 2u);
 }
 
 TEST(TimeFeatures, MeanDayHas144Slots) {
@@ -140,6 +143,26 @@ TEST_P(PeakPosition, PeakIsLocatedAnywhereOnTheClock) {
 INSTANTIATE_TEST_SUITE_P(Hours, PeakPosition,
                          ::testing::Values(0.0, 4.5, 8.0, 12.0, 15.5, 18.0,
                                            21.5, 23.5));
+
+TEST(TimeFeatures, PinsTheTwoHundredTowerCity) {
+  // Peak hours, peak and valley of the whole city's traffic (200 towers,
+  // seed 2015), weekday then weekend: FNV-1a 64 over their bytes.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 200;
+  const auto f =
+      compute_time_features(Experiment::run(config).total_aggregate());
+  std::uint64_t hash = kFnv1aBasis;
+  for (const DayTypeFeatures* d : {&f.weekday, &f.weekend}) {
+    hash = fnv1a(d->peak_hours.data(), d->peak_hours.size() * sizeof(double),
+                 hash);
+    for (const double v :
+         {d->max_traffic, d->min_traffic, d->peak_hour, d->valley_hour})
+      hash = fnv1a(&v, sizeof v, hash);
+  }
+  EXPECT_EQ(f.weekday.peak_hours.size(), 2u);
+  EXPECT_EQ(hash, 0x9650dcb2febc9e36ull);
+}
 
 }  // namespace
 }  // namespace cellscope

@@ -2,12 +2,14 @@
 # Drives cellscoped through its whole lifecycle: train, feed, classify,
 # serve, SIGINT, then require exit 0 and a non-empty checkpoint.
 #
-#   cellscoped_lifecycle.sh rounds|trace <cellscoped> <trace_convert> <dir>
+#   cellscoped_lifecycle.sh rounds|sparse|trace <cellscoped> <trace_convert> \
+#     <dir>
 #
 # "rounds" feeds two synthetic rounds of the calibrated trace, stops once
 # the "round 2:" line is out, and fails when round 1 counts a quarter or
 # more of its records late (the stream_late_ratio bound), or when round 2,
-# the same feed one grid later, counts a different number late. "trace"
+# the same feed one grid later, counts a different number late. "sparse"
+# does the same on a feed a tenth as dense (2,000 records). "trace"
 # writes the same city's month to a .ctb with trace_convert synth first,
 # stops once cellscoped's --trace pass reports, and fails unless that
 # pass read as many records as synth wrote. Logs and the checkpoint land
@@ -23,6 +25,9 @@ case $mode in
   rounds)
     ready='^round 2:'
     set -- --records=20000 --rounds=2 --pause-ms=0 ;;
+  sparse)
+    ready='^round 2:'
+    set -- --records=2000 --rounds=2 --pause-ms=0 ;;
   trace)
     "$convert" synth "$dir/city.ctb" --records=20000 --towers=40 \
       >"$dir/synth.log"
@@ -61,7 +66,7 @@ wait "$pid" || status=$?
 [ -s "$checkpoint" ] || fail "empty or missing checkpoint $checkpoint"
 
 case $mode in
-  rounds)
+  rounds|sparse)
     # "round 1: <records> records (...), watermark <m>, late <late>, ..."
     records=$(sed -n 's/^round 1: \([0-9]*\) records .*/\1/p' "$log")
     late=$(sed -n 's/^round 1: .*, late \([0-9]*\),.*/\1/p' "$log")
@@ -70,7 +75,7 @@ case $mode in
       fail "round 1: $late of $records records late (>= 25 %)"
     late2=$(sed -n 's/^round 2: .*, late \([0-9]*\),.*/\1/p' "$log")
     [ "$late2" = "$late" ] || fail "round 2 late '$late2', round 1 late $late"
-    echo "cellscoped rounds: rounds 1 and 2 each $late of $records late" ;;
+    echo "cellscoped $mode: rounds 1 and 2 each $late of $records late" ;;
   trace)
     # "<path>: <records> records in <ms> ms, ..."
     read_back=$(sed -n 's/^[^ ]*: \([0-9]*\) records in .*/\1/p' "$log")

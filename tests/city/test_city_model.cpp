@@ -103,10 +103,5 @@ TEST(CityModel, ConstructionValidatesShape) {
   EXPECT_THROW(CityModel(shanghai_bbox(), empty_sets), Error);
 }
 
-TEST(CityModel, RegionAtRejectsBadDominance) {
-  const auto city = CityModel::create_default();
-  EXPECT_THROW(city.region_at({31.2, 121.5}, 0.5), Error);
-}
-
 }  // namespace
 }  // namespace cellscope

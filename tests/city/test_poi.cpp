@@ -4,6 +4,9 @@
 
 #include "city/deployment.h"
 #include "common/error.h"
+#include "core/experiment.h"
+#include "support/oracles.h"
+#include "traffic/intensity_model.h"
 
 namespace cellscope {
 namespace {
@@ -149,6 +152,30 @@ TEST(PoiDatabase, RejectsNonPositiveScale) {
   PoiGenerationOptions bad;
   bad.scale = 0.0;
   EXPECT_THROW(PoiDatabase::generate(city, towers, bad), Error);
+}
+
+TEST(PoiDatabase, PinsTheTwoHundredTowerCity) {
+  // The POIs of the 200-tower city of seed 2015, conditioned on its
+  // traffic mixtures: FNV-1a 64 over each POI's type and position, in
+  // generation order.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 200;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  const auto towers = deploy_towers(city, recipe.deployment);
+  const auto intensity = IntensityModel::create(towers, recipe.intensity);
+  const auto db = PoiDatabase::generate(city, towers, intensity.mixtures(),
+                                        PoiGenerationOptions{});
+  std::uint64_t hash = kFnv1aBasis;
+  for (const auto& p : db.pois()) {
+    const int type = static_cast<int>(p.type);
+    hash = fnv1a(&type, sizeof type, hash);
+    hash = fnv1a(&p.position.lat, sizeof p.position.lat, hash);
+    hash = fnv1a(&p.position.lon, sizeof p.position.lon, hash);
+  }
+  EXPECT_EQ(db.pois().size(), 47996u);
+  EXPECT_EQ(hash, 0xb484461fba6e7a30ull);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/time_grid.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {
@@ -68,9 +69,7 @@ TEST(AnomalyDetector, DetectsAnOutage) {
 
 TEST(AnomalyDetector, GapToleranceMergesOneEvent) {
   const auto history = periodic_series(3, 0.02);
-  AnomalyOptions options;
-  options.gap_tolerance = 3;
-  const TrafficAnomalyDetector detector(history, options);
+  const TrafficAnomalyDetector detector(history);
   auto week = periodic_series(1, 0.02, 9);
   const std::size_t begin = 300;
   for (std::size_t s = begin; s < begin + 20; ++s) {
@@ -83,9 +82,7 @@ TEST(AnomalyDetector, GapToleranceMergesOneEvent) {
 
 TEST(AnomalyDetector, ZeroGapToleranceSplitsEvents) {
   const auto history = periodic_series(3, 0.02);
-  AnomalyOptions options;
-  options.gap_tolerance = 0;
-  const TrafficAnomalyDetector detector(history, options);
+  const TrafficAnomalyDetector detector(history);
   auto week = periodic_series(1, 0.02, 9);
   const std::size_t begin = 300;
   for (std::size_t s = begin; s < begin + 20; ++s) {
@@ -120,9 +117,6 @@ TEST(AnomalyDetector, SigmaFloorPreventsFalseAlarmsOnQuietSlots) {
 
 TEST(AnomalyDetector, ValidatesInput) {
   EXPECT_THROW(TrafficAnomalyDetector(periodic_series(1, 0.1)), Error);
-  AnomalyOptions bad;
-  bad.threshold = 0.0;
-  EXPECT_THROW(TrafficAnomalyDetector(periodic_series(2, 0.1), bad), Error);
 }
 
 // Property sweep: detection across surge magnitudes.
@@ -144,6 +138,33 @@ TEST_P(SurgeMagnitude, BigSurgesDetectedSmallOnesIgnored) {
 
 INSTANTIATE_TEST_SUITE_P(Factors, SurgeMagnitude,
                          ::testing::Values(1.0, 1.05, 1.1, 2.0, 3.0, 5.0));
+
+TEST(AnomalyDetector, PinsTheScoresAndIntervalsOfOneWeek) {
+  // A surge, an outage and a surge with a 2-slot dip in one noisy week:
+  // FNV-1a 64 over the scores and over each interval's fields.
+  const auto history = periodic_series(3, 0.05);
+  const TrafficAnomalyDetector detector(history);
+  auto week = periodic_series(1, 0.05, 7);
+  const std::size_t surge = TimeGrid::slot_at(2, 20, 0);
+  for (std::size_t s = surge; s < surge + 12; ++s) week[s] *= 3.0;
+  const std::size_t outage = TimeGrid::slot_at(1, 10, 0);
+  for (std::size_t s = outage; s < outage + 18; ++s) week[s] = 0.0;
+  for (std::size_t s = 300; s < 320; ++s)
+    if (s != 309 && s != 310) week[s] *= 3.0;
+  const auto scores = detector.score(week);
+  EXPECT_EQ(fnv1a(scores.data(), scores.size() * sizeof(double)),
+            0xc7bf944138624327ull);
+  const auto anomalies = detector.detect(week);
+  std::uint64_t hash = kFnv1aBasis;
+  for (const auto& a : anomalies) {
+    hash = fnv1a(&a.begin_slot, sizeof a.begin_slot, hash);
+    hash = fnv1a(&a.end_slot, sizeof a.end_slot, hash);
+    hash = fnv1a(&a.peak_score, sizeof a.peak_score, hash);
+    hash = fnv1a(&a.is_surge, sizeof a.is_surge, hash);
+  }
+  EXPECT_EQ(anomalies.size(), 3u);
+  EXPECT_EQ(hash, 0x3ed9e99f33810736ull);
+}
 
 }  // namespace
 }  // namespace cellscope

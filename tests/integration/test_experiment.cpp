@@ -288,17 +288,6 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/// FNV-1a 64 over `size` bytes at `data`, continuing from `hash`.
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t hash = 0xcbf29ce484222325ull) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 TEST(Experiment, BlockedZscorePassMatchesTheWholeCity) {
   // Stage 4 samples and z-scores the city a block of rows at a time and
   // never holds it. 333 towers is one full block plus a partial one;
@@ -373,7 +362,7 @@ TEST(Experiment, PinsTheTwoThousandTowerTraining) {
   ASSERT_EQ(e.n_clusters(), 5u);
   EXPECT_EQ(fnv1a(e.labels().data(), e.labels().size() * sizeof(int)),
             0x3c85ccd7ffc73a94ull);
-  std::uint64_t folded = 0xcbf29ce484222325ull;
+  std::uint64_t folded = kFnv1aBasis;
   for (const auto& row : e.folded())
     folded = fnv1a(row.data(), row.size() * sizeof(double), folded);
   EXPECT_EQ(folded, 0xb2c5937a9e8a1138ull);

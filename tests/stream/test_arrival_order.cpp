@@ -157,7 +157,7 @@ TEST(CalibratedFeed, PinsTheFortyTowerMonth) {
     mix(log.address.size());
     for (const char c : log.address) mix(static_cast<unsigned char>(c));
   }
-  EXPECT_EQ(hash, 0xba87505d9ca19f5full);
+  EXPECT_EQ(hash, 0xdd8bce916742c65ull);
 }
 
 }  // namespace

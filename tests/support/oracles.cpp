@@ -79,6 +79,15 @@ std::vector<std::vector<double>> emitted_clean_bytes(
   return clean;
 }
 
+std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 namespace obs {
 
 CheckResult check_zscore_rows(const std::vector<std::vector<double>>& rows,

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "city/tower.h"
@@ -34,6 +35,14 @@ std::array<std::size_t, kNumRegions> region_histogram(
 /// when a tower id is n_towers or more.
 std::vector<std::vector<double>> emitted_clean_bytes(
     const std::vector<TrafficLog>& logs, std::size_t n_towers);
+
+/// FNV-1a 64's offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64 over `size` bytes at `data`, continuing from `hash` — the
+/// fingerprint the pin tests hold a result's exact bytes to.
+std::uint64_t fnv1a(const void* data, std::size_t size,
+                    std::uint64_t hash = kFnv1aBasis);
 
 namespace obs {
 

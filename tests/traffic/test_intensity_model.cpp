@@ -8,6 +8,8 @@
 #include "city/deployment.h"
 #include "common/error.h"
 #include "common/stats.h"
+#include "core/experiment.h"
+#include "support/oracles.h"
 
 namespace cellscope {
 namespace {
@@ -36,13 +38,12 @@ TEST(IntensityModel, MixturesAreOnTheSimplex) {
 
 TEST(IntensityModel, PureTowersConcentrateOnOwnProfile) {
   const auto towers = make_towers(300);
-  IntensityOptions options;
-  const auto model = IntensityModel::create(towers, options);
+  const auto model = IntensityModel::create(towers, IntensityOptions{});
   for (const auto& t : towers) {
     if (t.true_region == FunctionalRegion::kComprehensive) continue;
     const auto& m = model.model(t.id);
     EXPECT_GE(m.mixture[static_cast<int>(t.true_region)],
-              1.0 - options.purity_leak - 1e-9);
+              1.0 - kPurityLeak - 1e-9);
   }
 }
 
@@ -152,11 +153,26 @@ TEST(IntensityModel, InvalidIdThrows) {
 }
 
 TEST(IntensityModel, InvalidOptionsThrow) {
-  const auto towers = make_towers(10);
-  IntensityOptions bad;
-  bad.purity_leak = 1.0;
-  EXPECT_THROW(IntensityModel::create(towers, bad), Error);
   EXPECT_THROW(IntensityModel::create({}, IntensityOptions{}), Error);
+}
+
+TEST(IntensityModel, PinsTheTwoHundredTowerCity) {
+  // The latent models of the 200-tower city of seed 2015: FNV-1a 64 over
+  // each tower's mixture and scale, in tower-id order.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 200;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  const auto towers = deploy_towers(city, recipe.deployment);
+  const auto model = IntensityModel::create(towers, recipe.intensity);
+  std::uint64_t hash = kFnv1aBasis;
+  for (std::uint32_t id = 0; id < model.size(); ++id) {
+    const auto& m = model.model(id);
+    hash = fnv1a(m.mixture.data(), sizeof m.mixture, hash);
+    hash = fnv1a(&m.scale, sizeof m.scale, hash);
+  }
+  EXPECT_EQ(hash, 0x637faedef53cadbcull);
 }
 
 }  // namespace

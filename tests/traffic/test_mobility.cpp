@@ -4,6 +4,8 @@
 
 #include "city/deployment.h"
 #include "common/error.h"
+#include "core/experiment.h"
+#include "support/oracles.h"
 #include "traffic/mobility_trace.h"
 
 namespace cellscope {
@@ -184,6 +186,36 @@ TEST(MobilityTrace, NightActivityIsSparse) {
     if (hour >= 11 && hour < 14) ++midday;
   }
   EXPECT_GT(midday, 4 * night);
+}
+
+TEST(MobilityTrace, PinsTheCommuteWeek) {
+  // ext_commute_flows' trace over the 200-tower city of seed 2015: 600
+  // users, days 0-5. FNV-1a 64 over every field of every record.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 200;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  const auto towers = deploy_towers(city, recipe.deployment);
+  MobilityOptions mobility_options;
+  mobility_options.n_users = 600;
+  mobility_options.seed = config.seed * 3 + 1;
+  MobilityTraceOptions trace_options;
+  trace_options.day_begin = 0;
+  trace_options.day_end = 5;
+  const auto logs = generate_mobility_trace(
+      towers, MobilityModel::create(towers, mobility_options), trace_options);
+  std::uint64_t hash = kFnv1aBasis;
+  for (const auto& log : logs) {
+    hash = fnv1a(&log.user_id, sizeof log.user_id, hash);
+    hash = fnv1a(&log.tower_id, sizeof log.tower_id, hash);
+    hash = fnv1a(&log.start_minute, sizeof log.start_minute, hash);
+    hash = fnv1a(&log.end_minute, sizeof log.end_minute, hash);
+    hash = fnv1a(&log.bytes, sizeof log.bytes, hash);
+    hash = fnv1a(log.address.data(), log.address.size(), hash);
+  }
+  EXPECT_EQ(logs.size(), 67414u);
+  EXPECT_EQ(hash, 0x38e5cf94c5a37f1cull);
 }
 
 }  // namespace
