@@ -26,7 +26,7 @@
 //
 // Flags (all optional):
 //   --port=N          listen port on 127.0.0.1 (default 8080, 0 = ephemeral)
-//   --workers=N       serving worker threads (default 4)
+//   --workers=N       serving worker threads, at most 4096 (default 4)
 //   --max-pending=N   admission-queue capacity, >= 1 (default 64)
 //   --towers=N        synthetic city size, >= 20 (default 200)
 //   --records=N       expected records per ingest round, >= 1
@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (auto v = examples::flag_u64(arg, "--port", 0, 65535))
       port = static_cast<std::uint16_t>(*v);
-    else if (auto v = examples::flag_u64(arg, "--workers", 1)) workers = *v;
+    else if (auto v = examples::flag_u64(arg, "--workers", 1, kMaxThreads))
+      workers = *v;
     else if (auto v = examples::flag_u64(arg, "--max-pending", 1))
       max_pending = *v;
     else if (auto v = examples::flag_u64(arg, "--towers", 20, UINT32_MAX))

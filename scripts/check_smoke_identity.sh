@@ -4,7 +4,10 @@
 # from BUILD_A and from BUILD_B and fails on any difference in what they
 # print on stdout or in the files they write. BENCH_*.json reports are
 # skipped (they carry timings); stderr is not compared (log lines carry
-# timings too).
+# timings too). Then it runs each tree's cellscoped.lifecycle_rounds test
+# command (tests/cellscoped_lifecycle.sh rounds: two synthetic rounds of
+# the daemon) and fails unless both print the same `feed:` and `round N:`
+# lines once their rec/s field is removed.
 #
 # Usage:
 #   scripts/check_smoke_identity.sh BUILD_A BUILD_B
@@ -12,10 +15,9 @@
 # Both trees must be built. Each run gets its own empty directory as
 # CELLSCOPE_OUT, CELLSCOPE_BENCH_DIR and working directory; that path is
 # replaced by OUT in the captured stdout before the comparison. The
-# smoke tests that are not one binary (the cellscoped lifecycle scripts)
-# are not run. Exits 0 when every binary printed and wrote the same
-# bytes in both trees, 1 on any difference or failed run, 2 on bad
-# arguments.
+# other lifecycle tests (sparse, trace) are not run. Exits 0 when every
+# binary printed and wrote the same bytes in both trees and the daemon
+# lines match, 1 on any difference or failed run, 2 on bad arguments.
 set -euo pipefail
 
 if [[ $# -ne 2 || ! -d $1 || ! -d $2 ]]; then
@@ -92,9 +94,48 @@ while read -r name binary; do
   fi
 done <"${work}/a.list"
 
+# Runs <tree>'s cellscoped.lifecycle_rounds command with <dir> as its
+# output directory (the command's last argument) and leaves the daemon's
+# feed and round lines, rec/s removed, in <dir>.lines.
+run_rounds() {
+  local tree=$1 dir=$2
+  local -a command
+  mapfile -t command < <(ctest --test-dir "${tree}" \
+      -R '^cellscoped\.lifecycle_rounds$' --show-only=json-v1 |
+    python3 -c '
+import json, sys
+tests = json.load(sys.stdin)["tests"]
+if len(tests) == 1:
+    print("\n".join(tests[0]["command"][:-1]))
+')
+  if [[ ${#command[@]} -eq 0 ]]; then
+    echo "  ${tree} has no cellscoped.lifecycle_rounds test" >&2
+    return 1
+  fi
+  if ! "${command[@]}" "${dir}" >"${dir}.out" 2>&1; then
+    echo "  ${tree}: cellscoped.lifecycle_rounds failed:" >&2
+    tail -n 20 "${dir}.out" >&2
+    return 1
+  fi
+  grep -E '^(feed|round [0-9]+):' "${dir}/cellscoped.log" |
+    sed -E 's| \([0-9]+ rec/s\)||' >"${dir}.lines"
+}
+
+same=1
+run_rounds "${tree_a}" "${work}/a/lifecycle_rounds" || same=0
+run_rounds "${tree_b}" "${work}/b/lifecycle_rounds" || same=0
+if [[ ${same} -eq 1 ]] &&
+    diff "${work}/a/lifecycle_rounds.lines" \
+      "${work}/b/lifecycle_rounds.lines" >&2; then
+  echo "same  cellscoped.lifecycle_rounds (feed and round lines)"
+else
+  echo "DIFF cellscoped.lifecycle_rounds: feed and round lines" >&2
+  status=1
+fi
+
 if [[ ${status} -ne 0 ]]; then
   echo "check_smoke_identity: differences found (see above)" >&2
   exit 1
 fi
 echo "check_smoke_identity: ${count} smoke binaries identical in stdout" \
-     "and written files"
+     "and written files; cellscoped feed and round lines identical"

@@ -7,6 +7,14 @@
 
 namespace cellscope {
 
+namespace {
+
+/// Only a consecutive session pair at most this many minutes apart is a
+/// transition (a phone silent for half a day is not a commute edge).
+constexpr std::uint32_t kMaxGapMinutes = 120;
+
+}  // namespace
+
 std::size_t FlowMatrix::total_cross() const {
   std::size_t total = 0;
   for (int a = 0; a < kNumRegions; ++a)
@@ -46,16 +54,14 @@ FlowMatrix commute_flows(std::span<const TrafficLog> logs,
     const auto& cur = *ordered[i];
     if (prev.user_id != cur.user_id) continue;
     if (cur.tower_id == prev.tower_id) continue;
-    if (cur.start_minute - prev.start_minute > options.max_gap_minutes)
-      continue;
+    if (cur.start_minute - prev.start_minute > kMaxGapMinutes) continue;
 
     // Attribute to the destination session's time-of-day.
     const std::uint32_t minute_of_day = cur.start_minute % (24 * 60);
     const double hour = static_cast<double>(minute_of_day) / 60.0;
     if (hour < options.hour_begin || hour >= options.hour_end) continue;
     const std::uint32_t day = cur.start_minute / (24 * 60);
-    const bool weekday = day % 7 < 5;  // the grid starts on a Monday
-    if (options.weekdays_only != weekday) continue;
+    if (day % 7 >= 5) continue;  // the grid starts on a Monday
 
     CS_CHECK_MSG(prev.tower_id < region_of_tower.size() &&
                      cur.tower_id < region_of_tower.size(),

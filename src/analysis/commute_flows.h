@@ -32,21 +32,18 @@ struct FlowMatrix {
 
 /// Options for the flow extraction.
 struct FlowOptions {
-  /// Only count a consecutive session pair as a transition when they are
-  /// at most this many minutes apart (a phone silent for half a day is
-  /// not a commute edge).
-  std::uint32_t max_gap_minutes = 120;
   /// Window of hours-of-day [begin, end) to attribute transitions to (the
   /// transition timestamp is the destination session's start).
   double hour_begin = 0.0;
   double hour_end = 24.0;
-  /// Restrict to weekdays (commutes) or weekends.
-  bool weekdays_only = true;
 };
 
-/// Extracts region-to-region transitions from logs. `region_of_tower[id]`
-/// maps tower ids to functional regions (typically the clustering labels,
-/// or ground truth). Logs need not be sorted.
+/// Extracts weekday region-to-region transitions from logs: a user's
+/// consecutive sessions on two towers at most 120 minutes apart, counted
+/// when the later one starts on a weekday (the commute; the grid starts
+/// on a Monday) inside the hour window. `region_of_tower[id]` maps tower
+/// ids to functional regions (typically the clustering labels, or ground
+/// truth). Logs need not be sorted.
 FlowMatrix commute_flows(std::span<const TrafficLog> logs,
                          const std::vector<FunctionalRegion>& region_of_tower,
                          const FlowOptions& options);

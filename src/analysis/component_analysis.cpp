@@ -23,8 +23,7 @@ double feature_distance(const std::array<double, 3>& a,
 
 std::size_t find_representative(
     const std::vector<std::array<double, 3>>& features,
-    const std::vector<int>& labels, int cluster,
-    const RepresentativeOptions& options, ThreadPool* pool) {
+    const std::vector<int>& labels, int cluster, ThreadPool* pool) {
   CS_CHECK_MSG(features.size() == labels.size() && !features.empty(),
                "features and labels must match");
 
@@ -44,8 +43,8 @@ std::size_t find_representative(
   const auto measure = [&](std::size_t m) {
     const std::size_t i = members[m];
     for (std::size_t j = 0; j < features.size(); ++j) {
-      if (j != i && feature_distance(features[i], features[j]) <=
-                        options.density_radius)
+      if (j != i &&
+          feature_distance(features[i], features[j]) <= kDensityRadius)
         ++neighbors[m];
     }
     double min_d = std::numeric_limits<double>::infinity();
@@ -61,7 +60,7 @@ std::size_t find_representative(
     double best_score = -1.0;
     std::size_t best = features.size();  // sentinel
     for (std::size_t m = 0; m < members.size(); ++m) {
-      if (enforce_density && neighbors[m] < options.min_neighbors)
+      if (enforce_density && neighbors[m] < kMinNeighbors)
         continue;  // noise point
       if (separation[m] > best_score) {
         best_score = separation[m];

@@ -21,14 +21,11 @@ namespace cellscope {
 
 class ThreadPool;
 
-/// Representative-selection knobs.
-struct RepresentativeOptions {
-  /// Feature-space radius of the density (noise) test.
-  double density_radius = 0.15;
-  /// Minimum neighbors within the radius for a tower to count as
-  /// non-noise.
-  std::size_t min_neighbors = 3;
-};
+/// Feature-space radius of the density (noise) test.
+inline constexpr double kDensityRadius = 0.15;
+/// Minimum neighbors within kDensityRadius for a tower to count as
+/// non-noise.
+inline constexpr std::size_t kMinNeighbors = 3;
 
 /// Index of the most representative tower of one cluster: the non-noise
 /// member farthest (in min-distance terms) from all towers of other
@@ -38,8 +35,7 @@ struct RepresentativeOptions {
 /// identical to the serial (nullptr) path.
 std::size_t find_representative(
     const std::vector<std::array<double, 3>>& features,
-    const std::vector<int>& labels, int cluster,
-    const RepresentativeOptions& options = {}, ThreadPool* pool = nullptr);
+    const std::vector<int>& labels, int cluster, ThreadPool* pool = nullptr);
 
 /// One tower's convex decomposition over the four primary components.
 struct Decomposition {

@@ -292,7 +292,7 @@ const std::array<std::size_t, 4>& Experiment::representatives() const {
                    "pure region has no cluster: " +
                        region_name(static_cast<FunctionalRegion>(r)));
       reps[r] = find_representative(qp_features, labels_,
-                                    static_cast<int>(*cluster), {}, &pool);
+                                    static_cast<int>(*cluster), &pool);
     }
     representatives_ = reps;
   }

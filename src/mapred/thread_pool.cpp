@@ -125,7 +125,7 @@ std::size_t default_thread_count() {
 
 std::size_t configured_thread_count() {
   return static_cast<std::size_t>(
-      env_u64("CELLSCOPE_THREADS", default_thread_count(), 1, 4096));
+      env_u64("CELLSCOPE_THREADS", default_thread_count(), 1, kMaxThreads));
 }
 
 }  // namespace cellscope

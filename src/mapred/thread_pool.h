@@ -84,10 +84,14 @@ void for_each_index(ThreadPool* pool, std::size_t n,
 /// pooled paths are genuinely concurrent even on single-core CI).
 std::size_t default_thread_count();
 
+/// Most threads a pool or a server's worker set may ask for.
+inline constexpr std::size_t kMaxThreads = 4096;
+
 /// Worker count for the analytics pools: the CELLSCOPE_THREADS environment
 /// variable when set, otherwise default_thread_count(). A value that is
-/// not an integer in [1, 4096] throws InvalidArgument. CELLSCOPE_THREADS=1 forces the serial path —
-/// results are bit-identical either way (DESIGN.md §8).
+/// not an integer in [1, kMaxThreads] throws InvalidArgument.
+/// CELLSCOPE_THREADS=1 forces the serial path — results are bit-identical
+/// either way (DESIGN.md §8).
 std::size_t configured_thread_count();
 
 }  // namespace cellscope

@@ -10,21 +10,14 @@ namespace cellscope {
 
 std::vector<TrafficLog> clean_logs(std::vector<TrafficLog> logs,
                                    CleanStats* stats) {
-  return clean_logs(std::move(logs), CleanerOptions{}, stats);
-}
-
-std::vector<TrafficLog> clean_logs(std::vector<TrafficLog> logs,
-                                   const CleanerOptions& options,
-                                   CleanStats* stats) {
   obs::StageSpan span("pipeline.clean", "pipeline", obs::LogLevel::kDebug);
   CleanStats local;
   local.input_records = logs.size();
 
   // Drop malformed records.
-  auto is_malformed = [&](const TrafficLog& log) {
+  auto is_malformed = [](const TrafficLog& log) {
     if (log.end_minute <= log.start_minute) return true;
     if (log.bytes == 0) return true;
-    if (options.validator && !options.validator(log)) return true;
     return false;
   };
   const auto before = logs.size();

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "traffic/trace_record.h"
@@ -25,20 +23,9 @@ struct CleanStats {
   std::size_t output_records = 0;
 };
 
-/// Cleaning configuration.
-struct CleanerOptions {
-  /// Optional extra validity predicate (e.g. "address must geocode");
-  /// records failing it count as malformed.
-  std::function<bool(const TrafficLog&)> validator;
-};
-
 /// Cleans a log batch. Output is sorted by (user, tower, start) — a
 /// deterministic order downstream stages may rely on.
 std::vector<TrafficLog> clean_logs(std::vector<TrafficLog> logs,
-                                   CleanStats* stats = nullptr);
-
-std::vector<TrafficLog> clean_logs(std::vector<TrafficLog> logs,
-                                   const CleanerOptions& options,
                                    CleanStats* stats = nullptr);
 
 }  // namespace cellscope

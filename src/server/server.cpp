@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "mapred/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -38,6 +39,9 @@ HttpResponse error_reply(int status, std::string_view reason) {
 QueryServer::QueryServer(QueryService& service, ServerConfig config)
     : service_(service), config_(config) {
   CS_CHECK_MSG(config_.workers >= 1, "server needs at least one worker");
+  if (config_.workers > kMaxThreads)
+    throw InvalidArgument("server workers " + std::to_string(config_.workers) +
+                          " exceed " + std::to_string(kMaxThreads));
   CS_CHECK_MSG(config_.max_pending >= 1,
                "admission queue needs capacity >= 1");
 }

@@ -48,7 +48,8 @@ struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 asks the kernel for an ephemeral port
   /// (read it back with port() — how every test binds).
   std::uint16_t port = 0;
-  /// Worker threads; each owns one connection at a time, so this is also
+  /// Worker threads, in [1, kMaxThreads] (the constructor throws
+  /// otherwise); each owns one connection at a time, so this is also
   /// the maximum number of concurrently-served connections.
   std::size_t workers = 4;
   /// Admission-queue capacity: connections accepted but not yet claimed

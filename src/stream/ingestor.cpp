@@ -23,9 +23,9 @@ std::uint64_t record_hash(const TrafficLog& log) {
                     log.end_minute);
 }
 
-std::uint64_t low_watermark_of(std::uint64_t watermark,
-                               std::uint32_t max_lateness) {
-  return watermark > max_lateness ? watermark - max_lateness : 0;
+std::uint64_t low_watermark_of(std::uint64_t watermark) {
+  return watermark > kMaxLatenessMinutes ? watermark - kMaxLatenessMinutes
+                                         : 0;
 }
 
 /// Raises `target` to `value` when `value` is larger.
@@ -180,7 +180,7 @@ StreamIngestor::ShardRuns StreamIngestor::arrive(std::size_t n,
         observed > r.start ? observed - r.start : 0;
     lag.observe_bucket(obs::pow2_minute_bucket(lag_minutes),
                        static_cast<double>(lag_minutes));
-    if (r.start + config_.max_lateness_minutes < observed) ++late;
+    if (r.start + kMaxLatenessMinutes < observed) ++late;
     if (r.end > observed) observed = r.end;
     const std::size_t s = r.tower % n_shards;
     ++runs.begins[s + 1];
@@ -405,8 +405,7 @@ IngestStats StreamIngestor::stats() const {
   stats.late = late_.load(std::memory_order_relaxed);
   stats.stale = stale_.load(std::memory_order_relaxed);
   stats.watermark_minute = watermark_minute_.load(std::memory_order_relaxed);
-  stats.low_watermark_minute =
-      low_watermark_of(stats.watermark_minute, config_.max_lateness_minutes);
+  stats.low_watermark_minute = low_watermark_of(stats.watermark_minute);
   return stats;
 }
 
@@ -429,8 +428,7 @@ std::vector<ShardStats> StreamIngestor::shard_stats() const {
     stats.dropped = shard.dropped.load(std::memory_order_relaxed);
     stats.watermark_minute =
         shard.watermark_minute.load(std::memory_order_relaxed);
-    stats.low_watermark_minute =
-        low_watermark_of(stats.watermark_minute, config_.max_lateness_minutes);
+    stats.low_watermark_minute = low_watermark_of(stats.watermark_minute);
     const std::uint64_t oldest =
         shard.oldest_unclassified_us.load(std::memory_order_relaxed);
     if (oldest != 0) {

@@ -24,8 +24,8 @@
 // equivalence contract, DESIGN.md §9; verified by ctest -L stream).
 //
 // Event-time progress: every shard tracks its own high watermark (largest
-// end_minute routed to it); the shard low-watermark trails it by the
-// configured lateness bound, and both only ever advance. Each offer also
+// end_minute routed to it); the shard low-watermark trails it by
+// kMaxLatenessMinutes, and both only ever advance. Each offer also
 // feeds an event-time lag histogram (how far behind the global watermark
 // a record's start is), each drain a processing-latency histogram
 // (offer() to window application, stamped per offer batch), and each
@@ -64,6 +64,11 @@ class Histogram;
 class HistogramBatch;
 }  // namespace obs
 
+/// A record whose start_minute trails the watermark (largest end_minute
+/// seen) by more than this is counted late. Late records still apply —
+/// the ring keeps four weeks — the counter feeds the lateness sentinel.
+inline constexpr std::uint32_t kMaxLatenessMinutes = 120;
+
 /// Ingest configuration. from_env() reads the operational knobs.
 struct StreamConfig {
   /// Number of lock stripes / window partitions (>= 1).
@@ -71,10 +76,6 @@ struct StreamConfig {
   /// Per-shard pending-queue capacity; offers beyond it are dropped and
   /// counted. 0 means unbounded (replay/test convenience).
   std::size_t queue_capacity = 65536;
-  /// A record whose start_minute trails the watermark (largest end_minute
-  /// seen) by more than this is counted late. Late records still apply —
-  /// the ring keeps four weeks — the counter feeds the lateness sentinel.
-  std::uint32_t max_lateness_minutes = 120;
 
   /// Reads CELLSCOPE_STREAM_SHARDS (an integer in [1, 65536]) and
   /// CELLSCOPE_STREAM_QUEUE (a positive integer) over the defaults above;

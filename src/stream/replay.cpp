@@ -71,17 +71,19 @@ TraceResult calibrated_feed(const std::vector<Tower>& towers,
   for (const auto& tower : towers)
     for (const double bytes : intensity.expected_series(tower.id))
       expected_bytes += bytes;
-  const double copies = 1.0 + options.duplicate_prob + options.conflict_prob;
+  const double copies = 1.0 + kDuplicateProb + kConflictProb;
   options.mean_session_bytes =
       expected_bytes * copies / static_cast<double>(n_records);
   TraceResult trace = generate_trace(towers, intensity, options);
   ReplayOptions arrival;
   arrival.seed = seed ^ 0xA441FULL;
-  // 32 positions per 200,000 records, rounded, at least 1: the jitter
+  // 32 positions per 200,000 records, rounded, at least 2: the jitter
   // spans ~6.5 event minutes on average whatever the feed's density, so a
   // sparse feed is no later against the lateness bound than a dense one.
+  // The floor is 2 because a window of 1 never reorders (a tie keeps
+  // read order).
   arrival.skew_window =
-      std::max<std::size_t>(1, (32 * n_records + 100000) / 200000);
+      std::max<std::size_t>(2, (32 * n_records + 100000) / 200000);
   arrival.late_fraction = 0.002;
   trace.logs = perturb_arrival_order(std::move(trace.logs), arrival);
   return trace;

@@ -71,15 +71,16 @@ std::vector<TrafficLog> perturb_arrival_order(std::vector<TrafficLog> logs,
                                               const ReplayOptions& options);
 
 /// The calibrated feed of a city whose experiment seed is `seed`:
-/// generate_trace over `towers` and `intensity` with its default 2 %
-/// duplicate and 1 % conflicting records (trace seed seed ^ 0x5E7E),
+/// generate_trace over `towers` and `intensity` with its 2 % duplicate
+/// and 1 % conflicting records (trace seed seed ^ 0x5E7E),
 /// mean_session_bytes sized so the month carries `n_records` records in
-/// expectation (Σ expected bytes × (1 + duplicate + conflict
-/// probability) / n_records), put in arrival order with late fraction
-/// 0.002 and skew max(1, (32 × n_records + 100,000) / 200,000) — 32 at
-/// 200,000 records, so the jitter spans the same event minutes at any
-/// density (arrival seed seed ^ 0xA441F). Returns generate_trace's
-/// result with its logs in that arrival order. Requires n_records >= 1.
+/// expectation (Σ expected bytes × (1 + kDuplicateProb + kConflictProb)
+/// / n_records), put in arrival order with late fraction 0.002 and skew
+/// max(2, (32 × n_records + 100,000) / 200,000) — 32 at 200,000 records,
+/// so the jitter spans the same event minutes at any density, and at
+/// least 2, the narrowest window that reorders (arrival seed
+/// seed ^ 0xA441F). Returns generate_trace's result with its logs in
+/// that arrival order. Requires n_records >= 1.
 TraceResult calibrated_feed(const std::vector<Tower>& towers,
                             const IntensityModel& intensity,
                             std::uint64_t seed, std::size_t n_records);

@@ -38,9 +38,6 @@ MobilityModel MobilityModel::create(const std::vector<Tower>& towers,
                                     const MobilityOptions& options) {
   CS_CHECK_MSG(!towers.empty(), "need towers");
   CS_CHECK_MSG(options.n_users > 0, "need users");
-  CS_CHECK_MSG(options.employment_rate >= 0.0 &&
-                   options.employment_rate <= 1.0,
-               "employment rate must be a probability");
   Rng rng(options.seed);
 
   const auto homes = towers_of(
@@ -59,7 +56,7 @@ MobilityModel MobilityModel::create(const std::vector<Tower>& towers,
     profile.user_id = u;
     profile.home_tower =
         static_cast<std::uint32_t>(towers[pick(homes, rng)].id);
-    profile.employed = rng.uniform() < options.employment_rate;
+    profile.employed = rng.uniform() < kEmploymentRate;
     profile.work_tower =
         static_cast<std::uint32_t>(towers[pick(offices, rng)].id);
     profile.leisure_tower =

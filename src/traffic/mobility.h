@@ -41,10 +41,12 @@ struct UserProfile {
   double transit_minutes = 40.0;
 };
 
+/// Probability that a user is employed (commutes on weekdays).
+inline constexpr double kEmploymentRate = 0.75;
+
 /// Mobility-model options.
 struct MobilityOptions {
   std::size_t n_users = 2000;
-  double employment_rate = 0.75;
   std::uint64_t seed = 20140801;
 };
 

@@ -22,13 +22,8 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
   CS_CHECK_MSG(!towers.empty(), "need at least one tower");
   CS_CHECK_MSG(towers.size() == intensity.size(),
                "towers and intensity model must match");
-  CS_CHECK_MSG(options.n_users > 0, "need at least one user");
   CS_CHECK_MSG(options.mean_session_bytes > 0.0,
                "mean_session_bytes must be positive");
-  CS_CHECK_MSG(options.duplicate_prob >= 0.0 && options.duplicate_prob <= 1.0,
-               "duplicate_prob must be a probability");
-  CS_CHECK_MSG(options.conflict_prob >= 0.0 && options.conflict_prob <= 1.0,
-               "conflict_prob must be a probability");
   CS_CHECK_MSG(
       options.day_begin >= 0 && options.day_begin < options.day_end &&
           options.day_end <= TimeGrid::kDays,
@@ -49,7 +44,7 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
   auto draw_user = [&]() {
     const double u = rng.uniform();
     return static_cast<std::uint64_t>(
-        u * u * static_cast<double>(options.n_users));
+        u * u * static_cast<double>(kUsers));
   };
 
   // A device opens at most one connection per minute per tower, so the
@@ -106,11 +101,11 @@ TraceResult generate_trace(const std::vector<Tower>& towers,
         result.logs.push_back(log);
 
         // Inject data-quality defects the cleaner must remove.
-        if (tower_rng.uniform() < options.duplicate_prob) {
+        if (tower_rng.uniform() < kDuplicateProb) {
           result.logs.push_back(result.logs.back());
           ++result.duplicates_injected;
         }
-        if (tower_rng.uniform() < options.conflict_prob) {
+        if (tower_rng.uniform() < kConflictProb) {
           TrafficLog conflict = log;
           // A re-logged connection with a stale, smaller byte count and a
           // different end time; the cleaner keeps the larger record.

@@ -16,20 +16,21 @@
 
 namespace cellscope {
 
+/// Subscriber population size (ids are drawn from a heavy-tailed usage
+/// distribution, mirroring the 150k-subscriber trace at reduced scale).
+inline constexpr std::size_t kUsers = 5000;
+/// Probability of emitting an exact duplicate of a record.
+inline constexpr double kDuplicateProb = 0.02;
+/// Probability of emitting a conflicting copy (same user/tower/start,
+/// different bytes and end time).
+inline constexpr double kConflictProb = 0.01;
+
 /// Trace generation knobs.
 struct TraceOptions {
   std::uint64_t seed = 777;
-  /// Subscriber population size (ids are drawn from a heavy-tailed usage
-  /// distribution, mirroring the 150k-subscriber trace at reduced scale).
-  std::size_t n_users = 5000;
   /// Mean bytes per session; controls how many sessions a slot's expected
   /// bytes decompose into.
   double mean_session_bytes = 2.0e5;
-  /// Probability of emitting an exact duplicate of a record.
-  double duplicate_prob = 0.02;
-  /// Probability of emitting a conflicting copy (same user/tower/start,
-  /// different bytes and end time).
-  double conflict_prob = 0.01;
   /// Generate only days [day_begin, day_end) of the 28-day grid — session
   /// mode is detailed, so tests and benches often restrict the window.
   int day_begin = 0;

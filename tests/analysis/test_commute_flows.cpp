@@ -49,16 +49,15 @@ TEST(CommuteFlows, IgnoresSameTowerAndDifferentUsers) {
 }
 
 TEST(CommuteFlows, GapLimitSplitsStalePairs) {
+  // Pairs more than 120 minutes apart are not transitions.
   const std::vector<FunctionalRegion> regions = {
       FunctionalRegion::kResident, FunctionalRegion::kOffice};
-  const std::vector<TrafficLog> logs = {log_at(1, 0, 480),
-                                        log_at(1, 1, 480 + 300)};
-  FlowOptions tight;
-  tight.max_gap_minutes = 120;
-  EXPECT_EQ(commute_flows(logs, regions, tight).total_cross(), 0u);
-  FlowOptions loose;
-  loose.max_gap_minutes = 400;
-  EXPECT_EQ(commute_flows(logs, regions, loose).total_cross(), 1u);
+  const std::vector<TrafficLog> stale = {log_at(1, 0, 480),
+                                         log_at(1, 1, 480 + 300)};
+  EXPECT_EQ(commute_flows(stale, regions, FlowOptions{}).total_cross(), 0u);
+  const std::vector<TrafficLog> fresh = {log_at(1, 0, 480),
+                                         log_at(1, 1, 480 + 100)};
+  EXPECT_EQ(commute_flows(fresh, regions, FlowOptions{}).total_cross(), 1u);
 }
 
 TEST(CommuteFlows, HourWindowFilters) {
@@ -77,17 +76,14 @@ TEST(CommuteFlows, HourWindowFilters) {
 }
 
 TEST(CommuteFlows, WeekendFilterWorks) {
+  // Only weekday transitions count.
   const std::vector<FunctionalRegion> regions = {
       FunctionalRegion::kResident, FunctionalRegion::kEntertainment};
   // Saturday (day 5) 13:00.
   const std::uint32_t saturday = 5 * 24 * 60;
   const std::vector<TrafficLog> logs = {log_at(1, 0, saturday + 12 * 60),
                                         log_at(1, 1, saturday + 13 * 60)};
-  FlowOptions weekday;
-  EXPECT_EQ(commute_flows(logs, regions, weekday).total_cross(), 0u);
-  FlowOptions weekend;
-  weekend.weekdays_only = false;
-  EXPECT_EQ(commute_flows(logs, regions, weekend).total_cross(), 1u);
+  EXPECT_EQ(commute_flows(logs, regions, FlowOptions{}).total_cross(), 0u);
 }
 
 TEST(CommuteFlows, UnsortedInputIsHandled) {

@@ -12,8 +12,8 @@ namespace {
 
 using Feature = std::array<double, 3>;
 
-/// Two clusters in feature space: one around the origin, one around
-/// (10, 0, 0), with an extra extreme-but-dense point and a lone outlier.
+/// Two dense clusters in feature space (spread a third of
+/// kDensityRadius): one around the origin, one around (10, 0, 0).
 struct Setup {
   std::vector<Feature> features;
   std::vector<int> labels;
@@ -22,16 +22,17 @@ struct Setup {
 Setup make_setup() {
   Setup s;
   Rng rng(1);
+  const double spread = kDensityRadius / 3.0;
   // Cluster 0 around origin.
   for (int i = 0; i < 20; ++i) {
-    s.features.push_back({rng.normal(0.0, 0.05), rng.normal(0.0, 0.05),
-                          rng.normal(0.0, 0.05)});
+    s.features.push_back({rng.normal(0.0, spread), rng.normal(0.0, spread),
+                          rng.normal(0.0, spread)});
     s.labels.push_back(0);
   }
   // Cluster 1 around (10, 0, 0).
   for (int i = 0; i < 20; ++i) {
-    s.features.push_back({10.0 + rng.normal(0.0, 0.05),
-                          rng.normal(0.0, 0.05), rng.normal(0.0, 0.05)});
+    s.features.push_back({10.0 + rng.normal(0.0, spread),
+                          rng.normal(0.0, spread), rng.normal(0.0, spread)});
     s.labels.push_back(1);
   }
   return s;
@@ -40,15 +41,13 @@ Setup make_setup() {
 TEST(Representative, PicksTheFarthestDensePoint) {
   auto s = make_setup();
   // A small dense knot of cluster-0 points farther from cluster 1 than
-  // the origin knot.
-  for (int i = 0; i < 5; ++i) {
-    s.features.push_back({-5.0 + 0.01 * i, 0.0, 0.0});
+  // the origin knot: each has kMinNeighbors + 1 neighbors within
+  // kDensityRadius.
+  for (std::size_t i = 0; i < kMinNeighbors + 2; ++i) {
+    s.features.push_back({-5.0 + 0.1 * kDensityRadius * i, 0.0, 0.0});
     s.labels.push_back(0);
   }
-  RepresentativeOptions options;
-  options.density_radius = 0.5;
-  options.min_neighbors = 3;
-  const auto rep = find_representative(s.features, s.labels, 0, options);
+  const auto rep = find_representative(s.features, s.labels, 0);
   // Must be one of the knot points at x = -5.
   EXPECT_LT(s.features[rep][0], -4.0);
 }
@@ -59,23 +58,18 @@ TEST(Representative, RejectsIsolatedOutliers) {
   // neighbors, it is a noise point and must not be chosen.
   s.features.push_back({-50.0, 0.0, 0.0});
   s.labels.push_back(0);
-  RepresentativeOptions options;
-  options.density_radius = 0.5;
-  options.min_neighbors = 3;
-  const auto rep = find_representative(s.features, s.labels, 0, options);
+  const auto rep = find_representative(s.features, s.labels, 0);
   EXPECT_GT(s.features[rep][0], -1.0);  // stayed with the dense knot
 }
 
 TEST(Representative, FallsBackWhenEverythingIsSparse) {
-  // Three isolated points per cluster; nothing passes the density test,
-  // so the fallback picks the farthest point regardless.
+  // Three points, each far more than kDensityRadius from the others;
+  // nothing passes the density test, so the fallback picks the farthest
+  // point regardless.
   std::vector<Feature> features = {
       {0.0, 0.0, 0.0}, {100.0, 0.0, 0.0}, {-100.0, 0.0, 0.0}};
   std::vector<int> labels = {0, 1, 0};
-  RepresentativeOptions options;
-  options.density_radius = 0.1;
-  options.min_neighbors = 5;
-  const auto rep = find_representative(features, labels, 0, options);
+  const auto rep = find_representative(features, labels, 0);
   EXPECT_EQ(rep, 2u);  // (-100,0,0) is farthest from cluster 1
 }
 

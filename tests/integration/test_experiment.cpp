@@ -368,6 +368,18 @@ TEST(Experiment, PinsTheTwoThousandTowerTraining) {
   EXPECT_EQ(folded, 0xb2c5937a9e8a1138ull);
 }
 
+TEST(Experiment, PinsTheRepresentativesOfTheTwoThousandTowerTraining) {
+  // The four primary towers (§5.3) of the same training, as row indices
+  // in pure-region order, pinned by FNV-1a 64 over their bytes.
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 2000;
+  const auto e = Experiment::run(config);
+  const auto reps = e.representatives();
+  EXPECT_EQ(fnv1a(reps.data(), reps.size() * sizeof(std::size_t)),
+            0xdea9ef82ed068b1cull);
+}
+
 TEST(Experiment, ValidatesConfig) {
   ExperimentConfig tiny;
   tiny.n_towers = 5;

@@ -407,8 +407,7 @@ TEST(ParallelEquivalence, CountRadiusMatchesQuerySizeAtClampedEdges) {
 /// member is noise.
 std::size_t representative_oracle(
     const std::vector<std::array<double, 3>>& features,
-    const std::vector<int>& labels, int cluster,
-    const RepresentativeOptions& options) {
+    const std::vector<int>& labels, int cluster) {
   const auto dist = [&](std::size_t i, std::size_t j) {
     double s = 0.0;
     for (int d = 0; d < 3; ++d)
@@ -422,8 +421,8 @@ std::size_t representative_oracle(
       if (labels[i] != cluster) continue;
       std::size_t neighbors = 0;
       for (std::size_t j = 0; j < features.size(); ++j)
-        if (j != i && dist(i, j) <= options.density_radius) ++neighbors;
-      if (enforce_density && neighbors < options.min_neighbors) continue;
+        if (j != i && dist(i, j) <= kDensityRadius) ++neighbors;
+      if (enforce_density && neighbors < kMinNeighbors) continue;
       double min_d = std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < features.size(); ++j)
         if (labels[j] != cluster) min_d = std::min(min_d, dist(i, j));
@@ -440,35 +439,42 @@ std::size_t representative_oracle(
 TEST(ParallelEquivalence, RepresentativeIdenticalAcrossThreadCounts) {
   // Three clusters of 3-D features with duplicated points, so density
   // counts and separations tie and the ascending-order argmax decides.
-  Rng rng(19);
-  std::vector<std::array<double, 3>> features;
-  std::vector<int> labels;
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 60; ++i) {
-      const std::array<double, 3> f = {c + 0.2 * rng.normal(),
-                                       0.2 * rng.normal(), 0.2 * rng.normal()};
-      features.push_back(f);
-      labels.push_back(c);
-      if (i % 2 == 0) {  // an exact duplicate
+  // Dense: points spread 0.2, a little over kDensityRadius, so some
+  // members are noise. Sparse: distinct points 2 kDensityRadius apart,
+  // so a member has at most its duplicate within the radius, fewer than
+  // kMinNeighbors, and the all-noise fallback decides.
+  struct Layout {
+    std::vector<std::array<double, 3>> features;
+    std::vector<int> labels;
+    void add(const std::array<double, 3>& f, int cluster, bool duplicate) {
+      for (int copy = 0; copy < (duplicate ? 2 : 1); ++copy) {
         features.push_back(f);
-        labels.push_back(c);
+        labels.push_back(cluster);
       }
     }
+  };
+  Rng rng(19);
+  Layout dense;
+  Layout sparse;
+  for (int c = 0; c < 3; ++c) {
+    for (int i = 0; i < 60; ++i) {
+      dense.add({c + 0.2 * rng.normal(), 0.2 * rng.normal(),
+                 0.2 * rng.normal()},
+                c, i % 2 == 0);
+      sparse.add({100.0 * c + 2.0 * kDensityRadius * i, 0.0, 0.0}, c,
+                 i % 2 == 0);
+    }
   }
+  static_assert(kMinNeighbors > 1);
   ThreadPool pool1(1);
   ThreadPool pool8(8);
-  RepresentativeOptions dense;  // library defaults: some members are noise
-  RepresentativeOptions sparse;  // nobody passes: the all-noise fallback
-  sparse.density_radius = 1e-9;
-  sparse.min_neighbors = 2;
-  for (const auto& options : {dense, sparse}) {
+  for (const Layout* layout : {&dense, &sparse}) {
+    const auto& [features, labels] = *layout;
     for (int c = 0; c < 3; ++c) {
-      const auto want = representative_oracle(features, labels, c, options);
-      EXPECT_EQ(want, find_representative(features, labels, c, options));
-      EXPECT_EQ(want,
-                find_representative(features, labels, c, options, &pool1));
-      EXPECT_EQ(want,
-                find_representative(features, labels, c, options, &pool8));
+      const auto want = representative_oracle(features, labels, c);
+      EXPECT_EQ(want, find_representative(features, labels, c));
+      EXPECT_EQ(want, find_representative(features, labels, c, &pool1));
+      EXPECT_EQ(want, find_representative(features, labels, c, &pool8));
     }
   }
 }

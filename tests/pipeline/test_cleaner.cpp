@@ -78,20 +78,6 @@ TEST(Cleaner, DropsMalformedRecords) {
   EXPECT_EQ(stats.malformed_dropped, 3u);
 }
 
-TEST(Cleaner, CustomValidatorCountsAsMalformed) {
-  CleanerOptions options;
-  options.validator = [](const TrafficLog& log) {
-    return log.tower_id != 13;  // reject the unlucky tower
-  };
-  std::vector<TrafficLog> logs = {make_log(1, 13, 0, 100),
-                                  make_log(2, 14, 0, 100)};
-  CleanStats stats;
-  const auto cleaned = clean_logs(logs, options, &stats);
-  ASSERT_EQ(cleaned.size(), 1u);
-  EXPECT_EQ(cleaned[0].tower_id, 14u);
-  EXPECT_EQ(stats.malformed_dropped, 1u);
-}
-
 TEST(Cleaner, OutputIsSortedByUserTowerStart) {
   std::vector<TrafficLog> logs = {make_log(5, 2, 30, 10),
                                   make_log(1, 9, 20, 10),

@@ -77,6 +77,21 @@ std::vector<TrafficLog> tower_logs(std::uint32_t tower_id,
   return logs;
 }
 
+TEST(QueryServerConfig, RejectsMoreWorkersThanThreadsAllowed) {
+  // Construction only: start() would spawn the workers.
+  ThreadPool pool(1);
+  StreamIngestor ingestor;
+  QueryService service(ingestor, &pool);
+  const auto with_workers = [](std::size_t workers) {
+    ServerConfig config;
+    config.workers = workers;
+    return config;
+  };
+  EXPECT_THROW(QueryServer(service, with_workers(4097)), InvalidArgument);
+  EXPECT_THROW(QueryServer(service, with_workers(0)), Error);
+  EXPECT_NO_THROW(QueryServer(service, with_workers(4096)));
+}
+
 // The acceptance pin of ISSUE 9: ≥8 client threads hammer a daemon whose
 // ingestor is being fed and whose model is being republished the whole
 // time; every in-flight answer must be a well-formed success, and once

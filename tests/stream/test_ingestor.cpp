@@ -86,7 +86,6 @@ TEST(StreamIngestor, WatermarkAndLatenessAccounting) {
   StreamConfig config;
   config.n_shards = 2;
   config.queue_capacity = 0;
-  config.max_lateness_minutes = 120;
   StreamIngestor ingestor(config);
 
   TrafficLog head = make_log(1, 995, 10);

@@ -40,8 +40,6 @@ class StreamSnapshotTest : public ::testing::Test {
     TraceOptions options;
     options.day_begin = 0;
     options.day_end = 2;
-    options.duplicate_prob = 0.0;
-    options.conflict_prob = 0.0;
     logs_ = generate_trace(towers_, intensity, options).logs;
   }
 

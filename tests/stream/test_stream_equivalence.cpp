@@ -30,12 +30,11 @@ class StreamEquivalenceTest : public ::testing::Test {
     const auto intensity = IntensityModel::create(towers_, IntensityOptions{});
 
     // Full 28-day trace, sessions coarsened 10x so all four weeks stay
-    // affordable. No injected defects: the contract is about aggregation
-    // order, and the cleaner runs upstream of both paths in production.
+    // affordable. Its duplicate and conflicting copies stay in: both
+    // paths see the same records, and the contract is about aggregation
+    // order.
     TraceOptions options;
     options.mean_session_bytes = 2.0e6;
-    options.duplicate_prob = 0.0;
-    options.conflict_prob = 0.0;
     logs_ = generate_trace(towers_, intensity, options).logs;
     ASSERT_GT(logs_.size(), 10000u);
   }

@@ -32,9 +32,7 @@ TrafficLog make_log(std::uint32_t tower, std::uint32_t start,
 }
 
 TEST(Watermark, LowWatermarkTrailsWatermarkByLatenessBound) {
-  StreamIngestor ingestor(
-      StreamConfig{.n_shards = 2, .queue_capacity = 0,
-                   .max_lateness_minutes = 120});
+  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
   // Before the lateness bound is cleared, the low watermark clamps to 0.
   ingestor.offer(make_log(0, 50, 10));
   EXPECT_EQ(ingestor.stats().watermark_minute, 60u);
@@ -43,7 +41,7 @@ TEST(Watermark, LowWatermarkTrailsWatermarkByLatenessBound) {
   ingestor.offer(make_log(0, 500, 10));
   const auto stats = ingestor.stats();
   EXPECT_EQ(stats.watermark_minute, 510u);
-  EXPECT_EQ(stats.low_watermark_minute, 510u - 120u);
+  EXPECT_EQ(stats.low_watermark_minute, 510u - kMaxLatenessMinutes);
 }
 
 TEST(Watermark, LateRecordNeverRegressesTheWatermark) {
@@ -63,8 +61,7 @@ TEST(Watermark, LateRecordNeverRegressesTheWatermark) {
 
 TEST(Watermark, PerShardWatermarksTrackOnlyRoutedRecords) {
   // Two shards; tower 0 routes to shard 0, tower 1 to shard 1.
-  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0,
-                                       .max_lateness_minutes = 100});
+  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
   ingestor.offer(make_log(0, 990, 10));  // shard 0: end 1000
   ingestor.offer(make_log(1, 295, 5));   // shard 1: end 300
 
@@ -72,13 +69,13 @@ TEST(Watermark, PerShardWatermarksTrackOnlyRoutedRecords) {
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_EQ(shards[0].shard, 0u);
   EXPECT_EQ(shards[0].watermark_minute, 1000u);
-  EXPECT_EQ(shards[0].low_watermark_minute, 900u);
+  EXPECT_EQ(shards[0].low_watermark_minute, 880u);
   EXPECT_EQ(shards[1].watermark_minute, 300u);
-  EXPECT_EQ(shards[1].low_watermark_minute, 200u);
+  EXPECT_EQ(shards[1].low_watermark_minute, 180u);
   // The global watermark is the max over shards; the global low watermark
   // derives from it (the lateness frontier), not from the slowest shard.
   EXPECT_EQ(ingestor.stats().watermark_minute, 1000u);
-  EXPECT_EQ(ingestor.stats().low_watermark_minute, 900u);
+  EXPECT_EQ(ingestor.stats().low_watermark_minute, 880u);
 }
 
 TEST(Watermark, MonotoneUnderOutOfOrderAndLateReplay) {
@@ -185,12 +182,11 @@ TEST(RecordLatency, ApplyAndEndToEndHistogramsFill) {
 }
 
 TEST(StreamStatus, JsonCarriesGlobalsAndPerShardFields) {
-  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0,
-                                       .max_lateness_minutes = 100});
+  StreamIngestor ingestor(StreamConfig{.n_shards = 2, .queue_capacity = 0});
   ingestor.offer(make_log(0, 400, 10));
   const std::string json = ingestor.status_json();
   EXPECT_NE(json.find("\"watermark_minute\":410"), std::string::npos);
-  EXPECT_NE(json.find("\"low_watermark_minute\":310"), std::string::npos);
+  EXPECT_NE(json.find("\"low_watermark_minute\":290"), std::string::npos);
   EXPECT_NE(json.find("\"shards\":[{\"shard\":0"), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":1"), std::string::npos);
   EXPECT_NE(json.find("\"unclassified_age_ms\":"), std::string::npos);

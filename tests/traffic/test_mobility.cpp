@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/commute_flows.h"
 #include "city/deployment.h"
 #include "common/error.h"
 #include "core/experiment.h"
@@ -43,21 +46,24 @@ TEST(MobilityModel, EmploymentRateIsRespected) {
   const auto towers = make_towers();
   MobilityOptions options;
   options.n_users = 2000;
-  options.employment_rate = 0.7;
   const auto model = MobilityModel::create(towers, options);
   std::size_t employed = 0;
   for (const auto& user : model.users())
     if (user.employed) ++employed;
-  EXPECT_NEAR(static_cast<double>(employed) / 2000.0, 0.7, 0.04);
+  EXPECT_NEAR(static_cast<double>(employed) / 2000.0, kEmploymentRate, 0.04);
 }
 
 TEST(MobilityModel, WeekdayScheduleFollowsTheCommute) {
   const auto towers = make_towers();
   MobilityOptions options;
   options.n_users = 50;
-  options.employment_rate = 1.0;
   const auto model = MobilityModel::create(towers, options);
-  const auto& user = model.users().front();
+  const auto& users = model.users();
+  const auto employed = std::find_if(
+      users.begin(), users.end(),
+      [](const UserProfile& user) { return user.employed; });
+  ASSERT_NE(employed, users.end());
+  const auto& user = *employed;
 
   // 5:00 Monday: home. Midday: work. 23:00: home again.
   EXPECT_EQ(model.place_at(user, TimeGrid::slot_at(0, 5, 0)),
@@ -92,13 +98,16 @@ TEST(MobilityModel, UnemployedUsersStayHomeOnWeekdays) {
   const auto towers = make_towers();
   MobilityOptions options;
   options.n_users = 50;
-  options.employment_rate = 0.0;
   const auto model = MobilityModel::create(towers, options);
+  std::size_t unemployed = 0;
   for (const auto& user : model.users()) {
+    if (user.employed) continue;
+    ++unemployed;
     for (int hour = 0; hour < 24; hour += 3)
       EXPECT_EQ(model.place_at(user, TimeGrid::slot_at(0, hour, 0)),
                 UserPlace::kHome);
   }
+  EXPECT_GT(unemployed, 0u);
 }
 
 TEST(MobilityModel, WeekendsUseTheLeisureWindow) {
@@ -121,9 +130,6 @@ TEST(MobilityModel, ValidatesOptions) {
   MobilityOptions bad;
   bad.n_users = 0;
   EXPECT_THROW(MobilityModel::create(towers, bad), Error);
-  MobilityOptions bad2;
-  bad2.employment_rate = 1.5;
-  EXPECT_THROW(MobilityModel::create(towers, bad2), Error);
   EXPECT_THROW(MobilityModel::create({}, MobilityOptions{}), Error);
 }
 
@@ -141,7 +147,6 @@ TEST(MobilityTrace, LogsFollowTheSchedule) {
   const auto towers = make_towers();
   MobilityOptions mobility_options;
   mobility_options.n_users = 60;
-  mobility_options.employment_rate = 1.0;
   const auto model = MobilityModel::create(towers, mobility_options);
   MobilityTraceOptions trace_options;
   trace_options.day_begin = 0;
@@ -188,23 +193,35 @@ TEST(MobilityTrace, NightActivityIsSparse) {
   EXPECT_GT(midday, 4 * night);
 }
 
-TEST(MobilityTrace, PinsTheCommuteWeek) {
-  // ext_commute_flows' trace over the 200-tower city of seed 2015: 600
-  // users, days 0-5. FNV-1a 64 over every field of every record.
+/// ext_commute_flows' week over the 200-tower city of seed 2015: 600
+/// users, days 0-5.
+struct CommuteWeek {
+  std::vector<Tower> towers;
+  std::vector<TrafficLog> logs;
+};
+
+CommuteWeek commute_week() {
   ExperimentConfig config;
   config.seed = 2015;
   config.n_towers = 200;
   const CityRecipe recipe = city_recipe(config);
   const auto city = CityModel::create_default(recipe.city_seed);
-  const auto towers = deploy_towers(city, recipe.deployment);
+  CommuteWeek week{deploy_towers(city, recipe.deployment), {}};
   MobilityOptions mobility_options;
   mobility_options.n_users = 600;
   mobility_options.seed = config.seed * 3 + 1;
   MobilityTraceOptions trace_options;
   trace_options.day_begin = 0;
   trace_options.day_end = 5;
-  const auto logs = generate_mobility_trace(
-      towers, MobilityModel::create(towers, mobility_options), trace_options);
+  week.logs = generate_mobility_trace(
+      week.towers, MobilityModel::create(week.towers, mobility_options),
+      trace_options);
+  return week;
+}
+
+TEST(MobilityTrace, PinsTheCommuteWeek) {
+  // FNV-1a 64 over every field of every record of the week.
+  const auto logs = commute_week().logs;
   std::uint64_t hash = kFnv1aBasis;
   for (const auto& log : logs) {
     hash = fnv1a(&log.user_id, sizeof log.user_id, hash);
@@ -216,6 +233,24 @@ TEST(MobilityTrace, PinsTheCommuteWeek) {
   }
   EXPECT_EQ(logs.size(), 67414u);
   EXPECT_EQ(hash, 0x38e5cf94c5a37f1cull);
+}
+
+TEST(MobilityTrace, PinsTheRushHourFlowsOfTheCommuteWeek) {
+  // ext_commute_flows' morning (6:00-11:00) and evening (16:00-21:00)
+  // matrices over the week, with the towers' true regions in place of
+  // the clustering's: FNV-1a 64 over both count arrays.
+  const auto week = commute_week();
+  std::vector<FunctionalRegion> regions(week.towers.size());
+  for (const auto& tower : week.towers) regions[tower.id] = tower.true_region;
+  const auto am = commute_flows(week.logs, regions,
+                                {.hour_begin = 6.0, .hour_end = 11.0});
+  const auto pm = commute_flows(week.logs, regions,
+                                {.hour_begin = 16.0, .hour_end = 21.0});
+  std::uint64_t hash = fnv1a(&am.counts, sizeof am.counts);
+  hash = fnv1a(&pm.counts, sizeof pm.counts, hash);
+  EXPECT_EQ(am.total_cross(), 1256u);
+  EXPECT_EQ(pm.total_cross(), 2722u);
+  EXPECT_EQ(hash, 0xafad6e0fc3bea660ull);
 }
 
 }  // namespace
