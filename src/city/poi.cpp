@@ -145,28 +145,38 @@ PoiDatabase PoiDatabase::generate(
   return PoiDatabase(city.box(), std::move(pois));
 }
 
+namespace {
+
+std::vector<LatLon> positions_of(const std::vector<Poi>& pois) {
+  std::vector<LatLon> positions;
+  positions.reserve(pois.size());
+  for (const auto& p : pois) positions.push_back(p.position);
+  return positions;
+}
+
+}  // namespace
+
 PoiDatabase::PoiDatabase(const BoundingBox& box, std::vector<Poi> pois)
-    : pois_(std::move(pois)) {
-  std::array<std::vector<LatLon>, kNumPoiTypes> by_type;
-  for (const auto& p : pois_)
-    by_type[static_cast<int>(p.type)].push_back(p.position);
-  for (int t = 0; t < kNumPoiTypes; ++t) {
-    // The index requires at least a valid box even for empty point sets.
-    index_[t] = std::make_unique<SpatialIndex>(box, std::move(by_type[t]),
-                                               /*cell_km=*/0.4);
+    : pois_(std::move(pois)),
+      index_(box, positions_of(pois_), /*cell_km=*/0.4),
+      type_by_slot_(pois_.size()) {
+  for (std::size_t s = 0; s < type_by_slot_.size(); ++s) {
+    const auto type = static_cast<std::uint8_t>(pois_[index_.id(s)].type);
+    type_by_slot_[s] = type;
+    ++totals_[type];
   }
 }
 
 std::array<std::size_t, kNumPoiTypes> PoiDatabase::counts_near(
     const LatLon& p, double radius_m) const {
   std::array<std::size_t, kNumPoiTypes> out{};
-  for (int t = 0; t < kNumPoiTypes; ++t)
-    out[t] = index_[t]->count_radius(p, radius_m);
+  index_.for_each_within(p, radius_m,
+                         [&](std::size_t s) { ++out[type_by_slot_[s]]; });
   return out;
 }
 
 std::size_t PoiDatabase::total(PoiType t) const {
-  return index_[static_cast<int>(t)]->size();
+  return totals_[static_cast<int>(t)];
 }
 
 }  // namespace cellscope

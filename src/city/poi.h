@@ -5,12 +5,13 @@
 // counts conditioned on the tower's latent region (so residential
 // neighborhoods are full of residential POIs, CBD towers see hundreds of
 // office POIs, etc. — the dominance structure behind the paper's Tables 2
-// and 3). A spatial index per type answers the paper's core POI query:
-// counts of each type within a radius (200 m) of a point.
+// and 3). One spatial index over every POI, with the POIs' types in its
+// slot order, answers the paper's core POI query: counts of each type
+// within a radius (200 m) of a point.
 #pragma once
 
 #include <array>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "city/city_model.h"
@@ -79,8 +80,10 @@ class PoiDatabase {
                                      PoiType type);
 
  private:
-  std::vector<Poi> pois_;
-  std::array<std::unique_ptr<SpatialIndex>, kNumPoiTypes> index_;
+  std::vector<Poi> pois_;  // generation order
+  SpatialIndex index_;
+  std::vector<std::uint8_t> type_by_slot_;  // PoiType of index_ slot s
+  std::array<std::size_t, kNumPoiTypes> totals_{};
 };
 
 }  // namespace cellscope

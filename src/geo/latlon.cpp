@@ -6,7 +6,6 @@
 namespace cellscope {
 
 namespace {
-constexpr double kEarthRadiusM = 6371000.0;
 constexpr double kDegToRad = M_PI / 180.0;
 }  // namespace
 

@@ -15,6 +15,9 @@ struct LatLon {
   double lon = 0.0;
 };
 
+/// The mean Earth radius haversine_m uses, in meters.
+inline constexpr double kEarthRadiusM = 6371000.0;
+
 /// Great-circle distance between two points in meters (haversine formula,
 /// mean Earth radius 6,371 km).
 double haversine_m(const LatLon& a, const LatLon& b);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+
+#include "analysis/poi_features.h"
 #include "city/deployment.h"
 #include "common/error.h"
 #include "core/experiment.h"
@@ -176,6 +181,70 @@ TEST(PoiDatabase, PinsTheTwoHundredTowerCity) {
   }
   EXPECT_EQ(db.pois().size(), 47996u);
   EXPECT_EQ(hash, 0xb484461fba6e7a30ull);
+}
+
+/// The 2,000-tower city of seed 2015 and its POIs, conditioned on its
+/// traffic mixtures.
+struct TwoThousandTowerCity {
+  std::vector<Tower> towers;
+  PoiDatabase db;
+};
+
+TwoThousandTowerCity two_thousand_tower_city() {
+  ExperimentConfig config;
+  config.seed = 2015;
+  config.n_towers = 2000;
+  const CityRecipe recipe = city_recipe(config);
+  const auto city = CityModel::create_default(recipe.city_seed);
+  auto towers = deploy_towers(city, recipe.deployment);
+  const auto intensity = IntensityModel::create(towers, recipe.intensity);
+  auto db = PoiDatabase::generate(city, towers, intensity.mixtures(),
+                                  PoiGenerationOptions{});
+  return {std::move(towers), std::move(db)};
+}
+
+TEST(PoiDatabase, CountsMatchBruteForceAtEveryTowerOfTheTwoThousandTowerCity) {
+  // The oracle reads every POI whose latitude is within r (plus 1 %, on
+  // the 6,371 km sphere) of the tower's — a band 2r wide that holds every
+  // hit — and counts those haversine_m puts within r.
+  const auto [towers, db] = two_thousand_tower_city();
+  constexpr double kSphereRadiusM = 6371000.0;
+  const double band_deg =
+      1.01 * kPoiRadiusM / kSphereRadiusM * 180.0 / std::numbers::pi;
+  std::vector<Poi> by_lat = db.pois();
+  const auto south_of = [](const Poi& p, double lat) {
+    return p.position.lat < lat;
+  };
+  std::sort(by_lat.begin(), by_lat.end(), [](const Poi& a, const Poi& b) {
+    return a.position.lat < b.position.lat;
+  });
+  std::size_t hits = 0;
+  for (const auto& t : towers) {
+    std::array<std::size_t, kNumPoiTypes> expected{};
+    for (auto it = std::lower_bound(by_lat.begin(), by_lat.end(),
+                                    t.position.lat - band_deg, south_of);
+         it != by_lat.end() && it->position.lat <= t.position.lat + band_deg;
+         ++it) {
+      if (haversine_m(it->position, t.position) <= kPoiRadiusM)
+        ++expected[static_cast<int>(it->type)];
+    }
+    ASSERT_EQ(db.counts_near(t.position, kPoiRadiusM), expected)
+        << "tower " << t.id;
+    for (const auto c : expected) hits += c;
+  }
+  EXPECT_GT(hits, 100 * towers.size());
+}
+
+TEST(PoiDatabase, PinsTheCountsOfTheTwoThousandTowerCity) {
+  // FNV-1a 64 over every tower's four counts within 200 m, in tower order.
+  const auto [towers, db] = two_thousand_tower_city();
+  std::uint64_t hash = kFnv1aBasis;
+  for (const auto& t : towers) {
+    const auto counts = db.counts_near(t.position, kPoiRadiusM);
+    hash = fnv1a(counts.data(), sizeof counts, hash);
+  }
+  EXPECT_EQ(db.pois().size(), 473347u);
+  EXPECT_EQ(hash, 0x1d83ad1003ff0b2full);
 }
 
 }  // namespace

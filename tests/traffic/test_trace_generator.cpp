@@ -24,8 +24,11 @@ Scenario make_scenario(std::size_t n_towers) {
   return {std::move(towers), std::move(intensity)};
 }
 
+/// Two days in sessions ten times the default's bytes, as the stream
+/// fixtures use: ~9,000 records per tower-day instead of ~95,000.
 TraceOptions small_window() {
   TraceOptions options;
+  options.mean_session_bytes = 2.0e6;
   options.day_begin = 0;
   options.day_end = 2;
   return options;
@@ -73,10 +76,12 @@ TEST(TraceGenerator, IsDeterministic) {
 TEST(TraceGenerator, InjectsDuplicatesAtTheRequestedRate) {
   // Over 100,000 originals put the rates' standard errors below 0.0005,
   // so a quarter of either probability is a tolerance that a rate drawn
-  // at another probability fails.
+  // at another probability fails. Four days hold that many originals.
   const auto scenario = make_scenario(4);
+  TraceOptions options = small_window();
+  options.day_end = 4;
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, options);
   const auto base = result.logs.size() - result.duplicates_injected -
                     result.conflicts_injected;
   ASSERT_GT(base, 100000u);
@@ -131,8 +136,7 @@ TEST(TraceGenerator, EmitsTowerBySlotWithEachCopyAfterItsOriginal) {
 
 TEST(TraceGenerator, SlotTotalsTrackTheIntensityModel) {
   const auto scenario = make_scenario(6);
-  TraceOptions options;
-  options.day_begin = 0;
+  TraceOptions options = small_window();
   options.day_end = 7;
   const auto result =
       generate_trace(scenario.towers, scenario.intensity, options);
