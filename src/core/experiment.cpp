@@ -55,10 +55,10 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   CS_CHECK_MSG(config.k_min >= 2 && config.k_min <= config.k_max,
                "invalid DBI sweep bounds");
 
-  // The vectorizer, the analytics stages and the POI counts share one
-  // pool (the NN-chain linkage stays serial), sized by the
-  // CELLSCOPE_THREADS environment variable (DESIGN.md §8). Results are
-  // bit-identical for any worker count.
+  // The vectorizer, the analytics stages, the NN-chain linkage and the
+  // POI counts share one pool, sized by the CELLSCOPE_THREADS environment
+  // variable (DESIGN.md §8). Results are bit-identical for any thread
+  // count.
   ThreadPool pool(configured_thread_count());
 
   obs::log_info("experiment.start",
@@ -174,7 +174,7 @@ Experiment Experiment::run(const ExperimentConfig& config) {
   {
     obs::StageSpan span("pipeline.cluster_tune");
     e.dendrogram_ = std::make_unique<Dendrogram>(Dendrogram::run(
-        DistanceMatrix::compute(e.folded_, &pool), Linkage::kAverage));
+        DistanceMatrix::compute(e.folded_, &pool), Linkage::kAverage, &pool));
     const auto min_cluster_size = static_cast<std::size_t>(
         std::max(2.0, config.min_cluster_fraction *
                           static_cast<double>(config.n_towers)));

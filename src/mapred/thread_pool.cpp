@@ -1,111 +1,177 @@
 #include "mapred/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 
 namespace cellscope {
 
+namespace {
+
+/// A participant that finishes a job keeps spinning for the next one, for
+/// at most this long, only when dispatches arrive back to back: the job it
+/// finished started less than this long after the one before (DESIGN.md
+/// §8). Otherwise it parks at once, so a pool that is dispatched now and
+/// then (a stream drain every few milliseconds) burns no core.
+constexpr std::chrono::microseconds kSpinWindow{50};
+
+/// The pool each thread is running a job of (its own pool, on a worker).
+thread_local const ThreadPool* t_running_pool = nullptr;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until done() or the spin window has passed; returns done().
+template <typename Done>
+bool spin_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (unsigned spins = 1;; ++spins) {
+    if (done()) return true;
+    cpu_relax();
+    if (spins % 16 == 0 && std::chrono::steady_clock::now() >= deadline)
+      return done();
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t n_threads) {
-  CS_CHECK_MSG(n_threads >= 1, "thread pool needs at least one worker");
+  CS_CHECK_MSG(n_threads >= 1, "thread pool needs at least one thread");
   auto& registry = obs::MetricsRegistry::instance();
   metric_submitted_ = &registry.counter("cellscope.mapred.tasks_submitted");
   metric_completed_ = &registry.counter("cellscope.mapred.tasks_completed");
-  metric_queue_depth_ = &registry.gauge("cellscope.mapred.queue_depth");
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(n_threads - 1);
+  for (std::size_t i = 1; i < n_threads; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+    std::lock_guard<std::mutex> lock(dispatch_mutex_);
+    stopping_.store(true, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_seq_cst);
   }
-  cv_.notify_all();
+  generation_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  QueuedTask queued{std::move(task), {}, std::chrono::steady_clock::now()};
-  auto future = queued.done.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CS_CHECK_MSG(!stopping_, "submit on a stopping pool");
-    tasks_.push(std::move(queued));
-    metric_submitted_->add(1);
-    metric_queue_depth_->add(1);
-  }
-  cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t blocks = std::min(n, workers_.size() * 4);
-  const std::size_t per_block = (n + blocks - 1) / blocks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t begin = b * per_block;
-    const std::size_t end = std::min(n, begin + per_block);
-    if (begin >= end) break;
-    futures.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
+  if (t_running_pool == this) {
+    // A job's own fn calling back into its pool: every other participant
+    // may be busy with this job, so run the nested range here.
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  // Every block must finish before fn goes out of scope, so wait for all of
-  // them before rethrowing the first failure.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  std::lock_guard<std::mutex> lock(dispatch_mutex_);
+  const auto now = std::chrono::steady_clock::now();
+  back_to_back_.store(now - last_dispatch_ < kSpinWindow,
+                      std::memory_order_relaxed);
+  last_dispatch_ = now;
+
+  const std::size_t max_blocks = std::min(n, thread_count() * 4);
+  per_block_ = (n + max_blocks - 1) / max_blocks;
+  blocks_ = static_cast<std::uint32_t>((n + per_block_ - 1) / per_block_);
+  fn_ = &fn;
+  n_ = n;
+  done_.store(0, std::memory_order_relaxed);
+  const std::uint32_t blocks = blocks_;
+  const std::uint32_t generation =
+      generation_.load(std::memory_order_relaxed) + 1;
+  // The release store publishes the job's fields to whoever claims a block.
+  claim_.store(std::uint64_t{generation} << 32 | blocks,
+               std::memory_order_release);
+  // Seq-cst store, then seq-cst load of the parked count: a worker that
+  // parks after this load sees the new generation before it sleeps.
+  generation_.store(generation, std::memory_order_seq_cst);
+  if (parked_workers_.load(std::memory_order_seq_cst) > 0)
+    generation_.notify_all();
+  metric_submitted_->add(blocks);
+
+  const ThreadPool* outer = std::exchange(t_running_pool, this);
+  run_blocks();
+  t_running_pool = outer;
+  await_done(blocks);
+  metric_completed_->add(blocks);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::run_blocks() {
+  std::uint64_t word = claim_.load(std::memory_order_relaxed);
   for (;;) {
-    QueuedTask queued;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping and drained
-      queued = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    auto& trace = obs::StageTrace::instance();
-    if (trace.enabled()) {
-      // Tasks are coarse (per-shard drains, parallel_for blocks), so one
-      // retroactive span per dequeue is cheap and makes pool contention
-      // visible on the trace timeline next to the stage spans.
-      const double enqueued_us = obs::time_point_us(queued.enqueued);
-      const double started_us =
-          obs::time_point_us(std::chrono::steady_clock::now());
-      trace.record_complete("pool.queue_wait", "mapred", enqueued_us,
-                            started_us - enqueued_us,
-                            "\"worker\":" + std::to_string(worker_index));
-    }
-    metric_queue_depth_->add(-1);
-    std::exception_ptr error;
+    const auto unclaimed = static_cast<std::uint32_t>(word);
+    if (unclaimed == 0) return;
+    if (!claim_.compare_exchange_weak(word, word - 1,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed))
+      continue;
+    // This block is unfinished, so the job it belongs to (the one that
+    // stored `word`) cannot end and its fields stay put until done_ moves.
+    const std::uint32_t blocks = blocks_;
+    const std::size_t begin =
+        static_cast<std::size_t>(blocks - unclaimed) * per_block_;
+    const std::size_t end = std::min(n_, begin + per_block_);
     try {
-      queued.task();
+      for (std::size_t i = begin; i < end; ++i) (*fn_)(i);
     } catch (...) {
-      error = std::current_exception();
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!error_) error_ = std::current_exception();
     }
-    metric_completed_->add(1);
-    if (error)
-      queued.done.set_exception(error);
-    else
-      queued.done.set_value();
+    // After this add the caller may return and start the next job: touch
+    // no job field past it. Seq-cst pairs with await_done's park.
+    if (done_.fetch_add(1, std::memory_order_seq_cst) + 1 == blocks &&
+        caller_parked_.load(std::memory_order_seq_cst))
+      done_.notify_one();
+    word = claim_.load(std::memory_order_relaxed);
+  }
+}
+
+std::uint32_t ThreadPool::await_dispatch(std::uint32_t seen) {
+  std::uint32_t generation = seen;
+  const auto moved = [&] {
+    generation = generation_.load(std::memory_order_acquire);
+    return generation != seen;
+  };
+  if (moved()) return generation;
+  if (back_to_back_.load(std::memory_order_relaxed) && spin_until(moved))
+    return generation;
+  parked_workers_.fetch_add(1, std::memory_order_seq_cst);
+  while ((generation = generation_.load(std::memory_order_seq_cst)) == seen)
+    generation_.wait(seen, std::memory_order_seq_cst);
+  parked_workers_.fetch_sub(1, std::memory_order_relaxed);
+  return generation;
+}
+
+void ThreadPool::await_done(std::uint32_t blocks) {
+  const auto finished = [&] {
+    return done_.load(std::memory_order_acquire) == blocks;
+  };
+  if (finished()) return;
+  if (back_to_back_.load(std::memory_order_relaxed) && spin_until(finished))
+    return;
+  caller_parked_.store(true, std::memory_order_seq_cst);
+  for (std::uint32_t done = done_.load(std::memory_order_seq_cst);
+       done != blocks; done = done_.load(std::memory_order_seq_cst))
+    done_.wait(done, std::memory_order_seq_cst);
+  caller_parked_.store(false, std::memory_order_relaxed);
+}
+
+void ThreadPool::worker_loop() {
+  t_running_pool = this;
+  std::uint32_t seen = 0;
+  for (;;) {
+    seen = await_dispatch(seen);
+    if (stopping_.load(std::memory_order_relaxed)) return;
+    run_blocks();
   }
 }
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 
 #include "common/error.h"
+#include "mapred/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -17,6 +19,11 @@ namespace {
 /// The linkage repacks its triangle only above this many slots: a triangle
 /// over 64 slots (2,016 floats, ~8 KB) already sits in L1.
 constexpr std::size_t kMinRepackSlots = 64;
+
+/// The linkage splits each scan and each update across the pool from this
+/// many slots up; below it a dispatch costs more than the range it splits
+/// (DESIGN.md §8).
+constexpr std::size_t kMinParallelSlots = 512;
 
 /// Union-find over leaf indices.
 class UnionFind {
@@ -57,7 +64,8 @@ double lance_williams(Linkage linkage, double d_ki, double d_kj,
 
 }  // namespace
 
-Dendrogram Dendrogram::run(DistanceMatrix distances, Linkage linkage) {
+Dendrogram Dendrogram::run(DistanceMatrix distances, Linkage linkage,
+                           ThreadPool* pool) {
   obs::ScopedTimer timer(
       obs::MetricsRegistry::instance().histogram("cellscope.ml.cluster_ms"));
   const std::size_t n = distances.n();
@@ -91,62 +99,117 @@ Dendrogram Dendrogram::run(DistanceMatrix distances, Linkage linkage) {
     return i * m - i * (i + 1) / 2;
   };
 
+  // Each scan and each update splits into `parts` ranges, run as one pool
+  // job: the pool's thread count at kMinParallelSlots slots and up, one
+  // range (a plain call) below that or without a pool.
+  const std::size_t pool_parts = pool != nullptr ? pool->thread_count() : 1;
+  const auto parts_now = [&] {
+    return m >= kMinParallelSlots ? pool_parts : std::size_t{1};
+  };
+
   // The hottest loop of the clustering: scan slot i's row of the triangle.
   // Entries (j, i) for j < i sit down column i at decreasing strides
-  // (m - j - 2 apart); entries (i, j) for j > i are contiguous. Both halves
-  // run in ascending j with a strict <, so the lowest tied slot wins.
-  const auto nearest_active = [&](std::size_t i) -> std::size_t {
-    slots_scanned += m;
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_j = m;   // sentinel
-    std::size_t idx = i - 1;  // condensed index of (0, i); unused when i == 0
-    for (std::size_t j = 0; j < i; ++j) {
+  // (m - j - 2 apart); entries (i, j) for j > i are contiguous. Part p
+  // scans the p-th of `parts` ranges of each half in ascending j with a
+  // strict <, so each range reports its lowest tied slot; nearest_active
+  // then combines the ranges in ascending j under the same strict <, and
+  // the lowest tied slot of the whole row wins, as in one serial pass.
+  struct Nearest {
+    double d;
+    std::size_t j;
+  };
+  std::vector<Nearest> nearest_of(2 * pool_parts);
+  std::size_t scan_i = 0;
+  std::size_t scan_parts = 1;
+  const std::function<void(std::size_t)> scan_part = [&](std::size_t p) {
+    const std::size_t i = scan_i;
+    const std::size_t parts = scan_parts;
+    const std::size_t slots = m;
+    Nearest col{std::numeric_limits<double>::infinity(), slots};
+    const std::size_t col_begin = i * p / parts;
+    const std::size_t col_end = i * (p + 1) / parts;
+    std::size_t idx = row_start(col_begin) + (i - col_begin - 1);  // (col_begin, i)
+    for (std::size_t j = col_begin; j < col_end; ++j) {
       if (active[j]) {
         const double d = cond[idx];
-        if (d < best) {
-          best = d;
-          best_j = j;
-        }
+        if (d < col.d) col = {d, j};
       }
-      idx += m - j - 2;
+      idx += slots - j - 2;
     }
+    Nearest row_best{std::numeric_limits<double>::infinity(), slots};
+    const std::size_t row_len = slots - i - 1;
+    const std::size_t row_begin = i + 1 + row_len * p / parts;
+    const std::size_t row_end = i + 1 + row_len * (p + 1) / parts;
     const float* row = cond.data() + row_start(i);  // row[j - i - 1]
-    for (std::size_t j = i + 1; j < m; ++j) {
+    for (std::size_t j = row_begin; j < row_end; ++j) {
       if (!active[j]) continue;
       const double d = row[j - i - 1];
-      if (d < best) {
-        best = d;
-        best_j = j;
-      }
+      if (d < row_best.d) row_best = {d, j};
     }
-    return best_j;
+    nearest_of[p] = col;
+    nearest_of[parts + p] = row_best;
+  };
+  const auto nearest_active = [&](std::size_t i) -> std::size_t {
+    slots_scanned += m;
+    scan_i = i;
+    scan_parts = parts_now();
+    for_each_index(pool, scan_parts, scan_part);
+    Nearest best{std::numeric_limits<double>::infinity(), m};  // sentinel
+    for (std::size_t q = 0; q < 2 * scan_parts; ++q)
+      if (nearest_of[q].d < best.d) best = nearest_of[q];
+    return best.j;
   };
 
   // Lance-Williams update of slot i < j's distances to every other active
   // slot k, over the three k ranges with stepped offsets: k < i reads
   // (k, i) and (k, j) on row k, j - i apart; i < k < j reads (i, k) on row
   // i and (k, j) down column j; k > j reads rows i and j side by side.
-  const auto merge_into = [&](std::size_t i, std::size_t j) {
+  // Part p updates the p-th of `parts` ranges of each of the three, so
+  // the parts do equal work whatever i and j are.
+  // Every k writes only its own entry with i and reads only entries with
+  // j, which no k writes, so the parts never touch each other's data.
+  std::size_t merge_i = 0;
+  std::size_t merge_j = 0;
+  std::size_t merge_parts = 1;
+  const std::function<void(std::size_t)> merge_part = [&](std::size_t p) {
+    const std::size_t i = merge_i;
+    const std::size_t j = merge_j;
+    const std::size_t parts = merge_parts;
+    const std::size_t slots = m;
     const auto updated = [&](double d_ki, double d_kj) {
       return static_cast<float>(
           lance_williams(linkage, d_ki, d_kj, size[i], size[j]));
     };
-    std::size_t idx = i - 1;  // (0, i)
-    for (std::size_t k = 0; k < i; ++k) {
+    // The p-th of `parts` ranges of [first, first + count).
+    const auto range = [&](std::size_t first, std::size_t count) {
+      return std::pair{first + count * p / parts,
+                       first + count * (p + 1) / parts};
+    };
+    const auto [low, below_i] = range(0, i);
+    std::size_t idx = row_start(low) + (i - low - 1);  // (low, i)
+    for (std::size_t k = low; k < below_i; ++k) {
       if (active[k]) cond[idx] = updated(cond[idx], cond[idx + (j - i)]);
-      idx += m - k - 2;
+      idx += slots - k - 2;
     }
     float* row_i = cond.data() + row_start(i);  // row_i[k - i - 1] = (i, k)
-    idx = row_start(i + 1) + j - i - 2;  // (i + 1, j); unused when j == i + 1
-    for (std::size_t k = i + 1; k < j; ++k) {
+    const auto [above_i, below_j] = range(i + 1, j - i - 1);
+    idx = row_start(above_i) + (j - above_i - 1);  // (above_i, j)
+    for (std::size_t k = above_i; k < below_j; ++k) {
       if (active[k]) row_i[k - i - 1] = updated(row_i[k - i - 1], cond[idx]);
-      idx += m - k - 2;
+      idx += slots - k - 2;
     }
     const float* row_j = cond.data() + row_start(j);  // row_j[k - j - 1]
-    for (std::size_t k = j + 1; k < m; ++k) {
+    const auto [above_j, tail_end] = range(j + 1, slots - j - 1);
+    for (std::size_t k = above_j; k < tail_end; ++k) {
       if (active[k])
         row_i[k - i - 1] = updated(row_i[k - i - 1], row_j[k - j - 1]);
     }
+  };
+  const auto merge_into = [&](std::size_t i, std::size_t j) {
+    merge_i = i;
+    merge_j = j;
+    merge_parts = parts_now();
+    for_each_index(pool, merge_parts, merge_part);
   };
 
   // Moves the active slots' entries forward onto a triangle over just those

@@ -19,6 +19,8 @@
 
 namespace cellscope {
 
+class ThreadPool;
+
 /// Cluster-distance definitions (the paper uses average linkage).
 enum class Linkage {
   kSingle,
@@ -41,8 +43,12 @@ class Dendrogram {
  public:
   /// Clusters the items of a distance matrix. The matrix is consumed: its
   /// storage becomes the linkage's working triangle, which the algorithm
-  /// updates and repacks in place (pass it by move to avoid a copy).
-  static Dendrogram run(DistanceMatrix distances, Linkage linkage);
+  /// updates and repacks in place (pass it by move to avoid a copy). With
+  /// a pool, each nearest-neighbor scan and each distance update over 512
+  /// or more slots is split across it; the merges are bit-identical to the
+  /// serial run's (DESIGN.md §8).
+  static Dendrogram run(DistanceMatrix distances, Linkage linkage,
+                        ThreadPool* pool = nullptr);
 
   /// The n-1 merges, sorted by non-decreasing distance.
   const std::vector<Merge>& merges() const { return merges_; }

@@ -350,17 +350,14 @@ void StreamIngestor::drain_shard(Shard& shard) {
 
 void StreamIngestor::drain(ThreadPool& pool) {
   obs::ScopedTimer timer;
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards_.size());
-  for (auto& shard : shards_) {
+  for_each_index(&pool, shards_.size(), [this](std::size_t s) {
+    Shard& shard = *shards_[s];
     {
-      std::lock_guard<std::mutex> lock(shard->queue_mutex);
-      if (shard->pending.empty()) continue;
+      std::lock_guard<std::mutex> lock(shard.queue_mutex);
+      if (shard.pending.empty()) return;
     }
-    Shard* target = shard.get();
-    futures.push_back(pool.submit([this, target] { drain_shard(*target); }));
-  }
-  for (auto& f : futures) f.get();
+    drain_shard(shard);
+  });
   metric_drains_->add(1);
   metric_drain_ms_->observe(timer.elapsed_ms());
 }

@@ -5,8 +5,8 @@
 // per-shard lock-striped pending queues by tower id (a tower's window
 // lives in exactly one shard, so window application never takes a
 // cross-shard lock). drain() moves pending records into the per-tower
-// TowerWindow accumulators on the shared mapred::ThreadPool, one task per
-// shard. A full shard queue drops the record and says so — explicit drop
+// TowerWindow accumulators on the shared mapred::ThreadPool, one index
+// per shard. A full shard queue drops the record and says so — explicit drop
 // accounting, never silent loss or unbounded memory.
 //
 // One ingest path: offer_batch (and offer, a one-record offer_batch) and
@@ -159,8 +159,8 @@ class StreamIngestor {
   /// number of records applied. Thread-safe.
   std::size_t ingest_columns(const DecodedColumns& cols);
 
-  /// Drains every shard's pending queue into its windows, one pool task
-  /// per non-empty shard. Blocks until every queued record at entry has
+  /// Drains every shard's pending queue into its windows, one pool index
+  /// per shard (empty shards are skipped). Blocks until every queued record at entry has
   /// been applied. Thread-safe; concurrent drains serialize per shard.
   void drain(ThreadPool& pool);
 

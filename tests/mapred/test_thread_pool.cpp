@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <future>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -13,22 +13,6 @@
 
 namespace cellscope {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, FuturePropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(future.get(), Error);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -69,14 +53,101 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
   EXPECT_EQ(total.load(), 4950);
 }
 
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
+TEST(ThreadPool, NestedParallelForRunsInlineAndCoversEveryIndex) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(100);
+  std::atomic<int> off_thread{0};
+  pool.parallel_for(10, [&](std::size_t i) {
+    const auto outer = std::this_thread::get_id();
+    pool.parallel_for(10, [&](std::size_t k) {
+      if (std::this_thread::get_id() != outer) ++off_thread;
+      ++hits[i * 10 + k];
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 1000;
+  constexpr int kRounds = 200;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  const auto caller = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int r = 0; r < kRounds; ++r)
+      pool.parallel_for(kN, [&hits](std::size_t i) { ++hits[i]; });
+  };
+  std::thread a(caller, std::ref(hits_a));
+  std::thread b(caller, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << i;
+  }
+}
+
+/// Runs a job whose blocks on one side (the caller's thread, or a worker)
+/// throw, after the other side has started a block too; then checks the
+/// failure is rethrown and the pool still covers every index.
+void expect_rethrow_then_usable(bool throw_on_caller) {
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> thrower_started{false};
+  std::atomic<bool> other_started{false};
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t) {
+                                   const bool on_caller =
+                                       std::this_thread::get_id() == caller;
+                                   if (on_caller == throw_on_caller) {
+                                     wait_for(other_started);
+                                     thrower_started = true;
+                                     throw Error("block failed");
+                                   }
+                                   other_started = true;
+                                   wait_for(thrower_started);
+                                 }),
+               Error);
+  EXPECT_TRUE(thrower_started.load());
+  std::vector<std::atomic<int>> hits(500);
+  pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, RethrowsAFailureInTheCallersBlockAndStaysUsable) {
+  expect_rethrow_then_usable(true);
+}
+
+TEST(ThreadPool, RethrowsAFailureInAWorkersBlockAndStaysUsable) {
+  expect_rethrow_then_usable(false);
+}
+
+TEST(ThreadPool, DestroyingAPoolWithParkedWorkersReturns) {
+  { ThreadPool never_used(4); }
   std::atomic<int> counter{0};
   {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&counter] { ++counter; });
-  }  // destructor joins
-  EXPECT_EQ(counter.load(), 50);
+    ThreadPool pool(4);
+    pool.parallel_for(16, [&counter](std::size_t) { ++counter; });
+    // Well past the spin window: every worker has parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(counter.load(), 16);
+}
+
+TEST(ThreadPool, HundredThousandBackToBackTinyCallsComplete) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<long>> hits(4);
+  constexpr long kCalls = 100000;
+  for (long c = 0; c < kCalls; ++c)
+    pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), kCalls);
 }
 
 TEST(ThreadPool, RequiresAtLeastOneWorker) {
@@ -92,8 +163,8 @@ TEST(ThreadPool, StatsCoverParallelForBlocks) {
   const auto completed_before = completed.value();
   pool.parallel_for(100, [](std::size_t) {});
   const auto blocks = submitted.value() - submitted_before;
-  // parallel_for partitions into at most workers * 4 block tasks, and
-  // each block's future resolves only after its completion is counted.
+  // parallel_for partitions into at most thread_count() * 4 blocks and
+  // counts them all completed before it returns.
   EXPECT_GE(blocks, 1u);
   EXPECT_LE(blocks, 8u);
   EXPECT_EQ(completed.value() - completed_before, blocks);

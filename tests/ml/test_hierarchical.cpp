@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "mapred/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace cellscope {
@@ -261,8 +262,17 @@ std::uint64_t expected_repacks(std::size_t n) {
 }
 
 TEST(Hierarchical, MergesMatchReferenceLoop) {
-  auto& repack_counter = obs::MetricsRegistry::instance().counter(
-      "cellscope.ml.linkage_repacks");
+  // Every case also runs on pools of 2, 3, 4 and 8 threads: n = 1,000 and
+  // 2,500 start above the 512 slots where the linkage splits its scans and
+  // updates, and the grid's exact ties then straddle the range boundaries.
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& repack_counter = registry.counter("cellscope.ml.linkage_repacks");
+  auto& scanned_counter =
+      registry.counter("cellscope.ml.linkage_slots_scanned");
+  ThreadPool pool2(2);
+  ThreadPool pool3(3);
+  ThreadPool pool4(4);
+  ThreadPool pool8(8);
   for (const std::size_t n : {2, 3, 64, 65, 66, 129, 300, 1000, 2500}) {
     Rng rng(n);
     std::vector<std::vector<double>> uniform(n);
@@ -277,24 +287,39 @@ TEST(Hierarchical, MergesMatchReferenceLoop) {
       const auto matrix = DistanceMatrix::compute(*points);
       for (const auto linkage :
            {Linkage::kSingle, Linkage::kComplete, Linkage::kAverage}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "n=" << n << (points == &grid ? " grid" : " uniform")
-                     << " linkage=" << static_cast<int>(linkage));
         const auto want = reference_merges(n, matrix.condensed(), linkage);
-        const std::uint64_t repacks_before = repack_counter.value();
-        const auto got = Dendrogram::run(matrix, linkage).merges();
-        const std::uint64_t repacks = repack_counter.value() - repacks_before;
-        EXPECT_EQ(repacks, expected_repacks(n));
-        if (n == 2500) {
-          EXPECT_GE(repacks, 10u);
-        }
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t m = 0; m < want.size(); ++m) {
-          ASSERT_EQ(got[m].a, want[m].a) << "merge " << m;
-          ASSERT_EQ(got[m].b, want[m].b) << "merge " << m;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[m].distance),
-                    std::bit_cast<std::uint64_t>(want[m].distance))
-              << "merge " << m;
+        std::uint64_t serial_scanned = 0;
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                                 &pool3, &pool4, &pool8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n
+                       << (points == &grid ? " grid" : " uniform")
+                       << " linkage=" << static_cast<int>(linkage)
+                       << " threads="
+                       << (pool != nullptr ? pool->thread_count() : 0));
+          const std::uint64_t repacks_before = repack_counter.value();
+          const std::uint64_t scanned_before = scanned_counter.value();
+          const auto got = Dendrogram::run(matrix, linkage, pool).merges();
+          const std::uint64_t repacks =
+              repack_counter.value() - repacks_before;
+          const std::uint64_t scanned =
+              scanned_counter.value() - scanned_before;
+          EXPECT_EQ(repacks, expected_repacks(n));
+          if (n == 2500) {
+            EXPECT_GE(repacks, 10u);
+          }
+          if (pool == nullptr)
+            serial_scanned = scanned;
+          else
+            EXPECT_EQ(scanned, serial_scanned);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t m = 0; m < want.size(); ++m) {
+            ASSERT_EQ(got[m].a, want[m].a) << "merge " << m;
+            ASSERT_EQ(got[m].b, want[m].b) << "merge " << m;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[m].distance),
+                      std::bit_cast<std::uint64_t>(want[m].distance))
+                << "merge " << m;
+          }
         }
       }
     }

@@ -113,15 +113,16 @@ TEST(ParallelEquivalence, DistanceKernelMatchesDirectEuclidean) {
 }
 
 TEST(ParallelEquivalence, DendrogramMergesIdenticalAcrossThreadCounts) {
-  const auto points = blob_points(30, 24, 3);
+  // 1,000 points: the linkage splits its scans and updates from 512 slots.
+  const auto points = blob_points(250, 24, 3);
   ThreadPool pool1(1);
   ThreadPool pool8(8);
   const auto serial =
       Dendrogram::run(DistanceMatrix::compute(points), Linkage::kAverage);
   const auto par1 = Dendrogram::run(DistanceMatrix::compute(points, &pool1),
-                                    Linkage::kAverage);
+                                    Linkage::kAverage, &pool1);
   const auto par8 = Dendrogram::run(DistanceMatrix::compute(points, &pool8),
-                                    Linkage::kAverage);
+                                    Linkage::kAverage, &pool8);
   ASSERT_EQ(serial.merges().size(), par8.merges().size());
   for (std::size_t m = 0; m < serial.merges().size(); ++m) {
     EXPECT_EQ(serial.merges()[m].a, par1.merges()[m].a);
