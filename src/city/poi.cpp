@@ -78,8 +78,12 @@ PoiDatabase PoiDatabase::generate(
   CS_CHECK_MSG(mixtures.size() == towers.size(),
                "need one mixture per tower");
   Rng rng(options.seed);
+  // Seed 2015 draws ~237 POIs per tower at scale 1 (2,278,655 at 9,600
+  // towers), so 256 per tower and unit of scale leaves the vector one
+  // allocation instead of growing (and copying) twice.
   std::vector<Poi> pois;
-  pois.reserve(towers.size() * 64);
+  pois.reserve(static_cast<std::size_t>(
+      static_cast<double>(towers.size()) * 256.0 * options.scale));
 
   for (std::size_t ti = 0; ti < towers.size(); ++ti) {
     const auto& t = towers[ti];
