@@ -40,10 +40,7 @@ class TracePipelineTest : public ::testing::Test {
 };
 
 TEST_F(TracePipelineTest, FullChainRecoversGroundTruth) {
-  TraceOptions options;
-  options.day_begin = 0;
-  options.day_end = 3;
-  auto trace = generate_trace(towers_, *intensity_, options);
+  auto trace = generate_trace(towers_, *intensity_, coarse_days(3));
   const auto truth = emitted_clean_bytes(trace.logs, towers_.size());
   // Real logs arrive unordered across collection points; the chain must
   // not rely on a copy following its original.
@@ -76,10 +73,7 @@ TEST_F(TracePipelineTest, FullChainRecoversGroundTruth) {
 }
 
 TEST_F(TracePipelineTest, DirtyPipelineOvercountsCleanUndercountsNothing) {
-  TraceOptions options;
-  options.day_begin = 0;
-  options.day_end = 1;
-  const auto trace = generate_trace(towers_, *intensity_, options);
+  const auto trace = generate_trace(towers_, *intensity_, coarse_days(1));
   ASSERT_GT(trace.duplicates_injected, 0u);
   ASSERT_GT(trace.conflicts_injected, 0u);
 

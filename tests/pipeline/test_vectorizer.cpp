@@ -67,10 +67,7 @@ TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
   // records the generator emitted, exactly.
   const auto towers = make_towers(5);
   const auto intensity = IntensityModel::create(towers, IntensityOptions{});
-  TraceOptions trace_options;
-  trace_options.day_begin = 0;
-  trace_options.day_end = 2;
-  const auto trace = generate_trace(towers, intensity, trace_options);
+  const auto trace = generate_trace(towers, intensity, coarse_days(2));
   ASSERT_GT(trace.duplicates_injected, 0u);
   ASSERT_GT(trace.conflicts_injected, 0u);
   const auto truth = emitted_clean_bytes(trace.logs, towers.size());
@@ -90,10 +87,7 @@ TEST(Vectorizer, CleanedTraceRecoversGroundTruthBytes) {
 TEST(Vectorizer, WithoutCleaningDefectsInflateTraffic) {
   const auto towers = make_towers(4);
   const auto intensity = IntensityModel::create(towers, IntensityOptions{});
-  TraceOptions trace_options;
-  trace_options.day_begin = 0;
-  trace_options.day_end = 1;
-  const auto trace = generate_trace(towers, intensity, trace_options);
+  const auto trace = generate_trace(towers, intensity, coarse_days(1));
   ASSERT_GT(trace.duplicates_injected, 0u);
   ThreadPool pool(2);
   const auto dirty = vectorize_logs(trace.logs, towers, pool);

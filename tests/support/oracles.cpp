@@ -79,6 +79,14 @@ std::vector<std::vector<double>> emitted_clean_bytes(
   return clean;
 }
 
+TraceOptions coarse_days(int day_end) {
+  TraceOptions options;
+  options.mean_session_bytes = 2.0e6;
+  options.day_begin = 0;
+  options.day_end = day_end;
+  return options;
+}
+
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) {

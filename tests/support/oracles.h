@@ -10,6 +10,7 @@
 
 #include "city/tower.h"
 #include "obs/quality.h"
+#include "traffic/trace_generator.h"
 #include "traffic/trace_record.h"
 
 namespace cellscope {
@@ -35,6 +36,11 @@ std::array<std::size_t, kNumRegions> region_histogram(
 /// when a tower id is n_towers or more.
 std::vector<std::vector<double>> emitted_clean_bytes(
     const std::vector<TrafficLog>& logs, std::size_t n_towers);
+
+/// generate_trace's options for days [0, day_end) in sessions ten times
+/// the default's bytes, as the stream fixtures use: ~9,000 records per
+/// tower-day instead of ~95,000, which keeps trace fixtures small.
+TraceOptions coarse_days(int day_end);
 
 /// FNV-1a 64's offset basis: the hash of no bytes.
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;

@@ -24,20 +24,10 @@ Scenario make_scenario(std::size_t n_towers) {
   return {std::move(towers), std::move(intensity)};
 }
 
-/// Two days in sessions ten times the default's bytes, as the stream
-/// fixtures use: ~9,000 records per tower-day instead of ~95,000.
-TraceOptions small_window() {
-  TraceOptions options;
-  options.mean_session_bytes = 2.0e6;
-  options.day_begin = 0;
-  options.day_end = 2;
-  return options;
-}
-
 TEST(TraceGenerator, LogsStayInTheRequestedWindow) {
   const auto scenario = make_scenario(10);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   ASSERT_FALSE(result.logs.empty());
   for (const auto& log : result.logs) {
     EXPECT_LT(log.start_minute, 2u * 24u * 60u);
@@ -48,14 +38,14 @@ TEST(TraceGenerator, LogsStayInTheRequestedWindow) {
 TEST(TraceGenerator, AllBytesArePositive) {
   const auto scenario = make_scenario(8);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   for (const auto& log : result.logs) EXPECT_GT(log.bytes, 0u);
 }
 
 TEST(TraceGenerator, TowerIdsAndAddressesAreConsistent) {
   const auto scenario = make_scenario(8);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   for (const auto& log : result.logs) {
     ASSERT_LT(log.tower_id, scenario.towers.size());
     EXPECT_EQ(log.address, scenario.towers[log.tower_id].address);
@@ -65,9 +55,9 @@ TEST(TraceGenerator, TowerIdsAndAddressesAreConsistent) {
 TEST(TraceGenerator, IsDeterministic) {
   const auto scenario = make_scenario(6);
   const auto a =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   const auto b =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   ASSERT_EQ(a.logs.size(), b.logs.size());
   for (std::size_t i = 0; i < a.logs.size(); ++i)
     EXPECT_EQ(a.logs[i], b.logs[i]);
@@ -78,8 +68,7 @@ TEST(TraceGenerator, InjectsDuplicatesAtTheRequestedRate) {
   // so a quarter of either probability is a tolerance that a rate drawn
   // at another probability fails. Four days hold that many originals.
   const auto scenario = make_scenario(4);
-  TraceOptions options = small_window();
-  options.day_end = 4;
+  const TraceOptions options = coarse_days(4);
   const auto result =
       generate_trace(scenario.towers, scenario.intensity, options);
   const auto base = result.logs.size() - result.duplicates_injected -
@@ -102,7 +91,7 @@ TEST(TraceGenerator, EmitsTowerBySlotWithEachCopyAfterItsOriginal) {
   // minute after it starts.
   const auto scenario = make_scenario(8);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   ASSERT_GT(result.duplicates_injected, 0u);
   ASSERT_GT(result.conflicts_injected, 0u);
 
@@ -136,8 +125,7 @@ TEST(TraceGenerator, EmitsTowerBySlotWithEachCopyAfterItsOriginal) {
 
 TEST(TraceGenerator, SlotTotalsTrackTheIntensityModel) {
   const auto scenario = make_scenario(6);
-  TraceOptions options = small_window();
-  options.day_end = 7;
+  const TraceOptions options = coarse_days(7);
   const auto result =
       generate_trace(scenario.towers, scenario.intensity, options);
   // Total clean bytes over the window should be within a few percent of
@@ -157,14 +145,14 @@ TEST(TraceGenerator, SlotTotalsTrackTheIntensityModel) {
 TEST(TraceGenerator, UserIdsAreWithinThePopulation) {
   const auto scenario = make_scenario(6);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   for (const auto& log : result.logs) EXPECT_LT(log.user_id, kUsers);
 }
 
 TEST(TraceGenerator, HeavyTailedUserActivity) {
   const auto scenario = make_scenario(10);
   const auto result =
-      generate_trace(scenario.towers, scenario.intensity, small_window());
+      generate_trace(scenario.towers, scenario.intensity, coarse_days(2));
   std::vector<double> per_user(kUsers, 0.0);
   for (const auto& log : result.logs) per_user[log.user_id] += 1.0;
   // Heavy users (low ids, by the square sampling) dominate: the busiest
@@ -180,7 +168,7 @@ TEST(TraceGenerator, HeavyTailedUserActivity) {
 
 TEST(TraceGenerator, ValidatesOptions) {
   const auto scenario = make_scenario(4);
-  TraceOptions bad = small_window();
+  TraceOptions bad = coarse_days(2);
   bad.day_begin = 5;
   bad.day_end = 3;
   EXPECT_THROW(generate_trace(scenario.towers, scenario.intensity, bad),
